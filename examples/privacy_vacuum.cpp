@@ -42,7 +42,6 @@ int main() {
   ControllerOptions opts;
   opts.dbsize_budget = 1'000'000;       // storage is NOT the constraint here
   opts.backend = BackendKind::kDelete;  // privacy demands physical removal
-  opts.scrub_on_delete = true;
   auto ctrl_or = AmnesiaController::Make(opts, &policy, &table);
   if (!ctrl_or.ok()) {
     std::fprintf(stderr, "%s\n", ctrl_or.status().ToString().c_str());

@@ -2,215 +2,73 @@
 
 #include "amnesia/audit_ledger.h"
 
-#include <dirent.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <iterator>
+#include <limits>
 #include <utility>
 
-#include "durability/checkpointer.h"  // EnsureDir
-#include "durability/frame_io.h"
+#include "durability/event_log.h"  // SyncPolicy
 #include "storage/checkpoint_io.h"
 
 namespace amnesia {
 
 namespace {
 
-constexpr uint32_t kLedgerMagic = 0x44454C41;  // "ALED"
-constexpr uint32_t kLedgerFormatVersion = 1;
-// magic + version + base seq + chain seed + CRC over the first 20 bytes.
-constexpr size_t kLedgerHeaderSize = 4 + 4 + 8 + 4 + 4;
-constexpr const char* kSegmentPrefix = "audit-";
-constexpr const char* kSegmentSuffix = ".seg";
+constexpr SegmentFormat kLedgerFormat{0x44454C41, "audit-", true};  // "ALED"
 
-std::string SegmentName(uint64_t base_seq) {
-  return kSegmentPrefix + std::to_string(base_seq) + kSegmentSuffix;
-}
-
-bool IsSegmentName(const std::string& name) {
-  return name.rfind(kSegmentPrefix, 0) == 0 &&
-         name.size() >
-             std::strlen(kSegmentPrefix) + std::strlen(kSegmentSuffix) &&
-         name.rfind(kSegmentSuffix) == name.size() -
-                                           std::strlen(kSegmentSuffix);
-}
-
-std::vector<uint8_t> EncodeLedgerHeader(uint64_t base_seq,
-                                        uint32_t chain_seed) {
-  std::vector<uint8_t> out;
-  ckpt::Writer w(&out);
-  w.U32(kLedgerMagic);
-  w.U32(kLedgerFormatVersion);
-  w.U64(base_seq);
-  w.U32(chain_seed);
-  w.U32(ckpt::Crc32(out));
-  return out;
-}
-
-bool ReadLedgerHeader(std::FILE* f, uint64_t* base_seq,
-                      uint32_t* chain_seed) {
-  std::vector<uint8_t> header(kLedgerHeaderSize);
-  if (std::fread(header.data(), 1, header.size(), f) != header.size()) {
-    return false;
-  }
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, header.data() + 20, sizeof(stored_crc));
-  if (ckpt::Crc32(header.data(), 20) != stored_crc) return false;
-  uint32_t magic = 0, version = 0;
-  std::memcpy(&magic, header.data(), sizeof(magic));
-  std::memcpy(&version, header.data() + 4, sizeof(version));
-  if (magic != kLedgerMagic || version != kLedgerFormatVersion) return false;
-  std::memcpy(base_seq, header.data() + 8, sizeof(*base_seq));
-  std::memcpy(chain_seed, header.data() + 16, sizeof(*chain_seed));
-  return true;
-}
-
-bool ListSegmentNames(const std::string& dir, std::vector<std::string>* out) {
-  DIR* d = opendir(dir.c_str());
-  if (d == nullptr) return false;
-  while (dirent* entry = readdir(d)) {
-    if (IsSegmentName(entry->d_name)) out->push_back(entry->d_name);
-  }
-  closedir(d);
-  return true;
-}
-
-/// One ledger segment file, scanned front to back.
-struct ScannedSegment {
-  uint64_t base = 0;        ///< Seq of the first record.
-  uint32_t chain_seed = 0;  ///< Frame CRC of the previous segment's tail.
-  uint64_t count = 0;       ///< CRC-valid frames decoded.
-  uint64_t valid_bytes = 0; ///< Header + valid frames; a tear starts here.
-  std::string path;
-};
-
-/// Everything a directory scan learns about a ledger.
-struct LedgerScan {
-  /// The contiguous chained segments, oldest first; records across the
-  /// chain decoded in order (records[i] has seq chain[0].base + i).
-  std::vector<ScannedSegment> chain;
-  std::vector<AuditRecord> records;
-  /// Frame CRC of the newest decoded record (chain[0].chain_seed when the
-  /// chain holds no records at all).
-  uint32_t chain_crc = 0;
-  /// First chain break with CRC-valid bytes on both sides — tampering or
-  /// a splice, never a torn tail. Empty when the chain is clean.
+/// Verifies the hash chain while a scan walks the ledger: the oldest
+/// segment's seed starts the chain (retention GC may have unlinked
+/// everything before it), every later segment's seed must equal the
+/// running CRC, and every record must carry the next seq and its
+/// predecessor's frame CRC. A frame that does not decode ends the chain
+/// like a tear; a CRC-valid record or segment that does not chain is a
+/// break (tampering or a splice), recorded in `break_detail`.
+struct ChainWalk {
+  /// Newest records kept in `records`.
+  size_t keep = std::numeric_limits<size_t>::max();
+  std::deque<AuditRecord> records;
+  uint32_t crc = 0;       ///< Frame CRC of the newest adopted record.
+  uint64_t next_seq = 0;  ///< Seq the next record must carry.
+  bool started = false;
   std::string break_detail;
-  /// Segment files that are not part of the chain (unreadable header, or
-  /// past a break). OpenForAppend unlinks them; readers ignore them.
-  std::vector<std::string> orphans;
-};
 
-/// Scans one segment file; returns false when the header is unreadable.
-/// Frames are decoded until the first invalid one (torn tail).
-bool ScanSegment(const std::string& path, ScannedSegment* seg,
-                 std::vector<AuditRecord>* records) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  if (!ReadLedgerHeader(f, &seg->base, &seg->chain_seed)) {
-    std::fclose(f);
-    return false;
-  }
-  seg->path = path;
-  seg->valid_bytes = kLedgerHeaderSize;
-  std::vector<uint8_t> payload;
-  while (wal::ReadFrame(f, &payload)) {
-    AuditRecord record;
-    if (!DecodeAuditRecord(payload, &record).ok()) break;
-    records->push_back(std::move(record));
-    ++seg->count;
-    seg->valid_bytes += wal::kFrameHeaderSize + payload.size();
-  }
-  std::fclose(f);
-  return true;
-}
-
-/// Scans `dir` and assembles the contiguous chain, oldest segment first.
-/// Contiguity means seq continuity AND chain-seed continuity; a segment
-/// violating either ends the chain (later segments become orphans). The
-/// seeds are re-verified record-by-record so `break_detail` pinpoints a
-/// CRC-valid record whose prev_crc disagrees with its predecessor.
-Status ScanLedger(const std::string& dir, LedgerScan* scan) {
-  std::vector<std::string> names;
-  if (!ListSegmentNames(dir, &names)) {
-    return Status::NotFound("no audit ledger at '" + dir + "'");
-  }
-  std::vector<ScannedSegment> segments;
-  for (const std::string& name : names) {
-    const std::string path = dir + "/" + name;
-    ScannedSegment seg;
-    std::vector<AuditRecord> ignored;
-    if (ScanSegment(path, &seg, &ignored)) {
-      segments.push_back(std::move(seg));
-    } else {
-      scan->orphans.push_back(path);
-    }
-  }
-  if (segments.empty() && scan->orphans.empty()) {
-    return Status::NotFound("no audit ledger at '" + dir + "'");
-  }
-  std::sort(segments.begin(), segments.end(),
-            [](const ScannedSegment& a, const ScannedSegment& b) {
-              return a.base < b.base;
-            });
-  // Adopt the oldest segment's seed as the chain start (retention GC may
-  // have unlinked everything before it), then extend while contiguous.
-  uint32_t chain = 0;
-  uint64_t next_seq = 0;
-  bool first = true;
-  for (ScannedSegment& seg : segments) {
-    if (!first && (seg.base != next_seq || seg.chain_seed != chain)) {
-      scan->orphans.push_back(seg.path);
-      continue;
-    }
-    if (!scan->break_detail.empty()) {  // chain already broken: orphan rest
-      scan->orphans.push_back(seg.path);
-      continue;
-    }
-    if (first) {
-      chain = seg.chain_seed;
-      next_seq = seg.base;
-      first = false;
-    }
-    ScannedSegment rescanned;
-    std::vector<AuditRecord> records;
-    if (!ScanSegment(seg.path, &rescanned, &records)) {
-      scan->orphans.push_back(seg.path);
-      continue;
-    }
-    // Walk the records against the running chain; a mismatch on a
-    // CRC-valid record is a genuine break, not a torn tail. valid_bytes
-    // is rewound to the adopted prefix so OpenForAppend never resumes
-    // past a break (encoding is deterministic, so the re-encoded frame
-    // size equals the on-disk one).
-    uint64_t adopted = 0;
-    uint64_t adopted_bytes = kLedgerHeaderSize;
-    for (AuditRecord& record : records) {
-      const std::vector<uint8_t> payload = EncodeAuditRecord(record);
-      if (record.prev_crc != chain || record.seq != next_seq) {
-        scan->break_detail =
-            "record seq " + std::to_string(record.seq) + " in '" +
-            rescanned.path + "' breaks the chain (expected seq " +
-            std::to_string(next_seq) + ", prev_crc " + std::to_string(chain) +
-            "; found prev_crc " + std::to_string(record.prev_crc) + ")";
-        break;
+  SegmentVisitor Visitor() {
+    SegmentVisitor visit;
+    visit.segment = [this](uint64_t base, uint32_t seed) {
+      if (!started) {
+        started = true;
+        crc = seed;
+        next_seq = base;
+        return true;
       }
-      chain = ckpt::Crc32(payload);
+      if (seed == crc) return true;
+      break_detail = "segment at seq " + std::to_string(base) +
+                     " breaks the chain (expected chain seed " +
+                     std::to_string(crc) + "; found " +
+                     std::to_string(seed) + ")";
+      return false;
+    };
+    visit.frame = [this](const std::vector<uint8_t>& payload) {
+      AuditRecord record;
+      if (!DecodeAuditRecord(payload, &record).ok()) return false;
+      if (record.prev_crc != crc || record.seq != next_seq) {
+        break_detail =
+            "record seq " + std::to_string(record.seq) +
+            " breaks the chain (expected seq " + std::to_string(next_seq) +
+            ", prev_crc " + std::to_string(crc) + "; found prev_crc " +
+            std::to_string(record.prev_crc) + ")";
+        return false;
+      }
+      crc = ckpt::Crc32(payload);
       ++next_seq;
-      ++adopted;
-      adopted_bytes += wal::kFrameHeaderSize + payload.size();
-      scan->records.push_back(std::move(record));
-    }
-    rescanned.count = adopted;
-    rescanned.valid_bytes = adopted_bytes;
-    scan->chain.push_back(std::move(rescanned));
+      records.push_back(std::move(record));
+      if (records.size() > keep) records.pop_front();
+      return true;
+    };
+    return visit;
   }
-  scan->chain_crc = chain;
-  return Status::OK();
-}
+};
 
 }  // namespace
 
@@ -275,157 +133,57 @@ Status DecodeAuditRecord(const std::vector<uint8_t>& payload,
   return Status::OK();
 }
 
+AuditLedger::AuditLedger(SegmentChain chain,
+                         const AuditLedgerOptions& options)
+    : tail_capacity_(options.tail_capacity), chain_(std::move(chain)) {}
+
 StatusOr<AuditLedger> AuditLedger::Open(const std::string& dir,
                                         const AuditLedgerOptions& options) {
-  AMNESIA_RETURN_NOT_OK(EnsureDir(dir));
-  std::vector<std::string> names;
-  ListSegmentNames(dir, &names);
-  for (const std::string& name : names) {
-    const std::string path = dir + "/" + name;
-    if (std::remove(path.c_str()) != 0) {
-      return Status::Internal("cannot remove stale ledger segment '" + path +
-                              "'");
-    }
-  }
-  AuditLedger ledger;
-  ledger.dir_ = dir;
-  ledger.options_ = options;
-  ledger.active_base_ = 0;
-  ledger.active_path_ = dir + "/" + SegmentName(0);
-  ledger.active_ = std::fopen(ledger.active_path_.c_str(), "wb");
-  if (ledger.active_ == nullptr) {
-    return Status::Internal("cannot create ledger segment '" +
-                            ledger.active_path_ + "'");
-  }
-  const std::vector<uint8_t> header = EncodeLedgerHeader(0, 0);
-  if (std::fwrite(header.data(), 1, header.size(), ledger.active_) !=
-          header.size() ||
-      std::fflush(ledger.active_) != 0) {
-    return Status::Internal("cannot write ledger header in '" +
-                            ledger.active_path_ + "'");
-  }
-  ledger.active_bytes_ = header.size();
-  return ledger;
+  // Every append flushes: the record must reach the page cache before the
+  // sweep it attests is reported done.
+  AMNESIA_ASSIGN_OR_RETURN(
+      SegmentChain chain,
+      SegmentChain::Create(dir, kLedgerFormat, options.max_segment_bytes,
+                           SyncPolicy::EveryAppend()));
+  return AuditLedger(std::move(chain), options);
 }
 
 StatusOr<AuditLedger> AuditLedger::OpenForAppend(
     const std::string& dir, const AuditLedgerOptions& options) {
-  AMNESIA_RETURN_NOT_OK(EnsureDir(dir));
-  LedgerScan scan;
-  const Status scanned = ScanLedger(dir, &scan);
-  if (scanned.code() == StatusCode::kNotFound) return Open(dir, options);
-  AMNESIA_RETURN_NOT_OK(scanned);
-  if (scan.chain.empty()) {
-    // Only orphans survived (e.g. a half-written header). Start over.
-    for (const std::string& path : scan.orphans) std::remove(path.c_str());
+  ChainWalk walk;
+  walk.keep = options.tail_capacity;
+  StatusOr<SegmentChain> chain =
+      SegmentChain::Resume(dir, kLedgerFormat, options.max_segment_bytes,
+                           SyncPolicy::EveryAppend(), walk.Visitor());
+  if (chain.status().code() == StatusCode::kNotFound) {
     return Open(dir, options);
   }
-  // Unlink orphans so a later TruncateBefore never trips over them.
-  for (const std::string& path : scan.orphans) std::remove(path.c_str());
-  // Physically truncate the newest segment's torn tail before appending.
-  ScannedSegment& newest = scan.chain.back();
-  struct stat st;
-  if (stat(newest.path.c_str(), &st) == 0 &&
-      static_cast<uint64_t>(st.st_size) > newest.valid_bytes) {
-    if (truncate(newest.path.c_str(),
-                 static_cast<off_t>(newest.valid_bytes)) != 0) {
-      return Status::Internal("cannot truncate torn ledger tail in '" +
-                              newest.path + "'");
-    }
-  }
-  AuditLedger ledger;
-  ledger.dir_ = dir;
-  ledger.options_ = options;
-  ledger.chain_crc_ = scan.chain_crc;
-  for (size_t i = 0; i + 1 < scan.chain.size(); ++i) {
-    ledger.sealed_.push_back(Sealed{scan.chain[i].base, scan.chain[i].count,
-                                    scan.chain[i].path});
-  }
-  ledger.active_base_ = newest.base;
-  ledger.active_count_ = newest.count;
-  ledger.active_bytes_ = newest.valid_bytes;
-  ledger.active_path_ = newest.path;
-  ledger.active_ = std::fopen(newest.path.c_str(), "ab");
-  if (ledger.active_ == nullptr) {
-    return Status::Internal("cannot reopen ledger segment '" + newest.path +
-                            "'");
-  }
-  const size_t keep = std::min(scan.records.size(), options.tail_capacity);
-  for (size_t i = scan.records.size() - keep; i < scan.records.size(); ++i) {
-    ledger.tail_.push_back(std::move(scan.records[i]));
-  }
+  if (!chain.ok()) return chain.status();
+  AuditLedger ledger(std::move(chain).value(), options);
+  ledger.chain_crc_ = walk.crc;
+  ledger.tail_ = std::move(walk.records);
   return ledger;
 }
 
-AuditLedger::~AuditLedger() { Close(); }
-
-void AuditLedger::Close() {
-  if (active_ != nullptr) {
-    std::fflush(active_);
-    std::fclose(active_);
-    active_ = nullptr;
-  }
-}
-
-AuditLedger::AuditLedger(AuditLedger&& other) noexcept {
-  *this = std::move(other);
-}
+AuditLedger::AuditLedger(AuditLedger&& other) noexcept
+    : chain_crc_(other.chain_crc_),
+      tail_(std::move(other.tail_)),
+      tail_capacity_(other.tail_capacity_),
+      chain_(std::move(other.chain_)) {}
 
 AuditLedger& AuditLedger::operator=(AuditLedger&& other) noexcept {
   if (this == &other) return *this;
-  Close();
-  std::lock_guard<std::mutex> lock(other.mu_);
-  dir_ = std::move(other.dir_);
-  options_ = other.options_;
-  sealed_ = std::move(other.sealed_);
-  tail_ = std::move(other.tail_);
-  active_base_ = other.active_base_;
-  active_count_ = other.active_count_;
-  active_bytes_ = other.active_bytes_;
+  std::scoped_lock lock(mu_, other.mu_);
   chain_crc_ = other.chain_crc_;
-  active_path_ = std::move(other.active_path_);
-  active_ = other.active_;
-  unlinked_total_ = other.unlinked_total_;
-  other.active_ = nullptr;
+  tail_ = std::move(other.tail_);
+  tail_capacity_ = other.tail_capacity_;
+  chain_ = std::move(other.chain_);
   return *this;
-}
-
-Status AuditLedger::RollLocked() {
-  // Seal: fsync the finished segment so its chain position is durable,
-  // then start a fresh one seeded with the current chain head.
-  if (std::fflush(active_) != 0 || fsync(fileno(active_)) != 0) {
-    return Status::Internal("cannot seal ledger segment '" + active_path_ +
-                            "'");
-  }
-  std::fclose(active_);
-  active_ = nullptr;
-  sealed_.push_back(Sealed{active_base_, active_count_, active_path_});
-  const uint64_t base = active_base_ + active_count_;
-  active_base_ = base;
-  active_count_ = 0;
-  active_path_ = dir_ + "/" + SegmentName(base);
-  active_ = std::fopen(active_path_.c_str(), "wb");
-  if (active_ == nullptr) {
-    return Status::Internal("cannot create ledger segment '" + active_path_ +
-                            "'");
-  }
-  const std::vector<uint8_t> header = EncodeLedgerHeader(base, chain_crc_);
-  if (std::fwrite(header.data(), 1, header.size(), active_) !=
-          header.size() ||
-      std::fflush(active_) != 0) {
-    return Status::Internal("cannot write ledger header in '" + active_path_ +
-                            "'");
-  }
-  active_bytes_ = header.size();
-  return Status::OK();
 }
 
 Status AuditLedger::Append(AuditRecord* record) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (active_ == nullptr) {
-    return Status::FailedPrecondition("audit ledger is closed");
-  }
-  record->seq = active_base_ + active_count_;
+  record->seq = chain_.next_index();
   record->prev_crc = chain_crc_;
   if (record->wall_ms == 0) {
     record->wall_ms = static_cast<uint64_t>(
@@ -434,22 +192,13 @@ Status AuditLedger::Append(AuditRecord* record) {
             .count());
   }
   const std::vector<uint8_t> payload = EncodeAuditRecord(*record);
-  if (active_bytes_ + wal::kFrameHeaderSize + payload.size() >
-          options_.max_segment_bytes &&
-      active_count_ > 0) {
-    AMNESIA_RETURN_NOT_OK(RollLocked());
-    record->seq = active_base_;  // unchanged, but keep the invariant clear
-  }
-  AMNESIA_RETURN_NOT_OK(wal::WriteFrame(active_, payload, active_path_));
-  if (std::fflush(active_) != 0) {
-    return Status::Internal("cannot flush ledger segment '" + active_path_ +
-                            "'");
-  }
-  active_bytes_ += wal::kFrameHeaderSize + payload.size();
-  ++active_count_;
+  // A segment this append opens is seeded with the chain head before the
+  // record, so verification can start there.
+  SegmentBarriers barriers;
+  AMNESIA_RETURN_NOT_OK(chain_.Append(payload, chain_crc_, &barriers));
   chain_crc_ = ckpt::Crc32(payload);
   tail_.push_back(*record);
-  while (tail_.size() > options_.tail_capacity) tail_.pop_front();
+  while (tail_.size() > tail_capacity_) tail_.pop_front();
   return Status::OK();
 }
 
@@ -460,32 +209,12 @@ std::vector<AuditRecord> AuditLedger::Tail(size_t n) const {
 }
 
 Status AuditLedger::TruncateBefore(uint64_t seq) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (seq > active_base_ + active_count_) {
-    return Status::InvalidArgument(
-        "cannot truncate audit ledger beyond next_seq");
-  }
-  while (!sealed_.empty() &&
-         sealed_.front().base + sealed_.front().count <= seq) {
-    const std::string path = sealed_.front().path;
-    if (std::remove(path.c_str()) != 0) {
-      return Status::Internal("cannot unlink ledger segment '" + path + "'");
-    }
-    sealed_.pop_front();
-    ++unlinked_total_;
-  }
-  return Status::OK();
+  return chain_.TruncateBefore(seq).status();
 }
 
-uint64_t AuditLedger::next_seq() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return active_base_ + active_count_;
-}
+uint64_t AuditLedger::next_seq() const { return chain_.next_index(); }
 
-uint64_t AuditLedger::base_seq() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sealed_.empty() ? active_base_ : sealed_.front().base;
-}
+uint64_t AuditLedger::base_seq() const { return chain_.base_index(); }
 
 uint32_t AuditLedger::chain_crc() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -493,27 +222,28 @@ uint32_t AuditLedger::chain_crc() const {
 }
 
 uint64_t AuditLedger::segments_unlinked() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return unlinked_total_;
+  return chain_.segments_unlinked();
 }
 
 StatusOr<std::vector<AuditRecord>> ReadAuditRecords(const std::string& dir) {
-  LedgerScan scan;
-  AMNESIA_RETURN_NOT_OK(ScanLedger(dir, &scan));
-  return std::move(scan.records);
+  ChainWalk walk;
+  AMNESIA_RETURN_NOT_OK(
+      ReadSegmentChain(dir, kLedgerFormat, walk.Visitor()).status());
+  return std::vector<AuditRecord>(std::make_move_iterator(walk.records.begin()),
+                                  std::make_move_iterator(walk.records.end()));
 }
 
 StatusOr<AuditChainReport> VerifyAuditChain(const std::string& dir) {
-  LedgerScan scan;
-  AMNESIA_RETURN_NOT_OK(ScanLedger(dir, &scan));
+  ChainWalk walk;
   AuditChainReport report;
-  report.records = scan.records.size();
-  report.base_seq = scan.chain.empty() ? 0 : scan.chain.front().base;
-  report.next_seq =
-      scan.records.empty() ? report.base_seq : scan.records.back().seq + 1;
-  report.chain_crc = scan.chain_crc;
-  report.ok = scan.break_detail.empty();
-  report.detail = scan.break_detail;
+  AMNESIA_ASSIGN_OR_RETURN(report.base_seq,
+                           ReadSegmentChain(dir, kLedgerFormat,
+                                            walk.Visitor()));
+  report.ok = walk.break_detail.empty();
+  report.records = walk.records.size();
+  report.next_seq = walk.next_seq;
+  report.chain_crc = walk.crc;
+  report.detail = walk.break_detail;
   return report;
 }
 

@@ -10,8 +10,10 @@
 // each record embeds the CRC-32 of the previous record's payload,
 // truncating or rewriting history breaks the chain detectably.
 //
-// On disk the ledger reuses the event-log machinery: a dedicated
-// directory of segment files, each opening with a self-describing header
+// On disk the ledger reuses the event-log machinery: it is a segment
+// chain (durability/segment_chain.h, the same roll, seal, truncation and
+// repair code as the segmented event log) in the `ALED` format, a
+// dedicated directory of audit-<base seq>.seg files each opening with
 //   [u32 magic "ALED"][u32 version][u64 base seq][u32 chain seed][u32 crc]
 // followed by ordinary [len|crc32|payload] frames (durability/frame_io.h)
 // whose payloads are ckpt-encoded AuditRecords. The `chain seed` is the
@@ -32,13 +34,13 @@
 #define AMNESIA_AMNESIA_AUDIT_LEDGER_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "durability/segment_chain.h"
 
 namespace amnesia {
 
@@ -105,8 +107,6 @@ class AuditLedger {
   static StatusOr<AuditLedger> OpenForAppend(
       const std::string& dir, const AuditLedgerOptions& options = {});
 
-  ~AuditLedger();
-
   AuditLedger(AuditLedger&& other) noexcept;
   AuditLedger& operator=(AuditLedger&& other) noexcept;
   AuditLedger(const AuditLedger&) = delete;
@@ -122,7 +122,8 @@ class AuditLedger {
   std::vector<AuditRecord> Tail(size_t n) const;
 
   /// Unlinks every sealed segment wholly below `seq`. Conservative like
-  /// the event log: a segment containing `seq` is kept whole.
+  /// the event log: a segment containing `seq` is kept whole. Concurrent
+  /// with Append, which only waits for the index splice.
   Status TruncateBefore(uint64_t seq);
 
   /// Sequence number the next Append will stamp.
@@ -134,32 +135,17 @@ class AuditLedger {
   /// Segments TruncateBefore has unlinked in total.
   uint64_t segments_unlinked() const;
 
-  const std::string& dir() const { return dir_; }
+  const std::string& dir() const { return chain_.dir(); }
 
  private:
-  AuditLedger() = default;
+  AuditLedger(SegmentChain chain, const AuditLedgerOptions& options);
 
-  Status RollLocked();
-  void Close();
-
-  struct Sealed {
-    uint64_t base = 0;   ///< Seq of the segment's first record.
-    uint64_t count = 0;  ///< Records it holds.
-    std::string path;
-  };
-
+  /// Serializes stamping with the frame write, and guards the two below.
   mutable std::mutex mu_;
-  std::string dir_;
-  AuditLedgerOptions options_;
-  std::deque<Sealed> sealed_;  ///< Oldest first; contiguous up to active.
-  std::deque<AuditRecord> tail_;
-  uint64_t active_base_ = 0;
-  uint64_t active_count_ = 0;
-  uint64_t active_bytes_ = 0;
   uint32_t chain_crc_ = 0;  ///< Frame CRC of the newest record.
-  std::string active_path_;
-  std::FILE* active_ = nullptr;
-  uint64_t unlinked_total_ = 0;
+  std::deque<AuditRecord> tail_;
+  size_t tail_capacity_ = 0;
+  SegmentChain chain_;
 };
 
 /// \brief Encodes/decodes one record payload (exposed for tests and the

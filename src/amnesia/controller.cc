@@ -120,7 +120,7 @@ Status AmnesiaController::ForgetOne(RowId row) {
   }
   // The scrub is journaled after the forget event, matching the replay
   // order: Forget(row) must precede ScrubRow(row).
-  if (options_.backend == BackendKind::kDelete && options_.scrub_on_delete) {
+  if (options_.backend == BackendKind::kDelete) {
     if (event_sink_ != nullptr) {
       Event event;
       event.kind = EventKind::kScrub;

@@ -77,8 +77,6 @@ struct ControllerOptions {
   /// kDelete: run physical compaction every N EnforceBudget calls
   /// (0 = never compact, scrub only).
   uint32_t compact_every_n_rounds = 1;
-  /// kDelete: overwrite payloads of forgotten rows immediately.
-  bool scrub_on_delete = true;
 };
 
 /// \brief Controller activity counters.

@@ -85,7 +85,6 @@ StatusOr<ShardedAmnesiaController> ShardedAmnesiaController::Make(
     copts.backend = options.backend;
     copts.payload_col = options.payload_col;
     copts.compact_every_n_rounds = options.compact_every_n_rounds;
-    copts.scrub_on_delete = options.scrub_on_delete;
     AMNESIA_ASSIGN_OR_RETURN(
         AmnesiaController ctrl,
         AmnesiaController::Make(copts, policy.get(),

@@ -53,8 +53,6 @@ struct ShardedControllerOptions {
   size_t payload_col = 0;
   /// kDelete: run per-shard compaction every N EnforceBudget calls.
   uint32_t compact_every_n_rounds = 1;
-  /// kDelete: overwrite payloads of forgotten rows immediately.
-  bool scrub_on_delete = true;
   /// Base seed; shard s draws from Rng(seed + s), so passes are
   /// reproducible regardless of which worker runs which shard.
   uint64_t seed = 42;

@@ -15,14 +15,6 @@ namespace amnesia {
 
 namespace {
 
-/// One flush reached the OS: note it and the group-commit batch it
-/// covered (0 = an explicit barrier with nothing pending; not a batch).
-void NoteLogFlush(uint32_t batch_size) {
-  obs::EngineMetrics& m = obs::EngineMetrics::Get();
-  m.log_fsyncs->Inc();
-  if (batch_size > 0) m.log_batch_size->Record(batch_size);
-}
-
 // A truncated log file opens with one marker frame whose payload is
 // [u8 0]["TRNC"][u64 base_lsn]. Kind byte 0 is outside the EventKind
 // range, so the marker can never collide with a real event; readers from
@@ -403,6 +395,12 @@ bool ShouldFlushAfterAppend(const SyncPolicy& sync, uint32_t* pending,
   return age_ms >= sync.group_interval_ms;
 }
 
+void NoteLogFlush(uint32_t batch_size) {
+  obs::EngineMetrics& m = obs::EngineMetrics::Get();
+  m.log_fsyncs->Inc();
+  if (batch_size > 0) m.log_batch_size->Record(batch_size);
+}
+
 }  // namespace log_internal
 
 Status EventLog::MaybeFlushLocked() {
@@ -415,7 +413,7 @@ Status EventLog::MaybeFlushLocked() {
     return Status::Internal("event log flush failed on '" + path_ + "'");
   }
   // pending_flush_ stays 0 under every-append sync; that is a batch of 1.
-  NoteLogFlush(pending_flush_ == 0 ? 1 : pending_flush_);
+  log_internal::NoteLogFlush(pending_flush_ == 0 ? 1 : pending_flush_);
   pending_flush_ = 0;
   return Status::OK();
 }
@@ -430,7 +428,7 @@ Status EventLog::Flush() {
   if (file_ != nullptr && std::fflush(file_) != 0) {
     return Status::Internal("event log flush failed on '" + path_ + "'");
   }
-  if (file_ != nullptr) NoteLogFlush(pending_flush_);
+  if (file_ != nullptr) log_internal::NoteLogFlush(pending_flush_);
   pending_flush_ = 0;
   return Status::OK();
 }

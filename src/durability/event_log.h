@@ -167,10 +167,15 @@ namespace log_internal {
 
 /// Shared group-commit trigger: accounts one just-written frame against
 /// `pending`/`oldest` and returns true when the policy wants a flush now
-/// (always, under every-append). Both log formats call this under their
-/// append mutex so the two cannot drift.
+/// (always, under every-append). EventLog and every segment chain call
+/// this under their append mutex so the two cannot drift.
 bool ShouldFlushAfterAppend(const SyncPolicy& sync, uint32_t* pending,
                             std::chrono::steady_clock::time_point* oldest);
+
+/// Accounts one flush that reached the OS in the log.* metrics: the fsync
+/// always counts; `batch_size` is recorded only when appends were covered
+/// (an explicit barrier with nothing pending is not a batch).
+void NoteLogFlush(uint32_t batch_size);
 
 }  // namespace log_internal
 

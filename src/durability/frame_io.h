@@ -1,10 +1,10 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
-// Shared [u32 length][u32 crc32][payload] record framing for the event-log
-// family. EventLog (single rewrite-compacted file) and SegmentedEventLog
-// (segment files unlinked whole) both write exactly these frames, which is
-// what keeps the two formats byte-compatible at the record level: the
-// migration split and the equivalence tests compare payload-for-payload.
+// Shared [u32 length][u32 crc32][payload] record framing for the event log
+// (EventLog, one rewrite-compacted file) and for segment chains
+// (segment_chain.h: the segmented event log and the audit ledger, whose
+// segment files are unlinked whole). The two event-log formats thus hold
+// the same records byte for byte.
 //
 // Reader semantics are the WAL standard: a short header, a short payload,
 // an implausible length or a CRC mismatch all mean "the valid prefix ends

@@ -2,498 +2,106 @@
 
 #include "durability/log_segments.h"
 
-#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
+#include <cstdio>
 #include <utility>
+#include <vector>
 
-#include "durability/checkpointer.h"  // EnsureDir
 #include "obs/engine_metrics.h"
-#include "durability/frame_io.h"
-#include "storage/checkpoint_io.h"
 
 namespace amnesia {
 
 namespace {
 
-constexpr uint32_t kSegmentMagic = 0x47455341;  // "ASEG"
-constexpr uint32_t kSegmentFormatVersion = 1;
-// magic + version + base LSN + CRC over the first 16 bytes.
-constexpr size_t kSegmentHeaderSize = 4 + 4 + 8 + 4;
-constexpr const char* kSegmentPrefix = "log-";
-constexpr const char* kSegmentSuffix = ".seg";
+constexpr SegmentFormat kLogFormat{0x47455341, "log-", false};  // "ASEG"
 
-std::string SegmentName(uint64_t base_lsn) {
-  return kSegmentPrefix + std::to_string(base_lsn) + kSegmentSuffix;
+/// Every frame must decode as an event: a CRC-clean frame that does not
+/// ends the chain like a tear. Decoded events go to `events` when it is
+/// non-null.
+SegmentVisitor DecodeEvents(std::vector<Event>* events) {
+  SegmentVisitor visit;
+  visit.frame = [events](const std::vector<uint8_t>& payload) {
+    StatusOr<Event> event = DecodeEvent(payload);
+    if (!event.ok()) return false;
+    if (events != nullptr) events->push_back(std::move(event).value());
+    return true;
+  };
+  return visit;
 }
 
-/// Accounts one durability barrier: the fsync always counts; the batch
-/// size is only recorded when appends were actually covered (an explicit
-/// barrier with nothing pending is a zero-size batch and would skew the
-/// distribution).
-void NoteLogFlush(uint32_t batch_size) {
-  obs::EngineMetrics& m = obs::EngineMetrics::Get();
-  m.log_fsyncs->Inc();
-  if (batch_size > 0) m.log_batch_size->Record(batch_size);
-}
-
-bool IsSegmentName(const std::string& name) {
-  return name.rfind(kSegmentPrefix, 0) == 0 &&
-         name.size() > std::strlen(kSegmentPrefix) +
-                           std::strlen(kSegmentSuffix) &&
-         name.rfind(kSegmentSuffix) ==
-             name.size() - std::strlen(kSegmentSuffix);
-}
-
-std::vector<uint8_t> EncodeSegmentHeader(uint64_t base_lsn) {
-  std::vector<uint8_t> out;
-  ckpt::Writer w(&out);
-  w.U32(kSegmentMagic);
-  w.U32(kSegmentFormatVersion);
-  w.U64(base_lsn);
-  w.U32(ckpt::Crc32(out));
-  return out;
-}
-
-/// Reads and verifies a segment header at the current (start) position.
-/// Returns false on a short read, wrong magic/version or CRC mismatch —
-/// the file is not a usable segment.
-bool ReadSegmentHeader(std::FILE* f, uint64_t* base_lsn) {
-  std::vector<uint8_t> header(kSegmentHeaderSize);
-  if (std::fread(header.data(), 1, header.size(), f) != header.size()) {
-    return false;
-  }
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, header.data() + 16, sizeof(stored_crc));
-  if (ckpt::Crc32(header.data(), 16) != stored_crc) return false;
-  uint32_t magic = 0, version = 0;
-  std::memcpy(&magic, header.data(), sizeof(magic));
-  std::memcpy(&version, header.data() + 4, sizeof(version));
-  if (magic != kSegmentMagic || version != kSegmentFormatVersion) {
-    return false;
-  }
-  std::memcpy(base_lsn, header.data() + 8, sizeof(*base_lsn));
-  return true;
-}
-
-uint64_t FileSize(const std::string& path) {
-  struct stat st;
-  return stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size)
-                                      : 0;
-}
-
-/// Lists the log-*.seg file names in `dir` (names only, no validation).
-/// Returns false when the directory cannot be opened.
-bool ListSegmentNames(const std::string& dir, std::vector<std::string>* out) {
-  DIR* d = opendir(dir.c_str());
-  if (d == nullptr) return false;
-  while (dirent* entry = readdir(d)) {
-    if (IsSegmentName(entry->d_name)) out->push_back(entry->d_name);
-  }
-  closedir(d);
-  return true;
-}
-
-/// One segment file on disk, scanned.
-struct ScannedSegment {
-  uint64_t base = 0;
-  uint64_t count = 0;        ///< Valid frames decoded.
-  uint64_t valid_bytes = 0;  ///< Header + valid frames; a tear starts here.
-  std::string path;
-};
-
-/// Everything a directory scan learns about a segmented log.
-struct SegmentScan {
-  /// The contiguous valid chain, oldest first. Events across the chain
-  /// are decoded into `events` (events[i] has LSN chain[0].base + i).
-  std::vector<ScannedSegment> chain;
-  std::vector<Event> events;
-  /// Segment files that are not part of the chain: an invalid or torn
-  /// header (crash during roll), a base-LSN gap after a corrupt segment.
-  /// Readers ignore them; OpenForAppend unlinks them.
-  std::vector<std::string> unreachable;
-  /// True when the last chain segment has bytes past valid_bytes (torn
-  /// tail or mid-segment corruption).
-  bool tail_torn = false;
-};
-
-/// Scans `dir`: orders the valid-headered segments by base LSN, walks the
-/// chain decoding frames, and stops the chain at the first tear, decode
-/// failure or base-LSN discontinuity. NotFound when the directory itself
-/// is missing. Every frame is decoded either way (chain validity depends
-/// on it); `collect_events` false skips retaining the decoded events —
-/// OpenForAppend only needs the chain shape, and the retained stream of
-/// a large log is an O(total events) allocation.
-StatusOr<SegmentScan> ScanSegments(const std::string& dir,
-                                   bool collect_events = true) {
-  std::vector<std::string> names;
-  if (!ListSegmentNames(dir, &names)) {
-    return Status::NotFound("cannot open segmented log directory '" + dir +
-                            "'");
-  }
-
-  SegmentScan scan;
-  std::vector<ScannedSegment> candidates;
-  for (const std::string& name : names) {
-    const std::string path = dir + "/" + name;
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    uint64_t base = 0;
-    if (f == nullptr || !ReadSegmentHeader(f, &base)) {
-      // A header that never finished (crash during roll) holds no durable
-      // events; the file is unreachable to every reader.
-      if (f != nullptr) std::fclose(f);
-      scan.unreachable.push_back(path);
-      continue;
-    }
-    std::fclose(f);
-    ScannedSegment seg;
-    seg.base = base;
-    seg.path = path;
-    candidates.push_back(std::move(seg));
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const ScannedSegment& a, const ScannedSegment& b) {
-              return a.base < b.base;
-            });
-
-  bool chain_broken = false;
-  for (ScannedSegment& seg : candidates) {
-    if (chain_broken ||
-        (!scan.chain.empty() &&
-         seg.base != scan.chain.back().base + scan.chain.back().count)) {
-      // Either a previous segment ended early (tear/corruption) or the
-      // bases have a gap: events past this point have no contiguous LSN
-      // path from the base and can never be replayed.
-      chain_broken = true;
-      scan.unreachable.push_back(seg.path);
-      continue;
-    }
-    std::FILE* f = std::fopen(seg.path.c_str(), "rb");
-    if (f == nullptr) {
-      chain_broken = true;
-      scan.unreachable.push_back(seg.path);
-      continue;
-    }
-    uint64_t base = 0;
-    ReadSegmentHeader(f, &base);  // verified above; positions past it
-    seg.valid_bytes = kSegmentHeaderSize;
-    std::vector<uint8_t> payload;
-    while (wal::ReadFrame(f, &payload)) {
-      auto event = DecodeEvent(payload);
-      if (!event.ok()) break;  // frame-CRC-clean corruption: stop here
-      if (collect_events) scan.events.push_back(std::move(event).value());
-      ++seg.count;
-      seg.valid_bytes += wal::kFrameHeaderSize + payload.size();
-    }
-    std::fclose(f);
-    const bool torn = seg.valid_bytes < FileSize(seg.path);
-    scan.chain.push_back(std::move(seg));
-    if (torn) {
-      // The valid prefix ends inside this segment; later segments (if
-      // any) are unreachable and the chain-broken branch collects them.
-      chain_broken = true;
-      scan.tail_torn = true;
-    }
-  }
-  return scan;
+/// Accounts the flushes a chain call made in the log.* metrics.
+void NoteBarriers(const SegmentBarriers& barriers) {
+  if (barriers.seal) log_internal::NoteLogFlush(*barriers.seal);
+  if (barriers.flush) log_internal::NoteLogFlush(*barriers.flush);
 }
 
 }  // namespace
 
-// ------------------------------------------------------ SegmentedEventLog
-
 StatusOr<SegmentedEventLog> SegmentedEventLog::Open(
     const std::string& dir, const SegmentedLogOptions& options) {
-  AMNESIA_RETURN_NOT_OK(EnsureDir(dir));
-  // A fresh log in a previously used directory must not resurrect the old
-  // instance's events — same contract as EventLog::Open's "wb" truncate.
-  // Unlinking by name: the doomed contents never need to be read.
-  std::vector<std::string> stale;
-  ListSegmentNames(dir, &stale);
-  for (const std::string& name : stale) {
-    const std::string path = dir + "/" + name;
-    if (std::remove(path.c_str()) != 0) {
-      return Status::Internal("cannot remove stale segment '" + path + "'");
-    }
-  }
-
-  SegmentedEventLog log;
-  log.dir_ = dir;
-  log.options_ = options;
-  log.active_base_ = 0;
-  log.active_path_ = dir + "/" + SegmentName(0);
-  log.active_ = std::fopen(log.active_path_.c_str(), "wb");
-  if (log.active_ == nullptr) {
-    return Status::Internal("cannot create segment '" + log.active_path_ +
-                            "'");
-  }
-  const std::vector<uint8_t> header = EncodeSegmentHeader(0);
-  if (std::fwrite(header.data(), 1, header.size(), log.active_) !=
-          header.size() ||
-      std::fflush(log.active_) != 0) {
-    return Status::Internal("cannot write segment header to '" +
-                            log.active_path_ + "'");
-  }
-  log.active_bytes_ = kSegmentHeaderSize;
-  return log;
+  AMNESIA_ASSIGN_OR_RETURN(
+      SegmentChain chain,
+      SegmentChain::Create(dir, kLogFormat, options.max_segment_bytes,
+                           options.sync));
+  return SegmentedEventLog(std::move(chain));
 }
 
 StatusOr<SegmentedEventLog> SegmentedEventLog::OpenForAppend(
     const std::string& dir, const SegmentedLogOptions& options) {
-  AMNESIA_RETURN_NOT_OK(EnsureDir(dir));
-
-  AMNESIA_ASSIGN_OR_RETURN(SegmentScan scan,
-                           ScanSegments(dir, /*collect_events=*/false));
-  if (scan.chain.empty()) {
-    return Status::NotFound("no usable segment in '" + dir + "'");
-  }
-  // Make the on-disk state match the valid prefix BEFORE new appends
-  // land: garbage after the last valid frame would hide every frame
-  // appended behind it from all future readers. truncate(2) is a single
-  // atomic metadata operation — cheaper than the legacy format's whole-
-  // file rewrite and bounded by one segment.
-  const ScannedSegment& tail = scan.chain.back();
-  if (scan.tail_torn &&
-      truncate(tail.path.c_str(), static_cast<off_t>(tail.valid_bytes)) !=
-          0) {
-    return Status::Internal("cannot truncate torn segment '" + tail.path +
-                            "'");
-  }
-  for (const std::string& path : scan.unreachable) {
-    if (std::remove(path.c_str()) != 0) {
-      return Status::Internal("cannot remove unreachable segment '" + path +
-                              "'");
-    }
-  }
-
-  SegmentedEventLog log;
-  log.dir_ = dir;
-  log.options_ = options;
-  for (size_t i = 0; i + 1 < scan.chain.size(); ++i) {
-    log.sealed_.push_back(Sealed{scan.chain[i].base, scan.chain[i].count,
-                                 scan.chain[i].path});
-  }
-  log.active_base_ = tail.base;
-  log.active_count_ = tail.count;
-  log.active_bytes_ = tail.valid_bytes;
-  log.active_path_ = tail.path;
-  log.active_ = std::fopen(tail.path.c_str(), "ab");
-  if (log.active_ == nullptr) {
-    return Status::Internal("cannot reopen segment '" + tail.path + "'");
-  }
-  return log;
-}
-
-SegmentedEventLog::~SegmentedEventLog() {
-  if (active_ != nullptr) std::fclose(active_);
-}
-
-SegmentedEventLog::SegmentedEventLog(SegmentedEventLog&& other) noexcept {
-  std::lock_guard<std::mutex> lock(other.mu_);
-  dir_ = std::move(other.dir_);
-  options_ = std::move(other.options_);
-  sealed_ = std::move(other.sealed_);
-  active_base_ = other.active_base_;
-  active_count_ = other.active_count_;
-  active_bytes_ = other.active_bytes_;
-  active_path_ = std::move(other.active_path_);
-  active_ = other.active_;
-  unlinked_total_ = other.unlinked_total_;
-  pending_flush_ = other.pending_flush_;
-  oldest_pending_ = other.oldest_pending_;
-  other.active_ = nullptr;
-  other.sealed_.clear();
-  other.active_base_ = 0;
-  other.active_count_ = 0;
-  other.active_bytes_ = 0;
-  other.pending_flush_ = 0;
-}
-
-SegmentedEventLog& SegmentedEventLog::operator=(
-    SegmentedEventLog&& other) noexcept {
-  if (this == &other) return *this;
-  if (active_ != nullptr) std::fclose(active_);
-  std::lock_guard<std::mutex> lock(other.mu_);
-  dir_ = std::move(other.dir_);
-  options_ = std::move(other.options_);
-  sealed_ = std::move(other.sealed_);
-  active_base_ = other.active_base_;
-  active_count_ = other.active_count_;
-  active_bytes_ = other.active_bytes_;
-  active_path_ = std::move(other.active_path_);
-  active_ = other.active_;
-  unlinked_total_ = other.unlinked_total_;
-  pending_flush_ = other.pending_flush_;
-  oldest_pending_ = other.oldest_pending_;
-  other.active_ = nullptr;
-  other.sealed_.clear();
-  other.active_base_ = 0;
-  other.active_count_ = 0;
-  other.active_bytes_ = 0;
-  other.pending_flush_ = 0;
-  return *this;
-}
-
-Status SegmentedEventLog::RollLocked() {
-  // Seal: the segment becomes immutable, so make it durable now — the
-  // whole point of sealed segments is that truncation and recovery can
-  // treat them as settled artifacts. fclose runs unconditionally so a
-  // failed flush/fsync cannot leak the stream.
-  const bool flush_failed =
-      std::fflush(active_) != 0 || fsync(fileno(active_)) != 0;
-  const bool close_failed = std::fclose(active_) != 0;
-  if (flush_failed || close_failed) {
-    active_ = nullptr;
-    return Status::Internal("cannot seal segment '" + active_path_ + "'");
-  }
-  // The seal barrier drains whatever group-commit batch was filling.
-  NoteLogFlush(pending_flush_);
-  sealed_.push_back(Sealed{active_base_, active_count_, active_path_});
-  const uint64_t base = active_base_ + active_count_;
-  active_base_ = base;
-  active_count_ = 0;
-  active_path_ = dir_ + "/" + SegmentName(base);
-  pending_flush_ = 0;
-  active_ = std::fopen(active_path_.c_str(), "wb");
-  if (active_ == nullptr) {
-    return Status::Internal("cannot create segment '" + active_path_ + "'");
-  }
-  const std::vector<uint8_t> header = EncodeSegmentHeader(base);
-  if (std::fwrite(header.data(), 1, header.size(), active_) !=
-          header.size() ||
-      std::fflush(active_) != 0) {
-    return Status::Internal("cannot write segment header to '" +
-                            active_path_ + "'");
-  }
-  active_bytes_ = kSegmentHeaderSize;
-  return Status::OK();
+  // Every frame is decoded either way (chain validity depends on it), but
+  // the events are not kept: the stream of a large log is an O(total
+  // events) allocation.
+  AMNESIA_ASSIGN_OR_RETURN(
+      SegmentChain chain,
+      SegmentChain::Resume(dir, kLogFormat, options.max_segment_bytes,
+                           options.sync, DecodeEvents(nullptr)));
+  return SegmentedEventLog(std::move(chain));
 }
 
 Status SegmentedEventLog::Append(const Event& event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (active_ == nullptr) {
-    return Status::FailedPrecondition("segmented log is not open");
-  }
-  // Roll only once the segment holds something: an empty roll would seal
-  // a zero-event entry whose path aliases the next active segment (base
-  // unchanged), and a truncation at that LSN would unlink the live file.
-  // A threshold below the header size thus degrades to one-event
-  // segments, like the migration split.
-  if (active_bytes_ >= options_.max_segment_bytes && active_count_ > 0) {
-    AMNESIA_RETURN_NOT_OK(RollLocked());
-  }
-  const std::vector<uint8_t> payload = EncodeEvent(event);
-  AMNESIA_RETURN_NOT_OK(wal::WriteFrame(active_, payload, active_path_));
-  active_bytes_ += wal::kFrameHeaderSize + payload.size();
-  ++active_count_;
-  obs::EngineMetrics::Get().log_appends->Inc();
-  if (!log_internal::ShouldFlushAfterAppend(options_.sync, &pending_flush_,
-                                            &oldest_pending_)) {
-    return Status::OK();  // the batch is still filling
-  }
-  if (std::fflush(active_) != 0) {
-    return Status::Internal("segment flush failed on '" + active_path_ +
-                            "'");
-  }
-  // pending_flush_ stays 0 under every-append sync; that is a batch of 1.
-  NoteLogFlush(pending_flush_ == 0 ? 1 : pending_flush_);
-  pending_flush_ = 0;
-  return Status::OK();
+  SegmentBarriers barriers;
+  const Status appended =
+      chain_.Append(EncodeEvent(event), /*seed=*/0, &barriers);
+  NoteBarriers(barriers);
+  if (appended.ok()) obs::EngineMetrics::Get().log_appends->Inc();
+  return appended;
 }
 
 Status SegmentedEventLog::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (active_ != nullptr && std::fflush(active_) != 0) {
-    return Status::Internal("segment flush failed on '" + active_path_ +
-                            "'");
-  }
-  if (active_ != nullptr) NoteLogFlush(pending_flush_);
-  pending_flush_ = 0;
+  SegmentBarriers barriers;
+  AMNESIA_RETURN_NOT_OK(chain_.Flush(&barriers));
+  NoteBarriers(barriers);
   return Status::OK();
 }
 
 Status SegmentedEventLog::TruncateBefore(uint64_t lsn) {
-  // Splice the doomed segments out of the index under the mutex — the
-  // only part appenders can ever wait on, O(1) per segment — then unlink
-  // outside it, oldest first, so a crash mid-pass always leaves a
-  // contiguous chain (plus fully valid stale segments the next
-  // truncation collects).
-  std::lock_guard<std::mutex> truncations(truncate_mu_);
-  std::vector<Sealed> doomed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (lsn > active_base_ + active_count_) {
-      return Status::InvalidArgument(
-          "cannot truncate to LSN " + std::to_string(lsn) +
-          ": log holds [" +
-          std::to_string(sealed_.empty() ? active_base_
-                                         : sealed_.front().base) +
-          ", " + std::to_string(active_base_ + active_count_) + ")");
-    }
-    while (!sealed_.empty() &&
-           sealed_.front().base + sealed_.front().count <= lsn) {
-      doomed.push_back(std::move(sealed_.front()));
-      sealed_.pop_front();
-    }
-  }
-  for (size_t i = 0; i < doomed.size(); ++i) {
-    if (std::remove(doomed[i].path.c_str()) != 0) {
-      // Re-adopt everything not yet unlinked: forgetting a segment that
-      // is still on disk would let a LATER truncation unlink past it and
-      // leave a base-LSN gap — which recovery reads as "the chain ends
-      // here" and OpenForAppend deletes the live suffix behind it. With
-      // the segments back in the index this truncation simply retries
-      // next checkpoint.
-      std::lock_guard<std::mutex> lock(mu_);
-      unlinked_total_ += i;
-      const std::string failed = doomed[i].path;
-      for (size_t j = doomed.size(); j > i; --j) {
-        sealed_.push_front(std::move(doomed[j - 1]));
-      }
-      return Status::Internal("cannot unlink truncated segment '" + failed +
-                              "'");
-    }
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  unlinked_total_ += doomed.size();
-  if (!doomed.empty()) obs::EngineMetrics::Get().log_truncations->Inc();
+  AMNESIA_ASSIGN_OR_RETURN(const uint64_t unlinked,
+                           chain_.TruncateBefore(lsn));
+  if (unlinked > 0) obs::EngineMetrics::Get().log_truncations->Inc();
   return Status::OK();
 }
 
-uint64_t SegmentedEventLog::next_lsn() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return active_base_ + active_count_;
-}
+uint64_t SegmentedEventLog::next_lsn() const { return chain_.next_index(); }
 
-uint64_t SegmentedEventLog::base_lsn() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sealed_.empty() ? active_base_ : sealed_.front().base;
-}
+uint64_t SegmentedEventLog::base_lsn() const { return chain_.base_index(); }
 
 uint64_t SegmentedEventLog::num_segments() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sealed_.size() + (active_ != nullptr ? 1 : 0);
+  return chain_.num_segments();
 }
 
 uint64_t SegmentedEventLog::segments_unlinked() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return unlinked_total_;
+  return chain_.segments_unlinked();
 }
 
 // ---------------------------------------------------------------- readers
 
 StatusOr<EventLogContents> ReadSegmentedLogContents(const std::string& dir) {
-  AMNESIA_ASSIGN_OR_RETURN(SegmentScan scan, ScanSegments(dir));
-  if (scan.chain.empty()) {
-    return Status::NotFound("no usable segment in '" + dir + "'");
-  }
   EventLogContents contents;
-  contents.base_lsn = scan.chain.front().base;
-  contents.events = std::move(scan.events);
+  AMNESIA_ASSIGN_OR_RETURN(
+      contents.base_lsn,
+      ReadSegmentChain(dir, kLogFormat, DecodeEvents(&contents.events)));
   return contents;
 }
 
@@ -520,14 +128,7 @@ Status RemoveEventLog(const std::string& path) {
     }
     return Status::OK();
   }
-  std::vector<std::string> names;
-  ListSegmentNames(path, &names);
-  for (const std::string& name : names) {
-    const std::string seg = path + "/" + name;
-    if (std::remove(seg.c_str()) != 0) {
-      return Status::Internal("cannot remove segment '" + seg + "'");
-    }
-  }
+  AMNESIA_RETURN_NOT_OK(RemoveSegmentFiles(path, kLogFormat));
   // Foreign files would make the rmdir fail; the segments are gone, which
   // is what correctness needs, so an undeletable directory is not fatal.
   rmdir(path.c_str());

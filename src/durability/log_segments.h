@@ -1,52 +1,39 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
 // Segmented event log: the same CRC-framed event stream as EventLog,
-// striped across fixed-size segment files so that log compaction is O(1)
-// and concurrent with appends. This is what keeps forgetting-heavy runs
-// from stalling ingest at scale: EventLog::TruncateBefore rewrites the
-// whole retained suffix under the append mutex (O(retained events) of
-// blocked appenders after every checkpoint), while here truncation just
-// unlinks the sealed segment files wholly below the covered LSN — the
-// retention strategy production time-series stores use for expiry.
+// striped across segment files so that log compaction is O(1) and
+// concurrent with appends. This is what keeps forgetting-heavy runs from
+// stalling ingest at scale: EventLog::TruncateBefore rewrites the whole
+// retained suffix under the append mutex (O(retained events) of blocked
+// appenders after every checkpoint), while here truncation just unlinks
+// the sealed segment files wholly below the covered LSN — the retention
+// strategy production time-series stores use for expiry.
 //
-// Directory layout (`dir` is dedicated to one log):
+// The files are a segment chain (segment_chain.h, which holds the roll,
+// seal, truncation and repair contract) in the `ASEG` format:
 //   <dir>/log-<base_lsn>.seg    events [base_lsn, next segment's base)
+// each opening with the header
+//   [u32 magic "ASEG"][u32 format version][u64 base LSN][u32 header CRC]
+// and holding one frame per event. An event's LSN is its segment's base
+// LSN plus its position there.
 //
-// Each segment opens with a self-describing header
-// [u32 magic "ASEG"][u32 format version][u64 base LSN][u32 header CRC]
-// followed by ordinary [len|crc|payload] event frames (frame_io.h). The
-// base LSN lives in the header — not in a marker frame and not only in
-// the filename — so LSN addressing survives renames and never depends on
-// decoding a special event.
-//
-// Appends go to the newest ("active") segment and roll to a fresh file at
-// the size threshold; sealed segments are immutable and fsynced at seal.
-// TruncateBefore(lsn) splices sealed segments wholly below `lsn` out of
-// the index under the mutex (O(1) per segment) and unlinks the files
-// outside it, oldest first — each unlink is individually crash-atomic,
-// and a crash mid-pass leaves a contiguous suffix plus fully-valid stale
-// segments that the next truncation collects. A segment `lsn` lands
-// inside is retained whole (compaction is conservative, never partial).
-//
-// Recovery (ReadSegmentedLogContents) scans segments in base-LSN order
-// and stops at the first break in the chain: a torn tail in the newest
-// segment is dropped (the expected crash artifact), a corrupt middle
-// segment ends the valid prefix at its last good frame, and segments left
-// behind by a crash between a checkpoint's GC and its unlink pass are
-// read normally (replay starts at the manifest's covered LSN anyway).
+// Recovery (ReadSegmentedLogContents) reads the chain from its oldest
+// segment: a torn tail in the newest segment is dropped (the expected
+// crash artifact), a corrupt middle segment ends the valid prefix at its
+// last good frame, and segments left behind by a crash between a
+// checkpoint's GC and its unlink pass are read normally (replay starts at
+// the manifest's covered LSN anyway).
 
 #ifndef AMNESIA_DURABILITY_LOG_SEGMENTS_H_
 #define AMNESIA_DURABILITY_LOG_SEGMENTS_H_
 
 #include <cstdint>
-#include <cstdio>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "common/status.h"
 #include "durability/event_log.h"
+#include "durability/segment_chain.h"
 
 namespace amnesia {
 
@@ -70,18 +57,15 @@ class SegmentedEventLog : public EventLogBase {
   static StatusOr<SegmentedEventLog> Open(
       const std::string& dir, const SegmentedLogOptions& options = {});
 
-  /// Re-opens an existing log for appending: runs the legacy migration if
-  /// configured, scans the segments, physically truncates a torn tail
-  /// (and unlinks segments past a mid-chain break) BEFORE new appends
-  /// land, and resumes in the newest segment. NotFound when the directory
-  /// holds no log and there is nothing to migrate.
+  /// Re-opens an existing log for appending: scans the segments,
+  /// physically truncates a torn tail (and unlinks segments past a
+  /// mid-chain break) BEFORE new appends land, and resumes in the newest
+  /// segment. NotFound when the directory holds no log.
   static StatusOr<SegmentedEventLog> OpenForAppend(
       const std::string& dir, const SegmentedLogOptions& options = {});
 
-  ~SegmentedEventLog() override;
-
-  SegmentedEventLog(SegmentedEventLog&& other) noexcept;
-  SegmentedEventLog& operator=(SegmentedEventLog&& other) noexcept;
+  SegmentedEventLog(SegmentedEventLog&& other) noexcept = default;
+  SegmentedEventLog& operator=(SegmentedEventLog&& other) noexcept = default;
   SegmentedEventLog(const SegmentedEventLog&) = delete;
   SegmentedEventLog& operator=(const SegmentedEventLog&) = delete;
 
@@ -107,39 +91,12 @@ class SegmentedEventLog : public EventLogBase {
   /// Returns how many segments TruncateBefore has unlinked in total.
   uint64_t segments_unlinked() const;
   /// Returns the directory the segments live in.
-  const std::string& dir() const { return dir_; }
+  const std::string& dir() const { return chain_.dir(); }
 
  private:
-  SegmentedEventLog() = default;
+  explicit SegmentedEventLog(SegmentChain chain) : chain_(std::move(chain)) {}
 
-  /// Seals the active segment and opens a fresh one at next_lsn. Caller
-  /// holds mu_.
-  Status RollLocked();
-
-  struct Sealed {
-    uint64_t base = 0;   ///< LSN of the segment's first event.
-    uint64_t count = 0;  ///< Events it holds (end LSN = base + count).
-    std::string path;
-  };
-
-  mutable std::mutex mu_;
-  /// Serializes TruncateBefore calls end to end (including the unlinks
-  /// that run outside mu_): interleaved truncations could otherwise
-  /// unlink newer segments before older ones, and a crash in that window
-  /// would leave a base-LSN gap that recovery reads as the end of the
-  /// chain. Always acquired before mu_, never the other way.
-  std::mutex truncate_mu_;
-  std::string dir_;
-  SegmentedLogOptions options_;
-  std::deque<Sealed> sealed_;   ///< Oldest first; contiguous up to active.
-  uint64_t active_base_ = 0;    ///< LSN of the active segment's first event.
-  uint64_t active_count_ = 0;   ///< Events in the active segment.
-  uint64_t active_bytes_ = 0;   ///< Bytes written to the active segment.
-  std::string active_path_;
-  std::FILE* active_ = nullptr;
-  uint64_t unlinked_total_ = 0;
-  uint32_t pending_flush_ = 0;
-  std::chrono::steady_clock::time_point oldest_pending_;
+  SegmentChain chain_;
 };
 
 /// \brief Reads the valid prefix of a segmented log directory (see the

@@ -4,18 +4,12 @@
 
 #include <utility>
 
+#include "storage/checkpoint.h"
 #include "storage/checkpoint_io.h"
 
 namespace amnesia {
 
 namespace {
-
-// Mirrors the constants in storage/checkpoint.cc: snapshot blobs are
-// CheckpointTable blobs. Version 2 is the mapped-shard layout (partition
-// metadata + unsealed tail; sealed payload stays in the partition files).
-constexpr uint32_t kTableMagic = 0x414D4E45;  // "AMNE"
-constexpr uint32_t kFormatVersion = 1;
-constexpr uint32_t kFormatVersionMapped = 2;
 
 /// Copies rows [begin, end) of `table` into a fresh chunk.
 std::shared_ptr<const SnapshotChunk> CopyChunk(const Table& table,
@@ -46,22 +40,10 @@ std::shared_ptr<const SnapshotChunk> CopyChunk(const Table& table,
 std::vector<uint8_t> SerializeMappedSnapshot(const ShardSnapshot& snapshot) {
   std::vector<uint8_t> out;
   ckpt::Writer w(&out);
-  w.U32(kTableMagic);
-  w.U32(kFormatVersionMapped);
-
+  WriteTableBlobPrefix(&w, kTableBlobVersionMapped, snapshot.schema,
+                       snapshot.num_rows, snapshot.next_tick,
+                       snapshot.lifetime_forgotten, snapshot.current_batch);
   const size_t cols = snapshot.schema.num_columns();
-  w.U64(cols);
-  for (size_t c = 0; c < cols; ++c) {
-    const ColumnDef& def = snapshot.schema.column(c);
-    w.String(def.name);
-    w.I64(def.domain_lo);
-    w.I64(def.domain_hi);
-  }
-
-  w.U64(snapshot.num_rows);
-  w.U64(snapshot.next_tick);
-  w.U64(snapshot.lifetime_forgotten);
-  w.U32(snapshot.current_batch);
 
   w.U64(snapshot.partition_rows);
   w.U64(snapshot.partitions.size());
@@ -126,22 +108,10 @@ std::vector<uint8_t> SerializeShardSnapshot(const ShardSnapshot& snapshot) {
   if (snapshot.mapped) return SerializeMappedSnapshot(snapshot);
   std::vector<uint8_t> out;
   ckpt::Writer w(&out);
-  w.U32(kTableMagic);
-  w.U32(kFormatVersion);
-
+  WriteTableBlobPrefix(&w, kTableBlobVersion, snapshot.schema,
+                       snapshot.num_rows, snapshot.next_tick,
+                       snapshot.lifetime_forgotten, snapshot.current_batch);
   const size_t cols = snapshot.schema.num_columns();
-  w.U64(cols);
-  for (size_t c = 0; c < cols; ++c) {
-    const ColumnDef& def = snapshot.schema.column(c);
-    w.String(def.name);
-    w.I64(def.domain_lo);
-    w.I64(def.domain_hi);
-  }
-
-  w.U64(snapshot.num_rows);
-  w.U64(snapshot.next_tick);
-  w.U64(snapshot.lifetime_forgotten);
-  w.U32(snapshot.current_batch);
 
   // One logical array per column, spliced from the copy-on-write chunks.
   for (size_t c = 0; c < cols; ++c) {

@@ -15,35 +15,37 @@ using ckpt::Writer;
 
 namespace {
 
-constexpr uint32_t kMagic = 0x414D4E45;  // "AMNE"
+// Version of the database, sharded-table and tier containers.
 constexpr uint32_t kVersion = 1;
-// Mapped-shard blob layout (written by SerializeShardSnapshot for mapped
-// shards): partition metadata + unsealed tail; the sealed payload is
-// re-mapped from the partition files at restore.
-constexpr uint32_t kVersionMapped = 2;
 
 }  // namespace
+
+void WriteTableBlobPrefix(Writer* w, uint32_t version, const Schema& schema,
+                          uint64_t rows, uint64_t next_tick,
+                          uint64_t lifetime_forgotten, BatchId current_batch) {
+  w->U32(kTableBlobMagic);
+  w->U32(version);
+  w->U64(schema.num_columns());
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    const ColumnDef& def = schema.column(c);
+    w->String(def.name);
+    w->I64(def.domain_lo);
+    w->I64(def.domain_hi);
+  }
+  w->U64(rows);
+  w->U64(next_tick);
+  w->U64(lifetime_forgotten);
+  w->U32(current_batch);
+}
 
 std::vector<uint8_t> CheckpointTable(const Table& table) {
   std::vector<uint8_t> out;
   Writer w(&out);
-  w.U32(kMagic);
-  w.U32(kVersion);
-
   const size_t cols = table.num_columns();
-  w.U64(cols);
-  for (size_t c = 0; c < cols; ++c) {
-    const ColumnDef& def = table.schema().column(c);
-    w.String(def.name);
-    w.I64(def.domain_lo);
-    w.I64(def.domain_hi);
-  }
-
   const uint64_t rows = table.num_rows();
-  w.U64(rows);
-  w.U64(table.lifetime_inserted());
-  w.U64(table.lifetime_forgotten());
-  w.U32(table.current_batch());
+  WriteTableBlobPrefix(&w, kTableBlobVersion, table.schema(), rows,
+                       table.lifetime_inserted(), table.lifetime_forgotten(),
+                       table.current_batch());
 
   for (size_t c = 0; c < cols; ++c) {
     const Column& col = table.column(c);
@@ -210,11 +212,11 @@ StatusOr<Table> RestoreTableWithStorage(const std::vector<uint8_t>& buffer,
   Reader r(buffer);
   uint32_t magic = 0, version = 0;
   AMNESIA_RETURN_NOT_OK(r.U32(&magic));
-  if (magic != kMagic) {
+  if (magic != kTableBlobMagic) {
     return Status::InvalidArgument("not an AmnesiaDB checkpoint");
   }
   AMNESIA_RETURN_NOT_OK(r.U32(&version));
-  if (version != kVersion && version != kVersionMapped) {
+  if (version != kTableBlobVersion && version != kTableBlobVersionMapped) {
     return Status::FailedPrecondition("unsupported checkpoint version " +
                                       std::to_string(version));
   }
@@ -231,7 +233,7 @@ StatusOr<Table> RestoreTableWithStorage(const std::vector<uint8_t>& buffer,
     AMNESIA_RETURN_NOT_OK(r.I64(&def.domain_hi));
   }
 
-  if (version == kVersionMapped) {
+  if (version == kTableBlobVersionMapped) {
     return RestoreMappedTable(&r, Schema(std::move(defs)), storage_dir);
   }
 

@@ -24,6 +24,30 @@
 
 namespace amnesia {
 
+namespace ckpt {
+class Writer;
+}  // namespace ckpt
+
+/// \name Table blob format, shared by CheckpointTable and the durability
+/// snapshot serializer (durability/snapshot.h), which must emit the same
+/// bytes.
+/// @{
+constexpr uint32_t kTableBlobMagic = 0x414D4E45;  // "AMNE"
+/// Full in-memory layout: payload, ticks, batches, access counts, bitmap.
+constexpr uint32_t kTableBlobVersion = 1;
+/// Mapped-shard layout: partition metadata + unsealed tail; the sealed
+/// payload is re-mapped from the partition files at restore.
+constexpr uint32_t kTableBlobVersionMapped = 2;
+/// @}
+
+/// \brief Writes the prefix every table blob opens with: magic,
+/// `version`, the schema, then the row count, next tick, lifetime forget
+/// total and current batch.
+void WriteTableBlobPrefix(ckpt::Writer* w, uint32_t version,
+                          const Schema& schema, uint64_t rows,
+                          uint64_t next_tick, uint64_t lifetime_forgotten,
+                          BatchId current_batch);
+
 /// \brief Serializes `table` (schema, payload, ticks, batches, access
 /// counts, active bitmap, counters) into a self-describing byte buffer.
 std::vector<uint8_t> CheckpointTable(const Table& table);

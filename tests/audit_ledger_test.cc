@@ -2,16 +2,18 @@
 //
 // Tests for the forgetting audit ledger: record codec round-trips, hash
 // chaining across appends and segment rolls, torn-tail repair after a
-// simulated kill -9, tamper detection (a CRC-valid record that does not
-// chain), retention truncation that keeps the surviving chain verifiable,
-// and the end-to-end totals contract against durability recovery: the
-// replayed state's lifetime forget total equals the ledger's claims
-// exactly at a batch boundary, and can only exceed them (never trail)
-// when the crash lands between the journal flush and the ledger append.
+// simulated kill -9, tamper detection (a CRC-valid record or segment seed
+// that does not chain), retention truncation that keeps the surviving
+// chain verifiable (also while appends race it), and the end-to-end
+// totals contract against durability recovery: the replayed state's
+// lifetime forget total equals the ledger's claims exactly at a batch
+// boundary, and can only exceed them (never trail) when the crash lands
+// between the journal flush and the ledger append.
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "durability/checkpointer.h"
 #include "durability/event_log.h"
 #include "durability/frame_io.h"
+#include "obs/engine_metrics.h"
 #include "sim/simulator.h"
 #include "storage/checkpoint.h"
 #include "storage/table.h"
@@ -312,6 +315,100 @@ TEST(AuditLedgerTest, TruncateBeforeKeepsVerifiableSuffix) {
 
   // Truncating beyond the chain head is refused.
   EXPECT_FALSE(ledger.TruncateBefore(99).ok());
+}
+
+TEST(AuditLedgerTest, ForgedRecordIsCaughtByTheNextSegmentSeed) {
+  // A record rewritten in place with the right seq and prev_crc passes
+  // every check inside its own segment; only the next segment's header,
+  // seeded with the genuine record's CRC, gives the forgery away.
+  ScratchDir dir("amnesia_audit_forged_seed_test");
+  AuditLedgerOptions opts;
+  opts.max_segment_bytes = 1;  // one record per segment
+  AuditRecord second;
+  {
+    AuditLedger ledger = AuditLedger::Open(dir.path(), opts).value();
+    for (uint64_t i = 0; i < 3; ++i) {
+      AuditRecord r = SampleRecord(i + 1);
+      ASSERT_TRUE(ledger.Append(&r).ok());
+      if (i == 1) second = r;
+    }
+  }
+  AuditRecord forged = second;
+  forged.rows_marked = 1000;  // same encoded size, different claim
+  {
+    std::FILE* f = std::fopen(dir.file("audit-1.seg").c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 24, SEEK_SET), 0);  // past the segment header
+    ASSERT_TRUE(wal::WriteFrame(f, EncodeAuditRecord(forged), "seg").ok());
+    std::fclose(f);
+  }
+  const AuditChainReport report = VerifyAuditChain(dir.path()).value();
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.detail.find("chain seed"), std::string::npos)
+      << report.detail;
+  EXPECT_EQ(report.records, 2u);
+}
+
+TEST(AuditLedgerTest, TruncationIsConcurrentWithAppends) {
+  // Retention GC truncates the ledger on the checkpoint writer thread
+  // while controllers append. Racing the two must still leave a gapless,
+  // verifiable suffix; the TSan and ASan jobs run this for the memory
+  // side.
+  ScratchDir dir("amnesia_audit_truncate_race_test");
+  AuditLedgerOptions opts;
+  opts.max_segment_bytes = 512;
+  AuditLedger ledger = AuditLedger::Open(dir.path(), opts).value();
+  constexpr uint64_t kAppends = 400;
+
+  std::thread appender([&ledger] {
+    for (uint64_t i = 0; i < kAppends; ++i) {
+      AuditRecord r = SampleRecord(i + 1);
+      ASSERT_TRUE(ledger.Append(&r).ok());
+    }
+  });
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_TRUE(ledger.TruncateBefore(ledger.next_seq() / 2).ok());
+  }
+  appender.join();
+  ASSERT_TRUE(ledger.TruncateBefore(ledger.next_seq() / 2).ok());
+  EXPECT_GT(ledger.segments_unlinked(), 0u);
+
+  const std::vector<AuditRecord> records =
+      ReadAuditRecords(dir.path()).value();
+  ASSERT_FALSE(records.empty());
+  EXPECT_EQ(records.front().seq, ledger.base_seq());
+  EXPECT_EQ(records.back().seq, kAppends - 1);
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].seq, ledger.base_seq() + i);
+    EXPECT_EQ(records[i].rows_marked, records[i].seq + 1);
+  }
+  const AuditChainReport report = VerifyAuditChain(dir.path()).value();
+  EXPECT_TRUE(report.ok) << report.detail;
+  EXPECT_EQ(report.base_seq, ledger.base_seq());
+  EXPECT_EQ(report.next_seq, kAppends);
+  EXPECT_EQ(report.chain_crc, ledger.chain_crc());
+}
+
+TEST(AuditLedgerTest, LeavesEventLogMetricsAlone) {
+  // The ledger shares the event log's segment layer, not its metrics:
+  // log.appends, log.fsyncs and log.truncations count the journal only.
+  ScratchDir dir("amnesia_audit_metrics_test");
+  AuditLedgerOptions opts;
+  opts.max_segment_bytes = 1;  // every append after the first seals one
+  AuditLedger ledger = AuditLedger::Open(dir.path(), opts).value();
+  const obs::EngineMetrics& m = obs::EngineMetrics::Get();
+  const uint64_t appends = m.log_appends->Value();
+  const uint64_t fsyncs = m.log_fsyncs->Value();
+  const uint64_t truncations = m.log_truncations->Value();
+  for (uint64_t i = 0; i < 4; ++i) {
+    AuditRecord r = SampleRecord(i + 1);
+    ASSERT_TRUE(ledger.Append(&r).ok());
+  }
+  ASSERT_TRUE(ledger.TruncateBefore(2).ok());
+  EXPECT_EQ(ledger.segments_unlinked(), 2u);
+  EXPECT_EQ(m.log_appends->Value(), appends);
+  EXPECT_EQ(m.log_fsyncs->Value(), fsyncs);
+  EXPECT_EQ(m.log_truncations->Value(), truncations);
 }
 
 // --------------------------------------- totals vs durability recovery

@@ -2,21 +2,28 @@
 //
 // Robustness round: cross-module edge cases, failure injection, and
 // consistency properties that the per-module suites do not cover —
-// checkpointing mid-simulation, corrupted-checkpoint fuzzing, policy ×
-// backend interplay, and long-haul budget invariants.
+// checkpointing mid-simulation, corrupted-checkpoint and segment-chain
+// fuzzing, policy × backend interplay, and long-haul budget invariants.
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <limits>
+#include <map>
 
 #include <gtest/gtest.h>
 
 #include "amnesia/area.h"
+#include "amnesia/audit_ledger.h"
 #include "amnesia/fifo.h"
 #include "amnesia/uniform.h"
 #include "amnesia/controller.h"
 #include "common/rng.h"
 #include "durability/checkpointer.h"
+#include "durability/log_segments.h"
 #include "query/scan.h"
 #include "sim/simulator.h"
 #include "storage/checkpoint.h"
@@ -151,6 +158,183 @@ TEST(RobustnessTest, CheckpointOfRestoredTableIsStable) {
   const Table restored = RestoreTable(once).value();
   const auto twice = CheckpointTable(restored);
   EXPECT_EQ(once, twice);  // byte-stable round trip
+}
+
+// --------------------------------------------- corrupted segment chains
+
+namespace fs = std::filesystem;
+
+using DirFiles = std::map<std::string, std::vector<uint8_t>>;
+
+DirFiles ReadDirFiles(const std::string& dir) {
+  DirFiles files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::ifstream f(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()] = std::vector<uint8_t>(
+        std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+  }
+  return files;
+}
+
+/// Makes `dir` hold exactly `files` again. Surviving files are rewritten
+/// in place: truncating a file to zero and refilling it costs ext4 a
+/// forced writeback, which would dominate the run time.
+void RestoreDirFiles(const std::string& dir, const DirFiles& files) {
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (files.count(entry.path().filename().string()) == 0) {
+      fs::remove(entry.path());
+    }
+  }
+  for (const auto& [name, bytes] : files) {
+    const std::string path = dir + "/" + name;
+    std::ios::openmode mode = std::ios::binary | std::ios::out;
+    if (fs::exists(path)) {
+      fs::resize_file(path, bytes.size());
+      mode |= std::ios::in;  // in|out opens without truncating
+    }
+    std::fstream f(path, mode);
+    f.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  }
+}
+
+/// Runs `check` once for every single-byte flip and every truncation of
+/// every file in `dir`, restoring the directory after each.
+void ForEachCorruption(const std::string& dir,
+                       const std::function<void()>& check) {
+  const DirFiles files = ReadDirFiles(dir);
+  Rng rng(13);
+  for (const auto& [name, bytes] : files) {
+    const std::string path = dir + "/" + name;
+    for (size_t pos = 0; pos < 2 * bytes.size(); ++pos) {
+      if (pos < bytes.size()) {
+        std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+        f.seekp(static_cast<std::streamoff>(pos));
+        f.put(static_cast<char>(bytes[pos] ^ (1 + rng.UniformIndex(255))));
+      } else {
+        fs::resize_file(path, pos - bytes.size());
+      }
+      check();
+      RestoreDirFiles(dir, files);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(RobustnessTest, CorruptedSegmentChainsNeverCrash) {
+  // Every decoder of a segment chain — headers, frames, events and audit
+  // records — meets each single-byte flip and truncation of a three-
+  // segment event log and ledger. Readers return a Status or an unaltered
+  // run of the original records; a reopen then appends right behind that
+  // run.
+  const fs::path root = fs::temp_directory_path() / "amnesia_robust_chains";
+  fs::remove_all(root);
+  fs::create_directories(root);
+  const std::string log_dir = (root / "log").string();
+  const std::string ledger_dir = (root / "ledger").string();
+
+  // Two records in each of the first two segments and one in the third,
+  // so the append after a clean reopen does not seal (and fsync) a
+  // segment in every case.
+  SegmentedLogOptions log_opts;
+  log_opts.max_segment_bytes = 64;  // rolls after every second event
+  std::vector<Event> events;
+  {
+    SegmentedEventLog log =
+        SegmentedEventLog::Open(log_dir, log_opts).value();
+    for (RowId r = 0; r < 5; ++r) {
+      Event e;
+      e.kind = EventKind::kForget;
+      e.row = r;
+      events.push_back(e);
+      ASSERT_TRUE(log.Append(e).ok());
+    }
+    ASSERT_EQ(log.num_segments(), 3u);
+  }
+  AuditLedgerOptions ledger_opts;
+  ledger_opts.max_segment_bytes = 200;  // rolls after every second record
+  std::vector<AuditRecord> records(5);
+  {
+    AuditLedger ledger = AuditLedger::Open(ledger_dir, ledger_opts).value();
+    for (uint64_t i = 0; i < records.size(); ++i) {
+      records[i].policy = "fifo";
+      records[i].rows_marked = i;
+      records[i].wall_ms = 1;
+      ASSERT_TRUE(ledger.Append(&records[i]).ok());
+    }
+  }
+  ASSERT_EQ(ReadDirFiles(ledger_dir).size(), 3u);
+
+  Event extra_event;
+  extra_event.kind = EventKind::kForget;
+  extra_event.row = 999;
+  ForEachCorruption(log_dir, [&] {
+    const StatusOr<EventLogContents> read = ReadSegmentedLogContents(log_dir);
+    StatusOr<SegmentedEventLog> log =
+        SegmentedEventLog::OpenForAppend(log_dir, log_opts);
+    ASSERT_EQ(log.ok(), read.ok());
+    if (!read.ok()) return;
+    const uint64_t base = read->base_lsn;
+    const std::vector<Event>& run = read->events;
+    ASSERT_LE(base + run.size(), events.size());
+    for (size_t i = 0; i < run.size(); ++i) {
+      ASSERT_EQ(EncodeEvent(run[i]), EncodeEvent(events[base + i]));
+    }
+    ASSERT_TRUE(log->Append(extra_event).ok());
+    const StatusOr<EventLogContents> reread =
+        ReadSegmentedLogContents(log_dir);
+    ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+    const EventLogContents& after = reread.value();
+    ASSERT_EQ(after.base_lsn, base);
+    ASSERT_EQ(after.events.size(), run.size() + 1);
+    for (size_t i = 0; i < run.size(); ++i) {
+      ASSERT_EQ(EncodeEvent(after.events[i]), EncodeEvent(run[i]));
+    }
+    ASSERT_EQ(EncodeEvent(after.events.back()), EncodeEvent(extra_event));
+  });
+
+  ForEachCorruption(ledger_dir, [&] {
+    const StatusOr<std::vector<AuditRecord>> read =
+        ReadAuditRecords(ledger_dir);
+    const StatusOr<AuditChainReport> report = VerifyAuditChain(ledger_dir);
+    ASSERT_EQ(read.ok(), report.ok());
+    uint64_t base = 0;
+    std::vector<AuditRecord> run;
+    if (report.ok()) {
+      ASSERT_TRUE(report->ok) << report->detail;
+      base = report->base_seq;
+      run = read.value();
+      ASSERT_EQ(report->records, run.size());
+      ASSERT_EQ(report->next_seq, base + run.size());
+      ASSERT_LE(base + run.size(), records.size());
+      for (size_t i = 0; i < run.size(); ++i) {
+        ASSERT_EQ(EncodeAuditRecord(run[i]),
+                  EncodeAuditRecord(records[base + i]));
+      }
+    }
+    // With no usable segment left, OpenForAppend starts a fresh ledger.
+    StatusOr<AuditLedger> ledger =
+        AuditLedger::OpenForAppend(ledger_dir, ledger_opts);
+    ASSERT_TRUE(ledger.ok()) << ledger.status().ToString();
+    AuditRecord extra;
+    extra.policy = "extra";
+    extra.wall_ms = 2;
+    ASSERT_TRUE(ledger->Append(&extra).ok());
+    ASSERT_EQ(extra.seq, base + run.size());
+    const StatusOr<std::vector<AuditRecord>> reread =
+        ReadAuditRecords(ledger_dir);
+    ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+    const std::vector<AuditRecord>& after = reread.value();
+    ASSERT_EQ(after.size(), run.size() + 1);
+    for (size_t i = 0; i < run.size(); ++i) {
+      ASSERT_EQ(EncodeAuditRecord(after[i]), EncodeAuditRecord(run[i]));
+    }
+    ASSERT_EQ(EncodeAuditRecord(after.back()), EncodeAuditRecord(extra));
+    const StatusOr<AuditChainReport> resumed = VerifyAuditChain(ledger_dir);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    ASSERT_TRUE(resumed->ok) << resumed->detail;
+  });
+  fs::remove_all(root);
 }
 
 // ------------------------------------------- policy x backend interplay

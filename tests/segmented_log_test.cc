@@ -4,25 +4,29 @@
 // roll + round-trip bit-identical to the rewrite-based EventLog, O(1)
 // whole-segment truncation, recovery from a torn tail / a crash between
 // segment roll and old-segment unlink / a corrupt middle segment,
-// group-commit sync policies, and the checkpointer crash-point matrix with
-// log_format = segmented.
+// group-commit sync policies, the byte layout of both segment-chain
+// formats (event log and audit ledger), and the checkpointer crash-point
+// matrix with log_format = segmented.
 
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "amnesia/audit_ledger.h"
 #include "common/rng.h"
 #include "durability/checkpointer.h"
 #include "durability/event_log.h"
 #include "durability/log_segments.h"
 #include "sim/simulator.h"
 #include "storage/checkpoint.h"
+#include "storage/checkpoint_io.h"
 
 namespace amnesia {
 namespace {
@@ -423,6 +427,90 @@ TEST(SegmentedLogTest, TruncationIsConcurrentWithAppends) {
   for (size_t i = 0; i < contents.events.size(); ++i) {
     EXPECT_EQ(contents.events[i].row, contents.base_lsn + i);
   }
+}
+
+/// Little-endian `bytes`-byte encoding of `v`, appended to `out`.
+void PutLe(std::vector<uint8_t>* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+  }
+}
+
+/// A segment header assembled byte by byte: magic, version 1, base, the
+/// seed when the format has one, then the CRC of everything before it.
+std::vector<uint8_t> HandHeader(const char* magic, uint64_t base,
+                                const uint32_t* seed) {
+  std::vector<uint8_t> out(magic, magic + 4);
+  PutLe(&out, 1, 4);
+  PutLe(&out, base, 8);
+  if (seed != nullptr) PutLe(&out, *seed, 4);
+  PutLe(&out, ckpt::Crc32(out), 4);
+  return out;
+}
+
+/// `header` followed by one [len|crc|payload] frame.
+std::vector<uint8_t> HandSegment(std::vector<uint8_t> header,
+                                 const std::vector<uint8_t>& payload) {
+  PutLe(&header, payload.size(), 4);
+  PutLe(&header, ckpt::Crc32(payload), 4);
+  header.insert(header.end(), payload.begin(), payload.end());
+  return header;
+}
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(f), {});
+}
+
+TEST(SegmentChainTest, FilesMatchHandEncodedBytes) {
+  // Both on-disk formats are pinned byte for byte, so directories written
+  // by earlier builds keep recovering: the first headers as literals, the
+  // rolled ones (base 1; the ledger's seeded with the CRC of record 0)
+  // and the frames assembled by hand.
+  ScratchDir dir("amnesia_segment_bytes_test");
+  {
+    SegmentedEventLog log =
+        SegmentedEventLog::Open(dir.file("segs"), SmallSegments(1)).value();
+    ASSERT_TRUE(log.Append(ForgetEvent(1)).ok());
+    ASSERT_TRUE(log.Append(ForgetEvent(2)).ok());  // rolls to log-1.seg
+  }
+  const std::vector<uint8_t> log_header = {
+      'A', 'S', 'E', 'G', 1, 0, 0, 0,  // magic, version
+      0,   0,   0,   0,   0, 0, 0, 0,  // base LSN
+      0x75, 0xE0, 0x08, 0x6D};         // CRC-32 of the 16 bytes above
+  EXPECT_EQ(HandHeader("ASEG", 0, nullptr), log_header);
+  EXPECT_EQ(FileBytes(dir.file("segs/log-0.seg")),
+            HandSegment(log_header, EncodeEvent(ForgetEvent(1))));
+  EXPECT_EQ(FileBytes(dir.file("segs/log-1.seg")),
+            HandSegment(HandHeader("ASEG", 1, nullptr),
+                        EncodeEvent(ForgetEvent(2))));
+
+  AuditLedgerOptions opts;
+  opts.max_segment_bytes = 1;
+  std::vector<AuditRecord> records(2);
+  {
+    AuditLedger ledger = AuditLedger::Open(dir.file("audit"), opts).value();
+    for (uint64_t i = 0; i < records.size(); ++i) {
+      records[i].policy = "fifo";
+      records[i].rows_marked = i + 1;
+      records[i].wall_ms = 1'700'000'000'000ull;
+      ASSERT_TRUE(ledger.Append(&records[i]).ok());  // rolls per record
+    }
+  }
+  const std::vector<uint8_t> ledger_header = {
+      'A', 'L', 'E', 'D', 1, 0, 0, 0,  // magic, version
+      0,   0,   0,   0,   0, 0, 0, 0,  // base seq
+      0,   0,   0,   0,                // chain seed
+      0xBF, 0x3E, 0xDA, 0x2C};         // CRC-32 of the 20 bytes above
+  const uint32_t no_seed = 0;
+  EXPECT_EQ(HandHeader("ALED", 0, &no_seed), ledger_header);
+  EXPECT_EQ(FileBytes(dir.file("audit/audit-0.seg")),
+            HandSegment(ledger_header, EncodeAuditRecord(records[0])));
+  const uint32_t seed = ckpt::Crc32(EncodeAuditRecord(records[0]));
+  EXPECT_EQ(records[1].prev_crc, seed);
+  EXPECT_EQ(FileBytes(dir.file("audit/audit-1.seg")),
+            HandSegment(HandHeader("ALED", 1, &seed),
+                        EncodeAuditRecord(records[1])));
 }
 
 TEST(EventLogTest, GroupCommitOnLegacyLog) {

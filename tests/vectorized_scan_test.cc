@@ -292,7 +292,6 @@ TEST(EngineEquivalenceTest, ScrubbedRowsUnderDeleteBackend) {
   copts.dbsize_budget = 250;
   copts.backend = BackendKind::kDelete;
   copts.compact_every_n_rounds = 0;  // scrub in place, keep the holes
-  copts.scrub_on_delete = true;
   auto ctrl = AmnesiaController::Make(copts, policy.get(), &t).value();
   Rng rng(7);
   ASSERT_TRUE(ctrl.EnforceBudget(&rng).ok());
