@@ -78,7 +78,7 @@ uint64_t AmnesiaController::Overflow() const {
   return 0;
 }
 
-Status AmnesiaController::ForgetOne(RowId row) {
+Status AmnesiaController::ApplyForget(RowId row) {
   // Capture metadata before the state flips.
   const Value value = table_->value(options_.payload_col, row);
   const BatchId batch = table_->batch_of(row);
@@ -86,8 +86,6 @@ Status AmnesiaController::ForgetOne(RowId row) {
 
   switch (options_.backend) {
     case BackendKind::kMarkOnly:
-      AMNESIA_RETURN_NOT_OK(table_->Forget(row));
-      break;
     case BackendKind::kDelete:
       AMNESIA_RETURN_NOT_OK(table_->Forget(row));
       break;
@@ -109,43 +107,73 @@ Status AmnesiaController::ForgetOne(RowId row) {
       break;
     }
   }
-  if (event_sink_ != nullptr) {
-    Event event;
-    event.kind = EventKind::kForget;
-    event.shard = event_shard_;
-    event.row = row;
-    event.backend = static_cast<uint8_t>(options_.backend);
-    event.payload_col = static_cast<uint32_t>(options_.payload_col);
-    AMNESIA_RETURN_NOT_OK(event_sink_->Append(event));
-  }
-  // The scrub is journaled after the forget event, matching the replay
-  // order: Forget(row) must precede ScrubRow(row).
-  if (options_.backend == BackendKind::kDelete) {
-    if (event_sink_ != nullptr) {
-      Event event;
-      event.kind = EventKind::kScrub;
-      event.shard = event_shard_;
-      event.row = row;
-      event.value = 0;
-      AMNESIA_RETURN_NOT_OK(event_sink_->Append(event));
-      // Scrubbing a sealed row of a mapped table overwrites mmap'd file
-      // bytes, which survive a crash on their own. The journal must be
-      // durable first (write-ahead), or a crash here recovers a row whose
-      // payload is zeroed but whose metadata says it was never forgotten.
-      if (table_->mapped() && row < table_->sealed_rows()) {
-        AMNESIA_RETURN_NOT_OK(event_sink_->Flush());
-      }
-    }
-    AMNESIA_RETURN_NOT_OK(table_->ScrubRow(row));
-    obs::EngineMetrics::Get().amnesia_rows_scrubbed->Inc();
-    ++audit_.rows_scrubbed;
-  }
   ++audit_.rows_marked;
   audit_.tick_lo = std::min<uint64_t>(audit_.tick_lo, tick);
   audit_.tick_hi = std::max<uint64_t>(audit_.tick_hi, tick);
   ++stats_.tuples_forgotten;
-  obs::EngineMetrics::Get().amnesia_rows_forgotten->Inc();
   return Status::OK();
+}
+
+Status AmnesiaController::JournalForgetRows(const std::vector<RowId>& rows,
+                                            size_t count) {
+  Event event;
+  event.kind = EventKind::kForgetRows;
+  event.shard = event_shard_;
+  event.backend = static_cast<uint8_t>(options_.backend);
+  event.payload_col = static_cast<uint32_t>(options_.payload_col);
+  for (size_t i = 0; i < count; ++i) {
+    const RowId row = rows[i];
+    if (!event.runs.empty() && event.runs.back().hi == row) {
+      ++event.runs.back().hi;
+      continue;
+    }
+    if (event.runs.size() == kMaxForgetRunsPerRecord) {
+      AMNESIA_RETURN_NOT_OK(event_sink_->Append(event));
+      event.runs.clear();
+    }
+    event.runs.push_back(RowRun{row, row + 1});
+  }
+  if (event.runs.empty()) return Status::OK();
+  return event_sink_->Append(event);
+}
+
+Status AmnesiaController::ForgetRows(const std::vector<RowId>& rows) {
+  if (rows.empty()) return Status::OK();
+  // Phase 1: apply every victim in memory, in victim order. A failure
+  // stops here, but the rows applied before it still go through phases 2
+  // and 3, so the journal never trails the table.
+  Status applied_status = Status::OK();
+  size_t applied = 0;
+  RowId lowest = kInvalidRow;
+  for (; applied < rows.size(); ++applied) {
+    applied_status = ApplyForget(rows[applied]);
+    if (!applied_status.ok()) break;
+    lowest = std::min(lowest, rows[applied]);
+  }
+  obs::EngineMetrics::Get().amnesia_rows_forgotten->Inc(applied);
+
+  // Phase 2: journal the sweep as kForgetRows records.
+  if (event_sink_ != nullptr) {
+    AMNESIA_RETURN_NOT_OK(JournalForgetRows(rows, applied));
+  }
+
+  // Phase 3: scrub. Scrubbing a sealed row of a mapped table overwrites
+  // mmap'd file bytes, which survive a crash on their own, so the journal
+  // must be durable first (write-ahead): one flush covers the sweep.
+  // Without it a crash could recover a row whose payload is zeroed but
+  // whose metadata says it was never forgotten.
+  if (options_.backend == BackendKind::kDelete) {
+    if (event_sink_ != nullptr && table_->mapped() &&
+        lowest < table_->sealed_rows()) {
+      AMNESIA_RETURN_NOT_OK(event_sink_->Flush());
+    }
+    for (size_t i = 0; i < applied; ++i) {
+      AMNESIA_RETURN_NOT_OK(table_->ScrubRow(rows[i]));
+    }
+    obs::EngineMetrics::Get().amnesia_rows_scrubbed->Inc(applied);
+    audit_.rows_scrubbed += applied;
+  }
+  return applied_status;
 }
 
 Status AmnesiaController::RunCompaction() {
@@ -263,23 +291,22 @@ StatusOr<uint64_t> AmnesiaController::VacuumExpired(uint32_t max_age_batches) {
     }
   }
 
+  // Batches ascend with RowId, so the expired rows are a prefix of the
+  // rows from the oldest live one: stop at the first unexpired batch.
   std::vector<RowId> expired;
   const uint64_t n = table_->num_rows();
-  for (RowId r = 0; r < n; ++r) {
-    if (!table_->IsActive(r)) continue;
+  for (RowId r = table_->NthActiveRow(0); r < n; ++r) {
     const BatchId b = table_->batch_of(r);
-    if (b + max_age_batches < current) {
-      expired.push_back(r);
-      if (sla_ != nullptr) {
-        sla_->RecordDeletionLatency(
-            std::string(PolicyKindToString(policy_->kind())),
-            current - b - max_age_batches);
-      }
+    if (b + max_age_batches >= current) break;
+    if (!table_->IsActive(r)) continue;
+    expired.push_back(r);
+    if (sla_ != nullptr) {
+      sla_->RecordDeletionLatency(
+          std::string(PolicyKindToString(policy_->kind())),
+          current - b - max_age_batches);
     }
   }
-  for (RowId r : expired) {
-    AMNESIA_RETURN_NOT_OK(ForgetOne(r));
-  }
+  AMNESIA_RETURN_NOT_OK(ForgetRows(expired));
   vacuumed += expired.size();
   if (options_.backend == BackendKind::kDelete && !expired.empty() &&
       options_.compact_every_n_rounds > 0 && !table_->mapped()) {
@@ -331,9 +358,7 @@ Status AmnesiaController::EnforceBudget(Rng* rng) {
     if (victims.size() < std::min<uint64_t>(overflow, table_->num_active())) {
       return Status::Internal("policy returned too few victims");
     }
-    for (RowId row : victims) {
-      AMNESIA_RETURN_NOT_OK(ForgetOne(row));
-    }
+    AMNESIA_RETURN_NOT_OK(ForgetRows(victims));
   }
 
   // Mapped tables never move rows (RowIds are partition-file offsets), so

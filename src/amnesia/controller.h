@@ -9,8 +9,10 @@
 #ifndef AMNESIA_AMNESIA_CONTROLLER_H_
 #define AMNESIA_AMNESIA_CONTROLLER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "amnesia/audit_ledger.h"
 #include "amnesia/policy.h"
@@ -149,11 +151,11 @@ class AmnesiaController {
   /// global budget across shard controllers before every forget pass.
   void set_dbsize_budget(uint64_t budget) { options_.dbsize_budget = budget; }
 
-  /// Journals every forget-pass outcome (forget, scrub, compaction) to
-  /// `sink` as durability events addressed to `shard_id`, so crash
-  /// recovery can redo them without the policy or its RNG. nullptr (the
-  /// default) disables journaling. The sink is borrowed and must outlive
-  /// the controller.
+  /// Journals every forget-pass outcome (one kForgetRows record per sweep,
+  /// compaction, partition drops) to `sink` as durability events addressed
+  /// to `shard_id`, so crash recovery can redo them without the policy or
+  /// its RNG. nullptr (the default) disables journaling. The sink is
+  /// borrowed and must outlive the controller.
   void set_event_sink(EventSink* sink, uint32_t shard_id = 0) {
     event_sink_ = sink;
     event_shard_ = shard_id;
@@ -188,9 +190,9 @@ class AmnesiaController {
         summaries_(summaries) {}
 
   /// Per-sweep audit accumulation; reset at sweep start, folded into one
-  /// AuditRecord at sweep end. A member (not a parameter) so ForgetOne's
-  /// signature stays put — controllers are externally synchronized per
-  /// shard, so there is never more than one sweep in flight per instance.
+  /// AuditRecord at sweep end. A member (not a parameter) because
+  /// controllers are externally synchronized per shard, so there is never
+  /// more than one sweep in flight per instance.
   struct SweepAudit {
     uint64_t rows_marked = 0;
     uint64_t rows_scrubbed = 0;
@@ -199,7 +201,16 @@ class AmnesiaController {
     uint64_t tick_hi = 0;
   };
 
-  Status ForgetOne(RowId row);
+  /// Forgets `rows` (distinct, active) in three phases: apply each in
+  /// memory in order, journal them as kForgetRows records, then, under
+  /// kDelete, flush once if any is a sealed row of a mapped table and
+  /// scrub them all.
+  Status ForgetRows(const std::vector<RowId>& rows);
+  /// Phase 1 for one row: tier re-route, Table::Forget, audit and stats.
+  Status ApplyForget(RowId row);
+  /// Appends rows[0, count) as [lo, hi) runs in the given order, at most
+  /// kMaxForgetRunsPerRecord runs per record.
+  Status JournalForgetRows(const std::vector<RowId>& rows, size_t count);
   Status RunCompaction();
   /// Flushes the event sink, then appends one AuditRecord summarizing the
   /// sweep accumulated in audit_. No-op for sweeps that forgot nothing or

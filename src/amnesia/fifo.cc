@@ -14,9 +14,11 @@ StatusOr<std::vector<RowId>> FifoPolicy::SelectVictims(const Table& table,
   victims.reserve(want);
   // RowId order equals insertion order (append-only storage, and
   // compaction preserves relative order), so the oldest active tuples are
-  // simply the first active rows. Verified against insert_tick in tests.
+  // simply the first active rows, starting at the oldest live one.
+  // Verified against insert_tick in tests.
   const uint64_t n = table.num_rows();
-  for (RowId r = 0; r < n && victims.size() < want; ++r) {
+  for (RowId r = table.NthActiveRow(0); r < n && victims.size() < want;
+       ++r) {
     if (table.IsActive(r)) victims.push_back(r);
   }
   return victims;

@@ -4,6 +4,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <utility>
 
 #include "amnesia/controller.h"
@@ -121,6 +122,18 @@ std::vector<uint8_t> EncodeEvent(const Event& event) {
     case EventKind::kAccess:
       w.U64(event.row);
       break;
+    case EventKind::kForgetRows:
+      out.reserve(out.size() + sizeof(event.backend) +
+                  sizeof(event.payload_col) + sizeof(uint64_t) +
+                  event.runs.size() * 2 * sizeof(RowId));
+      w.U8(event.backend);
+      w.U32(event.payload_col);
+      w.U64(event.runs.size());
+      for (const RowRun& run : event.runs) {
+        w.U64(run.lo);
+        w.U64(run.hi);
+      }
+      break;
   }
   return out;
 }
@@ -131,7 +144,7 @@ StatusOr<Event> DecodeEvent(const std::vector<uint8_t>& payload) {
   uint8_t kind = 0;
   AMNESIA_RETURN_NOT_OK(r.U8(&kind));
   if (kind < static_cast<uint8_t>(EventKind::kBeginBatch) ||
-      kind > static_cast<uint8_t>(EventKind::kDropPartition)) {
+      kind > static_cast<uint8_t>(EventKind::kForgetRows)) {
     return Status::InvalidArgument("unknown event kind " +
                                    std::to_string(kind));
   }
@@ -170,12 +183,84 @@ StatusOr<Event> DecodeEvent(const std::vector<uint8_t>& payload) {
     case EventKind::kAccess:
       AMNESIA_RETURN_NOT_OK(r.U64(&event.row));
       break;
+    case EventKind::kForgetRows: {
+      AMNESIA_RETURN_NOT_OK(r.U8(&event.backend));
+      AMNESIA_RETURN_NOT_OK(r.U32(&event.payload_col));
+      uint64_t runs = 0;
+      AMNESIA_RETURN_NOT_OK(r.U64(&runs));
+      if (runs == 0 || runs > kMaxForgetRunsPerRecord ||
+          runs > r.remaining() / (2 * sizeof(uint64_t))) {
+        return Status::InvalidArgument("implausible forget run count");
+      }
+      event.runs.resize(static_cast<size_t>(runs));
+      for (RowRun& run : event.runs) {
+        AMNESIA_RETURN_NOT_OK(r.U64(&run.lo));
+        AMNESIA_RETURN_NOT_OK(r.U64(&run.hi));
+      }
+      break;
+    }
   }
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after event payload");
   }
   return event;
 }
+
+namespace {
+
+/// Redoes one kForget: re-routes the row into its tier before flipping its
+/// state, exactly as AmnesiaController captured it.
+Status ReplayForget(Table* table, RowId row, uint8_t backend,
+                    uint32_t payload_col, const ReplaySinks& sinks) {
+  const auto kind = static_cast<BackendKind>(backend);
+  if (kind == BackendKind::kColdStorage && sinks.cold != nullptr) {
+    sinks.cold->Put(ColdTuple{row, table->value(payload_col, row),
+                              table->insert_tick(row), table->batch_of(row)});
+  } else if (kind == BackendKind::kSummary && sinks.summaries != nullptr) {
+    sinks.summaries->AddForgotten(payload_col, table->batch_of(row),
+                                  table->value(payload_col, row));
+  }
+  return table->Forget(row);
+}
+
+/// Checks a kForgetRows record against `table` without touching it: a
+/// known backend, an existing payload column, and runs that name only
+/// active rows, each once.
+Status ValidateForgetRows(const Event& event, const Table& table) {
+  if (event.backend > static_cast<uint8_t>(BackendKind::kIndexSkip)) {
+    return Status::InvalidArgument("forget event with unknown backend " +
+                                   std::to_string(event.backend));
+  }
+  if (event.payload_col >= table.num_columns()) {
+    return Status::InvalidArgument("event payload column out of range");
+  }
+  for (const RowRun& run : event.runs) {
+    if (run.lo >= run.hi || run.hi > table.num_rows()) {
+      return Status::InvalidArgument(
+          "forget run [" + std::to_string(run.lo) + ", " +
+          std::to_string(run.hi) + ") out of range for shard " +
+          std::to_string(event.shard));
+    }
+    for (RowId r = run.lo; r < run.hi; ++r) {
+      if (!table.IsActive(r)) {
+        return Status::InvalidArgument("forget run names row " +
+                                       std::to_string(r) +
+                                       ", which is not active");
+      }
+    }
+  }
+  std::vector<RowRun> sorted = event.runs;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const RowRun& a, const RowRun& b) { return a.lo < b.lo; });
+  for (size_t i = 1; i < sorted.size(); ++i) {
+    if (sorted[i].lo < sorted[i - 1].hi) {
+      return Status::InvalidArgument("forget runs overlap");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Status ReplayEvent(const Event& event, std::vector<Table>* tables,
                    uint64_t* ingest_cursor, const ReplaySinks& sinks) {
@@ -217,34 +302,35 @@ Status ReplayEvent(const Event& event, std::vector<Table>* tables,
   // not match the restored snapshot (or corruption that survives the frame
   // CRC) must surface as Status, never as an out-of-bounds read. kCompact
   // addresses no row; kDropPartition's `row` is a partition index,
-  // validated against the partition table below.
+  // validated against the partition table below; kForgetRows addresses
+  // its rows through runs, validated whole before it is applied.
   if (event.kind != EventKind::kCompact &&
       event.kind != EventKind::kDropPartition &&
+      event.kind != EventKind::kForgetRows &&
       event.row >= table.num_rows()) {
     return Status::InvalidArgument("event row " + std::to_string(event.row) +
                                    " out of range for shard " +
                                    std::to_string(event.shard));
   }
   switch (event.kind) {
-    case EventKind::kForget: {
+    case EventKind::kForget:
       if (event.payload_col >= table.num_columns()) {
         return Status::InvalidArgument("event payload column out of range");
       }
-      // Re-route into the tier before flipping the state, exactly like
-      // AmnesiaController::ForgetOne captured it.
-      const auto backend = static_cast<BackendKind>(event.backend);
-      if (backend == BackendKind::kColdStorage && sinks.cold != nullptr) {
-        sinks.cold->Put(ColdTuple{event.row,
-                                  table.value(event.payload_col, event.row),
-                                  table.insert_tick(event.row),
-                                  table.batch_of(event.row)});
-      } else if (backend == BackendKind::kSummary &&
-                 sinks.summaries != nullptr) {
-        sinks.summaries->AddForgotten(event.payload_col,
-                                      table.batch_of(event.row),
-                                      table.value(event.payload_col, event.row));
+      return ReplayForget(&table, event.row, event.backend, event.payload_col,
+                          sinks);
+    case EventKind::kForgetRows: {
+      AMNESIA_RETURN_NOT_OK(ValidateForgetRows(event, table));
+      const bool scrub =
+          event.backend == static_cast<uint8_t>(BackendKind::kDelete);
+      for (const RowRun& run : event.runs) {
+        for (RowId r = run.lo; r < run.hi; ++r) {
+          AMNESIA_RETURN_NOT_OK(ReplayForget(&table, r, event.backend,
+                                             event.payload_col, sinks));
+          if (scrub) AMNESIA_RETURN_NOT_OK(table.ScrubRow(r, 0));
+        }
       }
-      return table.Forget(event.row);
+      return Status::OK();
     }
     case EventKind::kScrub:
       return table.ScrubRow(event.row, event.value);

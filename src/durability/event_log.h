@@ -1,12 +1,13 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
 // Physical redo log for the durability subsystem. Between two checkpoints
-// every table mutation — batched appends, forget-pass outcomes (forget /
-// scrub / compaction), revives and access bumps — is recorded as one
-// Event; replaying the tail of the log on top of the newest snapshot
-// reconstructs the exact pre-crash state. The shape follows KERI's
-// append-only key-event-log design (PAPERS.md): an event log plus periodic
-// snapshots gives cheap incremental durability and deterministic replay.
+// every table mutation — batched appends, forget-pass outcomes (one
+// record per sweep naming its rows as runs, compaction, partition drops),
+// revives and access bumps — is recorded as an Event; replaying the tail
+// of the log on top of the newest snapshot reconstructs the exact
+// pre-crash state. The shape follows KERI's append-only key-event-log
+// design (PAPERS.md): an event log plus periodic snapshots gives cheap
+// incremental durability and deterministic replay.
 //
 // The log is *physical*, not logical: it records which rows were
 // forgotten, not which policy selected them, so replay needs no policy,
@@ -18,6 +19,7 @@
 #define AMNESIA_DURABILITY_EVENT_LOG_H_
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
@@ -40,9 +42,12 @@ enum class EventKind : uint8_t {
   /// event carries the column-major payload; `shard` is unused.
   kAppendRows = 2,
   /// One row was forgotten. `backend` records the forgetting backend so
-  /// replay can re-route the tuple into a cold/summary tier.
+  /// replay can re-route the tuple into a cold/summary tier. No longer
+  /// written (kForgetRows replaced it); logs that hold it still replay.
   kForget = 3,
-  /// A forgotten row's payload was scrubbed to `value`.
+  /// A forgotten row's payload was scrubbed to `value`. No longer written
+  /// (kForgetRows under kDelete implies it); logs that hold it still
+  /// replay.
   kScrub = 4,
   /// One shard ran physical compaction (deterministic given its state).
   kCompact = 5,
@@ -56,7 +61,26 @@ enum class EventKind : uint8_t {
   /// its `.dropped` name, so whichever of {rename, this record} a crash
   /// keeps, recovery is consistent.
   kDropPartition = 8,
+  /// One forget sweep of a shard: the rows in `runs`, in victim order,
+  /// each replayed as kForget (re-routed per `backend` and `payload_col`)
+  /// followed, under kDelete, by kScrub to 0. A sweep with more than
+  /// kMaxForgetRunsPerRecord runs writes several records.
+  kForgetRows = 9,
 };
+
+/// \brief A run of consecutive rows [lo, hi).
+struct RowRun {
+  RowId lo = 0;
+  RowId hi = 0;
+
+  bool operator==(const RowRun& other) const {
+    return lo == other.lo && hi == other.hi;
+  }
+};
+
+/// Most runs one kForgetRows record carries: 16 bytes each, so a full
+/// record is 1 MiB, far below wal::kMaxFramePayload.
+inline constexpr size_t kMaxForgetRunsPerRecord = size_t{1} << 16;
 
 /// \brief One redo record.
 struct Event {
@@ -69,13 +93,16 @@ struct Event {
   RowId row = 0;
   /// Scrub value (kScrub) or partition row count (kDropPartition).
   Value value = 0;
-  /// Forgetting backend that processed the row (kForget), as the
-  /// underlying BackendKind integer.
+  /// Forgetting backend that processed the rows (kForget, kForgetRows),
+  /// as the underlying BackendKind integer.
   uint8_t backend = 0;
-  /// Column the backend preserved (kForget with cold/summary backends).
+  /// Column the backend preserved (kForget, kForgetRows with cold/summary
+  /// backends).
   uint32_t payload_col = 0;
   /// Column-major appended payload (kAppendRows).
   std::vector<std::vector<Value>> columns;
+  /// Forgotten rows in victim order (kForgetRows).
+  std::vector<RowRun> runs;
 };
 
 /// \brief Serializes one event into a self-delimiting byte payload.
@@ -94,7 +121,10 @@ struct ReplaySinks {
 /// \brief Applies one event to a recovering table. `tables` are the
 /// restored shards in shard order; `ingest_cursor` is the global
 /// round-robin position (rows ever appended) and is advanced by
-/// kAppendRows events.
+/// kAppendRows events. A kForgetRows record is checked whole (backend,
+/// payload column, every run in range, every row active, no row twice)
+/// before any table or tier is touched, so a rejected one changes
+/// nothing.
 Status ReplayEvent(const Event& event, std::vector<Table>* tables,
                    uint64_t* ingest_cursor,
                    const ReplaySinks& sinks = ReplaySinks());

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <limits>
+#include <vector>
 
 #include "common/thread_pool.h"
 
@@ -45,15 +47,34 @@ void GroundTruthOracle::Append(Value v) {
 
 void GroundTruthOracle::Seal() {
   if (pending_.empty()) return;
+  std::sort(pending_.begin(), pending_.end());
+  // History values up to the batch's smallest keep their index, and so do
+  // the prefix sums over them; only the suffix from `moved` is merged and
+  // re-summed. Sums accumulate in index order from the same start, so
+  // every entry is bit-identical to a full re-sort's.
+  const size_t history_size = values_.size();
+  const auto moved = static_cast<size_t>(
+      std::upper_bound(values_.begin(), values_.end(), pending_.front()) -
+      values_.begin());
   values_.insert(values_.end(), pending_.begin(), pending_.end());
   pending_.clear();
-  std::sort(values_.begin(), values_.end());
-  prefix_sum_.assign(values_.size() + 1, 0.0);
-  prefix_sq_.assign(values_.size() + 1, 0.0);
-  for (size_t i = 0; i < values_.size(); ++i) {
+  // Buffers min(suffix, batch) values, never a second history-sized copy.
+  using Offset = std::vector<Value>::difference_type;
+  std::inplace_merge(values_.begin() + static_cast<Offset>(moved),
+                     values_.begin() + static_cast<Offset>(history_size),
+                     values_.end());
+  prefix_sum_.resize(values_.size() + 1, 0.0);
+  prefix_sq_.resize(values_.size() + 1, 0.0);
+  // Running sums stay in registers: the two add chains no longer wait on
+  // a store and reload of the previous entry. Same adds, same order.
+  double sum = prefix_sum_[moved];
+  double sq = prefix_sq_[moved];
+  for (size_t i = moved; i < values_.size(); ++i) {
     const double v = static_cast<double>(values_[i]);
-    prefix_sum_[i + 1] = prefix_sum_[i] + v;
-    prefix_sq_[i + 1] = prefix_sq_[i] + v * v;
+    sum += v;
+    sq += v * v;
+    prefix_sum_[i + 1] = sum;
+    prefix_sq_[i + 1] = sq;
   }
 }
 

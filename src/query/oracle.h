@@ -25,14 +25,19 @@ class ThreadPool;  // common/thread_pool.h; kept out of this header
 /// \brief Immutable-history answer service for one column.
 ///
 /// Appends are buffered; Seal() (called once per update batch) sorts the
-/// history and rebuilds prefix sums, after which range counts and range
-/// aggregates cost O(log n).
+/// b buffered values and merges them into the sorted history in place,
+/// then recomputes the prefix sums from the first index the merge moved.
+/// A seal costs O(b log b + s), where s is the history suffix above the
+/// batch's smallest value, and leaves the history and prefix sums
+/// bit-identical to a full re-sort's. Range counts and range aggregates
+/// then cost O(log n).
 class GroundTruthOracle {
  public:
   /// Records one inserted value.
   void Append(Value v);
 
-  /// Sorts buffered history and rebuilds prefix aggregates. Idempotent.
+  /// Merges buffered appends into the sorted history and extends the
+  /// prefix aggregates. Idempotent.
   void Seal();
 
   /// Returns the number of values ever inserted.
@@ -44,7 +49,7 @@ class GroundTruthOracle {
 
   /// Morsel-parallel CountRange over the raw (sealed + pending) history
   /// on `pool` — no Seal() precondition, always exact. Use it to probe an
-  /// unsealed history mid-batch without paying Seal()'s re-sort; once
+  /// unsealed history mid-batch without paying Seal()'s merge; once
   /// sealed, the O(log n) CountRange path is strictly faster.
   uint64_t CountRangeParallel(Value lo, Value hi, ThreadPool& pool,
                               size_t max_workers = 0) const;

@@ -46,6 +46,15 @@ std::vector<uint8_t> CheckpointTable(const Table& table) {
   WriteTableBlobPrefix(&w, kTableBlobVersion, table.schema(), rows,
                        table.lifetime_inserted(), table.lifetime_forgotten(),
                        table.current_batch());
+  // The rest of the blob has a known size: reserve it once, so the buffer
+  // is never regrown (and never holds a doubled, half-empty copy).
+  constexpr size_t kLen = sizeof(uint64_t);  // every array's length prefix
+  out.reserve(out.size() +
+              cols * (2 * sizeof(Value) + kLen + rows * sizeof(Value)) +
+              kLen + rows * sizeof(uint64_t) +   // ticks
+              kLen + rows * sizeof(uint32_t) +   // batches
+              kLen + rows * sizeof(uint64_t) +   // access counts
+              kLen + (rows + 7) / 8);            // active bits
 
   for (size_t c = 0; c < cols; ++c) {
     const Column& col = table.column(c);

@@ -136,11 +136,14 @@ class Writer {
 
  private:
   void Raw(const void* data, size_t size) {
-    const auto* bytes = static_cast<const uint8_t*>(data);
-    // Byte-wise append: sidesteps GCC's -Wstringop-overflow false positive
-    // on vector::insert from type-punned pointers; size is tiny or the
-    // call is amortized by the array helpers above.
-    for (size_t i = 0; i < size; ++i) out_->push_back(bytes[i]);
+    // An empty array's data() may be null, which memcpy must not see.
+    if (size == 0) return;
+    // One resize and one memcpy per field or array. vector::insert from a
+    // type-punned pointer draws a GCC -Wstringop-overflow false positive;
+    // this form builds clean in Debug, Release and RelWithDebInfo.
+    const size_t at = out_->size();
+    out_->resize(at + size);
+    std::memcpy(out_->data() + at, data, size);
   }
 
   std::vector<uint8_t>* out_;
@@ -210,6 +213,8 @@ class Reader {
     AMNESIA_RETURN_NOT_OK(U64(&n));
     if (n > (in_.size() - pos_) / elem_size) return Truncated();
     values->resize(static_cast<size_t>(n));
+    // An empty vector's data() may be null, which memcpy must not see.
+    if (n == 0) return Status::OK();
     std::memcpy(values->data(), in_.data() + pos_,
                 static_cast<size_t>(n) * elem_size);
     pos_ += static_cast<size_t>(n) * elem_size;

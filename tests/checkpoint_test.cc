@@ -72,6 +72,18 @@ TEST(CheckpointTest, RoundTripEmptyTable) {
   ExpectTablesEqual(original, restored);
 }
 
+TEST(CheckpointTest, BlobBodyIsReservedOnceAtItsExactSize) {
+  // CheckpointTable reserves everything after the schema prefix in one
+  // step. Too small a reservation regrows the buffer (holding a doubled,
+  // half-empty copy at the peak); too large leaves capacity unused.
+  Table single = Table::Make(Schema::SingleColumn("a", 0, 1000)).value();
+  for (int i = 0; i < 1001; ++i) ASSERT_TRUE(single.AppendRow({i}).ok());
+  const std::vector<uint8_t> blob = CheckpointTable(single);
+  EXPECT_EQ(blob.capacity(), blob.size());
+  const std::vector<uint8_t> rich = CheckpointTable(MakeRichTable());
+  EXPECT_EQ(rich.capacity(), rich.size());
+}
+
 TEST(CheckpointTest, RoundTripAfterCompaction) {
   Table t = Table::Make(Schema::SingleColumn("a", 0, 1000)).value();
   for (int i = 0; i < 50; ++i) ASSERT_TRUE(t.AppendRow({i * 7}).ok());

@@ -19,6 +19,7 @@
 
 #include "amnesia/fifo.h"
 #include "amnesia/sharded_controller.h"
+#include "amnesia/uniform.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "durability/checkpointer.h"
@@ -252,6 +253,13 @@ TEST(EventLogTest, CodecRoundTripsEveryKind) {
   e.kind = EventKind::kAccess;
   e.row = 30;
   events.push_back(e);
+  e = Event{};
+  e.kind = EventKind::kForgetRows;
+  e.shard = 2;
+  e.backend = 3;
+  e.payload_col = 1;
+  e.runs = {{40, 44}, {7, 8}, {12, 19}};
+  events.push_back(e);
 
   for (const Event& original : events) {
     const Event decoded = DecodeEvent(EncodeEvent(original)).value();
@@ -262,6 +270,7 @@ TEST(EventLogTest, CodecRoundTripsEveryKind) {
     EXPECT_EQ(decoded.backend, original.backend);
     EXPECT_EQ(decoded.payload_col, original.payload_col);
     EXPECT_EQ(decoded.columns, original.columns);
+    EXPECT_EQ(decoded.runs, original.runs);
   }
 }
 
@@ -426,6 +435,175 @@ TEST(ReplayTest, ForgetEventsRefillTierSinks) {
   ASSERT_TRUE(ReplayEvents(log.events(), 0, &replayed, &cursor, sinks).ok());
   EXPECT_EQ(CheckpointSummaryStore(replayed_summaries),
             CheckpointSummaryStore(summaries));
+  EXPECT_EQ(CheckpointTable(replayed[0]), CheckpointTable(table));
+}
+
+/// Rewrites every kForgetRows record as the per-row kForget (+ kScrub to
+/// 0 under kDelete) sequence that journaled a sweep before one record
+/// covered it.
+std::vector<Event> ExpandForgetRows(const std::vector<Event>& events) {
+  std::vector<Event> out;
+  for (const Event& e : events) {
+    if (e.kind != EventKind::kForgetRows) {
+      out.push_back(e);
+      continue;
+    }
+    for (const RowRun& run : e.runs) {
+      for (RowId r = run.lo; r < run.hi; ++r) {
+        Event forget;
+        forget.kind = EventKind::kForget;
+        forget.shard = e.shard;
+        forget.row = r;
+        forget.backend = e.backend;
+        forget.payload_col = e.payload_col;
+        out.push_back(forget);
+        if (e.backend == static_cast<uint8_t>(BackendKind::kDelete)) {
+          Event scrub;
+          scrub.kind = EventKind::kScrub;
+          scrub.shard = e.shard;
+          scrub.row = r;
+          out.push_back(scrub);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// Replays `events` onto MakeLoadedTable(rows, seed) with fresh tiers and
+/// returns the table, cold-store and summary blobs.
+struct ReplayedBlobs {
+  std::vector<uint8_t> table;
+  std::vector<uint8_t> cold;
+  std::vector<uint8_t> summaries;
+};
+ReplayedBlobs ReplayOntoLoadedTable(const std::vector<Event>& events,
+                                    uint64_t rows, uint64_t seed) {
+  std::vector<Table> tables;
+  tables.push_back(MakeLoadedTable(rows, seed));
+  ColdStore cold;
+  SummaryStore summaries;
+  ReplaySinks sinks;
+  sinks.cold = &cold;
+  sinks.summaries = &summaries;
+  uint64_t cursor = rows;
+  EXPECT_TRUE(ReplayEvents(events, 0, &tables, &cursor, sinks).ok());
+  return {CheckpointTable(tables[0]), CheckpointColdStore(cold),
+          CheckpointSummaryStore(summaries)};
+}
+
+TEST(ReplayTest, ForgetRowsRecordReplaysLikeTheEventsItReplaced) {
+  // Two sweeps per backend: a uniform one (scattered victims in random
+  // order, many runs) and a vacuum (ascending victims around the holes
+  // the first left). Each must journal exactly one kForgetRows record,
+  // and replaying the records, or the equivalent per-row kForget/kScrub
+  // sequence, must rebuild the live table and tiers byte for byte.
+  constexpr uint64_t kRows = 400;
+  constexpr uint64_t kSeed = 23;
+  for (const BackendKind backend :
+       {BackendKind::kMarkOnly, BackendKind::kDelete,
+        BackendKind::kColdStorage, BackendKind::kSummary}) {
+    SCOPED_TRACE(std::string(BackendKindToString(backend)));
+    EventLog log;
+    Table table = MakeLoadedTable(kRows, kSeed);
+    ColdStore cold;
+    SummaryStore summaries;
+    UniformPolicy policy;
+    ControllerOptions copts;
+    copts.dbsize_budget = 250;
+    copts.backend = backend;
+    copts.compact_every_n_rounds = 0;
+    AmnesiaController ctrl =
+        AmnesiaController::Make(copts, &policy, &table, nullptr, &cold,
+                                &summaries)
+            .value();
+    ctrl.set_event_sink(&log, 0);
+    Rng rng(8);
+    ASSERT_TRUE(ctrl.EnforceBudget(&rng).ok());
+    for (int b = 0; b < 3; ++b) {
+      table.BeginBatch();
+      Event begin;
+      begin.kind = EventKind::kBeginBatch;
+      ASSERT_TRUE(log.Append(begin).ok());
+    }
+    ASSERT_EQ(ctrl.VacuumExpired(1).value(), 250u);
+
+    std::vector<const Event*> sweeps;
+    for (const Event& e : log.events()) {
+      EXPECT_NE(e.kind, EventKind::kForget);
+      EXPECT_NE(e.kind, EventKind::kScrub);
+      if (e.kind == EventKind::kForgetRows) sweeps.push_back(&e);
+    }
+    ASSERT_EQ(sweeps.size(), 2u);
+    EXPECT_GT(sweeps[0]->runs.size(), 10u);
+    uint64_t swept = 0;
+    for (const Event* e : sweeps) {
+      EXPECT_EQ(e->backend, static_cast<uint8_t>(backend));
+      for (const RowRun& run : e->runs) swept += run.hi - run.lo;
+    }
+    EXPECT_EQ(swept, kRows);
+
+    const ReplayedBlobs one_record =
+        ReplayOntoLoadedTable(log.events(), kRows, kSeed);
+    const ReplayedBlobs per_row =
+        ReplayOntoLoadedTable(ExpandForgetRows(log.events()), kRows, kSeed);
+    EXPECT_EQ(one_record.table, CheckpointTable(table));
+    EXPECT_EQ(one_record.table, per_row.table);
+    EXPECT_EQ(one_record.cold, CheckpointColdStore(cold));
+    EXPECT_EQ(one_record.cold, per_row.cold);
+    EXPECT_EQ(one_record.summaries, CheckpointSummaryStore(summaries));
+    EXPECT_EQ(one_record.summaries, per_row.summaries);
+  }
+}
+
+/// Picks every other active row from the start, so k victims are k runs.
+class EveryOtherRowPolicy final : public AmnesiaPolicy {
+ public:
+  PolicyKind kind() const override { return PolicyKind::kUniform; }
+  StatusOr<std::vector<RowId>> SelectVictims(const Table& table, size_t k,
+                                             Rng* rng) override {
+    (void)rng;
+    std::vector<RowId> victims;
+    for (RowId r = 0; r < table.num_rows() && victims.size() < k; r += 2) {
+      if (table.IsActive(r)) victims.push_back(r);
+    }
+    return victims;
+  }
+};
+
+TEST(ReplayTest, SweepPastTheRunCapWritesSeveralRecords) {
+  constexpr uint64_t kExtra = 7;
+  constexpr uint64_t kVictims = kMaxForgetRunsPerRecord + kExtra;
+  constexpr uint64_t kRows = 2 * kVictims;
+  EventLog log;
+  Table table = MakeLoadedTable(kRows, 31);
+  EveryOtherRowPolicy policy;
+  ControllerOptions copts;
+  copts.dbsize_budget = kRows - kVictims;
+  copts.backend = BackendKind::kDelete;
+  copts.compact_every_n_rounds = 0;
+  AmnesiaController ctrl =
+      AmnesiaController::Make(copts, &policy, &table).value();
+  ctrl.set_event_sink(&log, 0);
+  Rng rng(1);
+  ASSERT_TRUE(ctrl.EnforceBudget(&rng).ok());
+
+  ASSERT_EQ(log.events().size(), 2u);
+  const Event& first = log.events()[0];
+  const Event& second = log.events()[1];
+  ASSERT_EQ(first.kind, EventKind::kForgetRows);
+  ASSERT_EQ(second.kind, EventKind::kForgetRows);
+  EXPECT_EQ(first.runs.size(), kMaxForgetRunsPerRecord);
+  EXPECT_EQ(second.runs.size(), kExtra);
+  // Victim order carries across the split.
+  EXPECT_EQ(first.runs.back().lo + 2, second.runs.front().lo);
+  // A full record stays far below the frame limit.
+  EXPECT_LT(EncodeEvent(first).size(), size_t{2} << 20);
+
+  std::vector<Table> replayed;
+  replayed.push_back(MakeLoadedTable(kRows, 31));
+  uint64_t cursor = kRows;
+  ASSERT_TRUE(ReplayEvents(log.events(), 0, &replayed, &cursor).ok());
   EXPECT_EQ(CheckpointTable(replayed[0]), CheckpointTable(table));
 }
 
@@ -911,9 +1089,10 @@ TEST(ManifestTest, V2DirectoryStillRecovers) {
   }
 }
 
-/// Forgets `row` through `backend` exactly as AmnesiaController::ForgetOne
-/// would — tier re-route, table flip, journaled event — so replay has a
-/// faithful trace covering BOTH tiers in one log.
+/// Forgets `row` through `backend` as a controller sweep does for one row
+/// — tier re-route, then table flip — journaled as the per-row kForget
+/// event older logs hold, so replay has a faithful trace covering BOTH
+/// tiers in one log.
 void JournalForget(RowId row, BackendKind backend, Table* table,
                    ColdStore* cold, SummaryStore* summaries, EventLog* log) {
   if (backend == BackendKind::kColdStorage) {
@@ -1396,7 +1575,8 @@ TEST(SimulatorDurabilityTest, IncrementalCheckpointsSkipNothingWhenAllMoves) {
   ASSERT_NE(sim->checkpointer(), nullptr);
   EXPECT_EQ(sim->checkpointer()->stats().checkpoints, 3u);  // init, b3, b6
   ASSERT_NE(sim->event_log(), nullptr);
-  // init append + 7 * (begin-batch + append) + forget/scrub/compact events.
+  // init append + 7 * (begin-batch + append) + forget-sweep and compact
+  // events.
   EXPECT_GT(sim->event_log()->next_lsn(), 15u);
 }
 

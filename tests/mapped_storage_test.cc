@@ -10,9 +10,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "amnesia/audit_ledger.h"
 #include "amnesia/controller.h"
 #include "amnesia/registry.h"
 #include "amnesia/sharded_controller.h"
@@ -370,6 +375,203 @@ TEST(MappedRecoveryTest, JournaledDropReplaysOnRecovery) {
   EXPECT_GT(state.events_replayed, 0u);
   EXPECT_EQ(state.shards[0].num_active(), 0u);
   EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(table));
+}
+
+/// Mapped table of `rows` rows in 64-row partitions, row r holding the
+/// nonzero value 1000 + r, so a scrubbed row always reads differently.
+Table MakeCountingMappedTable(const std::string& dir, uint64_t rows) {
+  Table t = Table::Make(Schema::SingleColumn("v", 0, 1'000'000),
+                        Mapped(dir, 64))
+                .value();
+  for (uint64_t r = 0; r < rows; ++r) {
+    EXPECT_TRUE(t.AppendRow({static_cast<Value>(1000 + r)}).ok());
+  }
+  return t;
+}
+
+/// Reads row `row` of a MakeCountingMappedTable straight from its sealed
+/// partition file (ticks equal RowIds, so partition p spans ticks
+/// [64p, 64p + 63]).
+Value OnDiskValue(const std::string& dir, RowId row) {
+  const Tick lo = row / 64 * 64;
+  std::ifstream f(dir + "/" + PartitionDirName(lo, lo + 63) + "/" +
+                      PartitionColumnFileName("v"),
+                  std::ios::binary);
+  f.seekg(static_cast<std::streamoff>(kPartitionHeaderBytes +
+                                      (row - lo) * sizeof(Value)));
+  Value v = -1;
+  f.read(reinterpret_cast<char*>(&v), sizeof(v));
+  return v;
+}
+
+/// Forwards to a real sink and records every call with the number of
+/// sealed rows whose bytes in the partition files were already scrubbed
+/// at that moment (read at the append, before it is forwarded, and right
+/// after the flush returns). Optional hooks run at the same moments.
+class WatchingSink final : public EventSink {
+ public:
+  struct Call {
+    bool flush = false;
+    EventKind kind = EventKind::kBeginBatch;
+    uint64_t scrubbed = 0;
+  };
+
+  WatchingSink(EventSink* inner, std::string storage_dir, uint64_t sealed)
+      : inner_(inner), storage_dir_(std::move(storage_dir)), sealed_(sealed) {}
+
+  Status Append(const Event& event) override {
+    calls.push_back(Call{false, event.kind, ScrubbedOnDisk()});
+    if (on_append) on_append();
+    return inner_->Append(event);
+  }
+  Status Flush() override {
+    Status st = inner_->Flush();
+    calls.push_back(Call{true, EventKind::kBeginBatch, ScrubbedOnDisk()});
+    if (on_flush) on_flush();
+    return st;
+  }
+
+  uint64_t ScrubbedOnDisk() const {
+    uint64_t n = 0;
+    for (RowId r = 0; r < sealed_; ++r) {
+      if (OnDiskValue(storage_dir_, r) == 0) ++n;
+    }
+    return n;
+  }
+
+  std::vector<Call> calls;
+  std::function<void()> on_append;
+  std::function<void()> on_flush;
+
+ private:
+  EventSink* inner_;
+  std::string storage_dir_;
+  uint64_t sealed_;
+};
+
+TEST(MappedRecoveryTest, SweepFlushesOnceBetweenItsRecordAndTheScrub) {
+  // A FIFO sweep (one run) and a uniform sweep (many runs, sealed and
+  // tail rows) on a mapped kDelete table with a ledger: each journals one
+  // kForgetRows record, flushes after it and before any partition byte is
+  // zeroed, and flushes at most once more, before its audit record.
+  ScratchDir dir("amnesia_mapped_sweep_order_test");
+  const std::string storage = dir.file("storage");
+  Table table = MakeCountingMappedTable(storage, 300);
+  ASSERT_EQ(table.sealed_rows(), 256u);
+  EventLog log = EventLog::Open(dir.file("events.log")).value();
+  log.set_sync_policy(SyncPolicy::GroupCommit(1u << 20, 0.0));
+  AuditLedger ledger = AuditLedger::Open(dir.file("ledger")).value();
+  WatchingSink sink(&log, storage, table.sealed_rows());
+
+  uint64_t scrubbed_before = 0;
+  for (const PolicyKind kind : {PolicyKind::kFifo, PolicyKind::kUniform}) {
+    SCOPED_TRACE(std::string(PolicyKindToString(kind)));
+    PolicyOptions popts;
+    popts.kind = kind;
+    auto policy = CreatePolicy(popts, nullptr).value();
+    ControllerOptions copts;
+    copts.backend = BackendKind::kDelete;
+    copts.dbsize_budget = table.num_active() - 100;
+    AmnesiaController ctrl =
+        AmnesiaController::Make(copts, policy.get(), &table).value();
+    ctrl.set_event_sink(&sink);
+    ctrl.set_audit_ledger(&ledger, &log);
+    sink.calls.clear();
+    Rng rng(19);
+    ASSERT_TRUE(ctrl.EnforceBudget(&rng).ok());
+
+    ASSERT_GE(sink.calls.size(), 2u);
+    ASSERT_LE(sink.calls.size(), 3u);  // one append, at most two flushes
+    EXPECT_FALSE(sink.calls[0].flush);
+    EXPECT_EQ(sink.calls[0].kind, EventKind::kForgetRows);
+    EXPECT_EQ(sink.calls[0].scrubbed, scrubbed_before);
+    EXPECT_TRUE(sink.calls[1].flush);  // the write-ahead barrier
+    EXPECT_EQ(sink.calls[1].scrubbed, scrubbed_before);
+    for (size_t i = 1; i < sink.calls.size(); ++i) {
+      EXPECT_TRUE(sink.calls[i].flush) << "call " << i;
+    }
+    // The sweep did scrub sealed bytes, all after the barrier.
+    const uint64_t scrubbed_after = sink.ScrubbedOnDisk();
+    EXPECT_GT(scrubbed_after, scrubbed_before);
+    scrubbed_before = scrubbed_after;
+  }
+  EXPECT_EQ(ledger.next_seq(), 2u);
+}
+
+TEST(MappedRecoveryTest, CrashAtTheSweepBarrierRecoversTheSweptTable) {
+  // Copy the whole directory while the sweep's record is being appended,
+  // and again right after the write-ahead flush returns, then recover
+  // each copy in place. The first is a crash before the record reached
+  // the log: the pre-sweep table, partition bytes unscrubbed. The second
+  // is a crash before any scrub: replay redoes the whole sweep.
+  ScratchDir dir("amnesia_mapped_sweep_barrier_test");
+  ScratchDir copies("amnesia_mapped_sweep_barrier_copies");
+  const std::string storage = dir.file("storage");
+  const std::string at_append = copies.file("at_append");
+  const std::string at_barrier = copies.file("at_barrier");
+  std::vector<uint8_t> before;
+  std::vector<uint8_t> after;
+  {
+    Table table = MakeCountingMappedTable(storage, 300);
+    EventLog log = EventLog::Open(dir.file("events.log")).value();
+    log.set_sync_policy(SyncPolicy::GroupCommit(1u << 20, 0.0));
+    CheckpointerOptions opts;
+    opts.dir = dir.file("ckpt");
+    opts.async = false;
+    opts.log = &log;
+    BackgroundCheckpointer ckpt = BackgroundCheckpointer::Make(opts).value();
+    ASSERT_TRUE(ckpt.Checkpoint(table, log.next_lsn()).ok());
+    before = CheckpointTable(table);
+
+    WatchingSink sink(&log, storage, table.sealed_rows());
+    sink.on_append = [&] {
+      if (!fs::exists(at_append)) {
+        fs::copy(dir.path(), at_append, fs::copy_options::recursive);
+      }
+    };
+    sink.on_flush = [&] {
+      if (!fs::exists(at_barrier)) {
+        fs::copy(dir.path(), at_barrier, fs::copy_options::recursive);
+      }
+    };
+    PolicyOptions popts;
+    popts.kind = PolicyKind::kFifo;
+    auto policy = CreatePolicy(popts, nullptr).value();
+    ControllerOptions copts;
+    copts.backend = BackendKind::kDelete;
+    copts.dbsize_budget = 200;
+    AmnesiaController ctrl =
+        AmnesiaController::Make(copts, policy.get(), &table).value();
+    ctrl.set_event_sink(&sink);
+    Rng rng(3);
+    ASSERT_TRUE(ctrl.EnforceBudget(&rng).ok());
+    ASSERT_EQ(sink.ScrubbedOnDisk(), 100u);
+    after = CheckpointTable(table);
+  }
+  ASSERT_TRUE(fs::exists(at_append));
+  ASSERT_TRUE(fs::exists(at_barrier));
+
+  auto recover_copy = [&](const std::string& copy) {
+    fs::remove_all(dir.path());
+    fs::copy(copy, dir.path(), fs::copy_options::recursive);
+    return Recover(dir.file("ckpt"), dir.file("events.log"));
+  };
+  {
+    StatusOr<RecoveredState> state = recover_copy(at_barrier);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    EXPECT_EQ(state->events_replayed, 1u);
+    EXPECT_EQ(CheckpointTable(state->shards[0]), after);
+    for (RowId r = 0; r < 100; ++r) ASSERT_EQ(OnDiskValue(storage, r), 0);
+  }
+  {
+    StatusOr<RecoveredState> state = recover_copy(at_append);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    EXPECT_EQ(state->events_replayed, 0u);
+    EXPECT_EQ(CheckpointTable(state->shards[0]), before);
+    for (RowId r = 0; r < 256; ++r) {
+      ASSERT_EQ(OnDiskValue(storage, r), static_cast<Value>(1000 + r));
+    }
+  }
 }
 
 TEST(MappedRecoveryTest, TornPartitionFileFailsRecovery) {

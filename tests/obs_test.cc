@@ -425,10 +425,10 @@ TEST(InstrumentationParityTest, RowsForgottenMatchesControllerStats) {
   const obs::MetricsSnapshot after =
       obs::MetricsRegistry::Global().SnapshotAll();
 
-  // Every ForgetOne bumps the struct and the registry at the same point,
-  // so the run's registry delta must equal the per-instance stats. (The
-  // suite runs single-process but not single-test-at-a-time in general;
-  // gtest runs serially, so no other simulator contributes here.)
+  // Every forget sweep bumps the struct and the registry by the same
+  // count, so the run's registry delta must equal the per-instance stats.
+  // (The suite runs single-process but not single-test-at-a-time in
+  // general; gtest runs serially, so no other simulator contributes here.)
   const ControllerStats& stats = result->controller;
   EXPECT_EQ(CounterValue(after, "amnesia.rows_forgotten") -
                 CounterValue(before, "amnesia.rows_forgotten"),

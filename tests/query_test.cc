@@ -5,7 +5,9 @@
 // equivalence and the summary blending.
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -244,6 +246,115 @@ TEST(OracleTest, AggregateRangeMatchesManualComputation) {
   EXPECT_DOUBLE_EQ(agg.max, 8.0);
   EXPECT_DOUBLE_EQ(agg.variance, 5.0);
   EXPECT_EQ(oracle.AggregateRange(50, 10).value().count, 0u);
+}
+
+/// Bit pattern of a double, so answers compare bit for bit.
+uint64_t Bits(double d) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+/// The oracle's answers computed the way a full re-sort of the whole
+/// history does: sort everything, sum prefixes from index 0.
+class ResortedHistory {
+ public:
+  void Append(Value v) { values_.push_back(v); }
+
+  void Resort() {
+    std::sort(values_.begin(), values_.end());
+    sum_.assign(values_.size() + 1, 0.0);
+    sq_.assign(values_.size() + 1, 0.0);
+    for (size_t i = 0; i < values_.size(); ++i) {
+      const double v = static_cast<double>(values_[i]);
+      sum_[i + 1] = sum_[i] + v;
+      sq_[i + 1] = sq_[i] + v * v;
+    }
+  }
+
+  const std::vector<Value>& values() const { return values_; }
+
+  AggregateResult Aggregate(Value lo, Value hi) const {
+    AggregateResult out;
+    if (lo >= hi) return out;
+    const size_t first = static_cast<size_t>(
+        std::lower_bound(values_.begin(), values_.end(), lo) -
+        values_.begin());
+    const size_t last = static_cast<size_t>(
+        std::lower_bound(values_.begin(), values_.end(), hi) -
+        values_.begin());
+    if (first >= last) return out;
+    const double count = static_cast<double>(last - first);
+    out.count = last - first;
+    out.sum = sum_[last] - sum_[first];
+    out.avg = out.sum / count;
+    out.min = static_cast<double>(values_[first]);
+    out.max = static_cast<double>(values_[last - 1]);
+    out.variance = (sq_[last] - sq_[first]) / count - out.avg * out.avg;
+    if (out.variance < 0.0) out.variance = 0.0;
+    return out;
+  }
+
+ private:
+  std::vector<Value> values_;
+  std::vector<double> sum_;
+  std::vector<double> sq_;
+};
+
+TEST(OracleTest, MergeOnSealMatchesAFullResortBitForBit) {
+  // Batches of every shape the merge has an edge for: duplicates and
+  // negatives, all-equal values, a batch wholly below the history's
+  // minimum or above its maximum, and values large enough that double
+  // sums round, so any change in summation order shows in the bits. The
+  // first seal lands on an empty history.
+  GroundTruthOracle oracle;
+  ResortedHistory reference;
+  Rng rng(20260417);
+  constexpr Value kHuge = Value{1} << 60;
+  for (int seal = 0; seal < 300; ++seal) {
+    const int shape = seal == 0 ? 0 : static_cast<int>(rng.UniformInt(0, 5));
+    const int n = static_cast<int>(rng.UniformInt(1, 40));
+    const Value equal = rng.UniformInt(-20, 20);
+    for (int i = 0; i < n; ++i) {
+      Value v = 0;
+      switch (shape) {
+        case 0: v = rng.UniformInt(-20, 20); break;   // duplicates, negatives
+        case 1: v = equal; break;                     // all equal
+        case 2: v = oracle.min_seen() - rng.UniformInt(1, 1000); break;
+        case 3: v = oracle.max_seen() + rng.UniformInt(1, 1000); break;
+        case 4: v = rng.UniformInt(-kHuge, kHuge); break;  // sums round
+        default: v = rng.UniformInt(-1000, 1000); break;
+      }
+      oracle.Append(v);
+      reference.Append(v);
+    }
+    oracle.Seal();
+    reference.Resort();
+
+    const std::vector<Value>& values = reference.values();
+    ASSERT_EQ(oracle.size(), values.size());
+    for (uint64_t i = 0; i < values.size(); ++i) {
+      ASSERT_EQ(oracle.ValueAt(i).value(), values[i]) << "seal " << seal;
+    }
+    for (int q = 0; q < 20; ++q) {
+      Value lo = values[rng.UniformIndex(values.size())];
+      Value hi = values[rng.UniformIndex(values.size())];
+      if (q % 4 == 0) hi = lo + rng.UniformInt(-2, 3);  // narrow or empty
+      if (q == 0) {
+        lo = std::numeric_limits<Value>::min();
+        hi = std::numeric_limits<Value>::max();
+      }
+      const AggregateResult got = oracle.AggregateRange(lo, hi).value();
+      const AggregateResult want = reference.Aggregate(lo, hi);
+      ASSERT_EQ(got.count, want.count) << "seal " << seal << " q " << q;
+      EXPECT_EQ(Bits(got.sum), Bits(want.sum)) << "seal " << seal;
+      EXPECT_EQ(Bits(got.avg), Bits(want.avg)) << "seal " << seal;
+      EXPECT_EQ(Bits(got.min), Bits(want.min)) << "seal " << seal;
+      EXPECT_EQ(Bits(got.max), Bits(want.max)) << "seal " << seal;
+      EXPECT_EQ(Bits(got.variance), Bits(want.variance)) << "seal " << seal;
+      EXPECT_EQ(oracle.CountRange(lo, hi).value(), want.count);
+    }
+  }
 }
 
 TEST(OracleTest, ScanAndOracleAgreeWithoutAmnesia) {

@@ -337,6 +337,85 @@ TEST(RobustnessTest, CorruptedSegmentChainsNeverCrash) {
   fs::remove_all(root);
 }
 
+TEST(RobustnessTest, CorruptedForgetRowsRecordsNeverCrash) {
+  // Every single-byte flip and every truncation of an encoded kForgetRows
+  // payload either fails to decode with InvalidArgument or decodes to an
+  // event whose replay returns a Status. A record replay rejects leaves
+  // the table and both tiers exactly as they were.
+  constexpr uint64_t kRows = 40;
+  auto make_table = [] {
+    Table t = Table::Make(Schema::SingleColumn("a", 0, 1000)).value();
+    for (uint64_t i = 0; i < kRows; ++i) {
+      EXPECT_TRUE(t.AppendRow({static_cast<Value>(i + 1)}).ok());
+    }
+    EXPECT_TRUE(t.Forget(20).ok());
+    return t;
+  };
+  Event event;
+  event.kind = EventKind::kForgetRows;
+  event.backend = static_cast<uint8_t>(BackendKind::kSummary);
+  event.runs = {{30, 33}, {2, 5}, {10, 11}};
+  const std::vector<uint8_t> payload = EncodeEvent(event);
+  const std::vector<uint8_t> table_blob = CheckpointTable(make_table());
+  const std::vector<uint8_t> cold_blob = CheckpointColdStore(ColdStore());
+  const std::vector<uint8_t> summary_blob =
+      CheckpointSummaryStore(SummaryStore());
+
+  uint64_t applied = 0;
+  uint64_t rejected = 0;
+  auto check = [&](const std::vector<uint8_t>& bytes) {
+    const StatusOr<Event> decoded = DecodeEvent(bytes);
+    if (!decoded.ok()) {
+      ASSERT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+      return;
+    }
+    std::vector<Table> tables;
+    tables.push_back(make_table());
+    ColdStore cold;
+    SummaryStore summaries;
+    ReplaySinks sinks;
+    sinks.cold = &cold;
+    sinks.summaries = &summaries;
+    uint64_t cursor = kRows;
+    if (ReplayEvent(decoded.value(), &tables, &cursor, sinks).ok()) {
+      ++applied;
+      return;
+    }
+    ++rejected;
+    ASSERT_EQ(CheckpointTable(tables[0]), table_blob);
+    ASSERT_EQ(CheckpointColdStore(cold), cold_blob);
+    ASSERT_EQ(CheckpointSummaryStore(summaries), summary_blob);
+  };
+  check(payload);
+  ASSERT_EQ(applied, 1u);
+  for (size_t pos = 0; pos < payload.size(); ++pos) {
+    for (int mask = 1; mask < 256; ++mask) {
+      std::vector<uint8_t> mutated = payload;
+      mutated[pos] ^= static_cast<uint8_t>(mask);
+      check(mutated);
+    }
+  }
+  for (size_t len = 0; len < payload.size(); ++len) {
+    const std::vector<uint8_t> cut(payload.begin(), payload.begin() + len);
+    EXPECT_FALSE(DecodeEvent(cut).ok()) << "cut at " << len;
+    check(cut);
+  }
+  // Flips reach both outcomes: runs moved onto other live rows replay,
+  // runs out of range, onto the forgotten row 20, or overlapping do not.
+  EXPECT_GT(applied, 1u);
+  EXPECT_GT(rejected, 0u);
+
+  // A run count the payload cannot hold, or above the per-record cap,
+  // fails before any allocation.
+  for (const uint64_t count :
+       {uint64_t{0}, uint64_t{4}, uint64_t{kMaxForgetRunsPerRecord + 1},
+        std::numeric_limits<uint64_t>::max()}) {
+    std::vector<uint8_t> crafted = payload;
+    std::memcpy(crafted.data() + 10, &count, sizeof(count));
+    EXPECT_FALSE(DecodeEvent(crafted).ok()) << "count " << count;
+  }
+}
+
 // ------------------------------------------- policy x backend interplay
 
 TEST(RobustnessTest, AreaPolicySurvivesDeleteBackendCompaction) {
