@@ -59,6 +59,22 @@ void Die(const char* what) {
   std::abort();
 }
 
+/// True when both tables hold byte-identical shards (their CheckpointTable
+/// blobs) and the same round-robin ingest cursor.
+bool SameState(const ShardedTable& a, const ShardedTable& b) {
+  if (a.num_shards() != b.num_shards() ||
+      a.ingest_cursor() != b.ingest_cursor()) {
+    return false;
+  }
+  for (uint32_t s = 0; s < a.num_shards(); ++s) {
+    if (CheckpointTable(a.shard(s).table()) !=
+        CheckpointTable(b.shard(s).table())) {
+      return false;
+    }
+  }
+  return true;
+}
+
 enum class Mode { kNone, kForeground, kAsync };
 
 const char* ModeName(Mode mode) {
@@ -209,9 +225,8 @@ int main(int argc, char** argv) {
         RunLoop(shards, Mode::kAsync, chunks, budget, &pool, &async_table);
 
     // The three regimes must agree on the final table state exactly.
-    const std::vector<uint8_t> reference = CheckpointShardedTable(base_table);
-    if (CheckpointShardedTable(fg_table) != reference) Die("fg state");
-    if (CheckpointShardedTable(async_table) != reference) Die("async state");
+    if (!SameState(fg_table, base_table)) Die("fg state");
+    if (!SameState(async_table, base_table)) Die("async state");
 
     // Recover the async run's directory and cross-check bit-identity.
     const auto recover_start = std::chrono::steady_clock::now();
@@ -220,13 +235,9 @@ int main(int argc, char** argv) {
     const double recover_ms = MillisSince(recover_start);
     const uint64_t replayed = state.events_replayed;
     const ShardedTable recovered =
-        RecoveredToShardedTable(std::move(state)).value();
-    if (CheckpointShardedTable(recovered) != reference) {
-      Die("recovered state");
-    }
-    if (recovered.ingest_cursor() != async_table.ingest_cursor()) {
-      Die("recovered ingest cursor");
-    }
+        ShardedTable::FromShards(std::move(state.shards), state.ingest_cursor)
+            .value();
+    if (!SameState(recovered, base_table)) Die("recovered state");
 
     const double stall_ratio =
         async_run.stall_ms > 0.0 ? fg.stall_ms / async_run.stall_ms : 0.0;

@@ -16,6 +16,8 @@ namespace amnesia {
 namespace {
 
 constexpr SegmentFormat kLedgerFormat{0x44454C41, "audit-", true};  // "ALED"
+/// Records kept in the in-memory tail ring served by Tail()/auditz.
+constexpr size_t kTailCapacity = 256;
 
 /// Verifies the hash chain while a scan walks the ledger: the oldest
 /// segment's seed starts the chain (retention GC may have unlinked
@@ -133,9 +135,7 @@ Status DecodeAuditRecord(const std::vector<uint8_t>& payload,
   return Status::OK();
 }
 
-AuditLedger::AuditLedger(SegmentChain chain,
-                         const AuditLedgerOptions& options)
-    : tail_capacity_(options.tail_capacity), chain_(std::move(chain)) {}
+AuditLedger::AuditLedger(SegmentChain chain) : chain_(std::move(chain)) {}
 
 StatusOr<AuditLedger> AuditLedger::Open(const std::string& dir,
                                         const AuditLedgerOptions& options) {
@@ -145,13 +145,13 @@ StatusOr<AuditLedger> AuditLedger::Open(const std::string& dir,
       SegmentChain chain,
       SegmentChain::Create(dir, kLedgerFormat, options.max_segment_bytes,
                            SyncPolicy::EveryAppend()));
-  return AuditLedger(std::move(chain), options);
+  return AuditLedger(std::move(chain));
 }
 
 StatusOr<AuditLedger> AuditLedger::OpenForAppend(
     const std::string& dir, const AuditLedgerOptions& options) {
   ChainWalk walk;
-  walk.keep = options.tail_capacity;
+  walk.keep = kTailCapacity;
   StatusOr<SegmentChain> chain =
       SegmentChain::Resume(dir, kLedgerFormat, options.max_segment_bytes,
                            SyncPolicy::EveryAppend(), walk.Visitor());
@@ -159,7 +159,7 @@ StatusOr<AuditLedger> AuditLedger::OpenForAppend(
     return Open(dir, options);
   }
   if (!chain.ok()) return chain.status();
-  AuditLedger ledger(std::move(chain).value(), options);
+  AuditLedger ledger(std::move(chain).value());
   ledger.chain_crc_ = walk.crc;
   ledger.tail_ = std::move(walk.records);
   return ledger;
@@ -168,7 +168,6 @@ StatusOr<AuditLedger> AuditLedger::OpenForAppend(
 AuditLedger::AuditLedger(AuditLedger&& other) noexcept
     : chain_crc_(other.chain_crc_),
       tail_(std::move(other.tail_)),
-      tail_capacity_(other.tail_capacity_),
       chain_(std::move(other.chain_)) {}
 
 AuditLedger& AuditLedger::operator=(AuditLedger&& other) noexcept {
@@ -176,7 +175,6 @@ AuditLedger& AuditLedger::operator=(AuditLedger&& other) noexcept {
   std::scoped_lock lock(mu_, other.mu_);
   chain_crc_ = other.chain_crc_;
   tail_ = std::move(other.tail_);
-  tail_capacity_ = other.tail_capacity_;
   chain_ = std::move(other.chain_);
   return *this;
 }
@@ -198,7 +196,7 @@ Status AuditLedger::Append(AuditRecord* record) {
   AMNESIA_RETURN_NOT_OK(chain_.Append(payload, chain_crc_, &barriers));
   chain_crc_ = ckpt::Crc32(payload);
   tail_.push_back(*record);
-  while (tail_.size() > tail_capacity_) tail_.pop_front();
+  while (tail_.size() > kTailCapacity) tail_.pop_front();
   return Status::OK();
 }
 

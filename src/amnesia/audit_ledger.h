@@ -76,8 +76,6 @@ struct AuditRecord {
 struct AuditLedgerOptions {
   /// Roll to a fresh segment once the active file reaches this size.
   uint64_t max_segment_bytes = 64u << 10;
-  /// Records kept in the in-memory tail ring served by Tail()/auditz.
-  size_t tail_capacity = 256;
 };
 
 /// \brief Verification result for a ledger directory's hash chain.
@@ -117,8 +115,8 @@ class AuditLedger {
   /// it to the page cache before returning.
   Status Append(AuditRecord* record);
 
-  /// Returns the newest records, oldest first, up to `n` (bounded by
-  /// AuditLedgerOptions::tail_capacity and what this instance has seen).
+  /// Returns the newest records, oldest first, up to `n` (bounded by the
+  /// 256-record in-memory ring and what this instance has seen).
   std::vector<AuditRecord> Tail(size_t n) const;
 
   /// Unlinks every sealed segment wholly below `seq`. Conservative like
@@ -138,13 +136,12 @@ class AuditLedger {
   const std::string& dir() const { return chain_.dir(); }
 
  private:
-  AuditLedger(SegmentChain chain, const AuditLedgerOptions& options);
+  explicit AuditLedger(SegmentChain chain);
 
   /// Serializes stamping with the frame write, and guards the two below.
   mutable std::mutex mu_;
   uint32_t chain_crc_ = 0;  ///< Frame CRC of the newest record.
   std::deque<AuditRecord> tail_;
-  size_t tail_capacity_ = 0;
   SegmentChain chain_;
 };
 

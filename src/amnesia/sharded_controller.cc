@@ -66,9 +66,6 @@ StatusOr<ShardedAmnesiaController> ShardedAmnesiaController::Make(
         "sharded controller supports the shard-local mark-only and delete "
         "backends; cold/summary/index tiers are per-table");
   }
-  if (options.payload_col >= table->num_columns()) {
-    return Status::InvalidArgument("payload_col out of range");
-  }
 
   ShardedAmnesiaController out(options, table);
   const uint32_t shards = table->num_shards();
@@ -83,7 +80,6 @@ StatusOr<ShardedAmnesiaController> ShardedAmnesiaController::Make(
     // Placeholder; the splitter re-apportions before every pass.
     copts.dbsize_budget = options.dbsize_budget;
     copts.backend = options.backend;
-    copts.payload_col = options.payload_col;
     copts.compact_every_n_rounds = options.compact_every_n_rounds;
     AMNESIA_ASSIGN_OR_RETURN(
         AmnesiaController ctrl,

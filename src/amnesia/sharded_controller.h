@@ -48,9 +48,6 @@ struct ShardedControllerOptions {
   /// kMarkOnly or kDelete (cold/summary/index tiers stay per-table and are
   /// follow-up work).
   BackendKind backend = BackendKind::kMarkOnly;
-  /// Column preserved by value-capturing backends (unused by the two
-  /// supported backends, kept for parity with ControllerOptions).
-  size_t payload_col = 0;
   /// kDelete: run per-shard compaction every N EnforceBudget calls.
   uint32_t compact_every_n_rounds = 1;
   /// Base seed; shard s draws from Rng(seed + s), so passes are

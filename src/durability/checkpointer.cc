@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <map>
 #include <set>
@@ -54,6 +55,33 @@ std::string BlobName(uint64_t checkpoint_id, size_t shard) {
 
 std::string TierBlobName(uint64_t checkpoint_id, const char* tier) {
   return "ckpt-" + std::to_string(checkpoint_id) + "-" + tier + ".blob";
+}
+
+/// Produces `blobs[i] = serialize(i)` for every i in `indices` (each
+/// < `count`; other slots stay empty), fanning the serializers out on
+/// `pool` via SubmitTask futures when one is given and more than one blob
+/// is needed. The caller must not be a pool worker (the futures are
+/// waited on directly).
+template <typename Fn>
+std::vector<std::vector<uint8_t>> SerializeBlobs(
+    ThreadPool* pool, size_t count, const std::vector<size_t>& indices,
+    const Fn& serialize) {
+  std::vector<std::vector<uint8_t>> blobs(count);
+  if (pool != nullptr && indices.size() > 1) {
+    std::vector<std::future<std::vector<uint8_t>>> futures;
+    futures.reserve(indices.size());
+    for (size_t i : indices) {
+      futures.push_back(pool->SubmitTask([&serialize, i] {
+        return serialize(i);
+      }));
+    }
+    for (size_t k = 0; k < indices.size(); ++k) {
+      blobs[indices[k]] = futures[k].get();
+    }
+  } else {
+    for (size_t i : indices) blobs[i] = serialize(i);
+  }
+  return blobs;
 }
 
 bool IsBlobName(const std::string& name) {
@@ -499,7 +527,7 @@ Status BackgroundCheckpointer::WriteSnapshot(
       to_write.push_back(s);
     }
   }
-  const std::vector<std::vector<uint8_t>> blobs = ckpt::SerializeBlobs(
+  const std::vector<std::vector<uint8_t>> blobs = SerializeBlobs(
       options.pool, num_shards, to_write, [&snapshot](size_t s) {
         return SerializeShardSnapshot(*snapshot.shards[s]);
       });
@@ -700,7 +728,7 @@ Status RestoreManifestShards(const std::string& dir, const Manifest& manifest,
         std::vector<uint8_t> blob,
         ReadVerifiedBlob(dir, entry.filename, entry.size, entry.crc32));
     AMNESIA_ASSIGN_OR_RETURN(Table table,
-                             RestoreTableWithStorage(blob, entry.storage_dir));
+                             RestoreTable(blob, entry.storage_dir));
     out->push_back(std::move(table));
   }
   return Status::OK();
@@ -834,11 +862,6 @@ StatusOr<RecoveredState> Recover(const std::string& dir,
     return state;
   }
   return last_error;
-}
-
-StatusOr<ShardedTable> RecoveredToShardedTable(RecoveredState state) {
-  return ShardedTable::FromShards(std::move(state.shards),
-                                  state.ingest_cursor);
 }
 
 Status CollectCheckpointGarbage(const std::string& dir, uint32_t retain,

@@ -289,6 +289,8 @@ class BackgroundCheckpointer {
 /// \brief Result of crash recovery.
 struct RecoveredState {
   /// Restored shards in shard order; single-shard for unsharded tables.
+  /// ShardedTable::FromShards(std::move(shards), ingest_cursor) rebuilds
+  /// a sharded table.
   std::vector<Table> shards;
   /// Restored tiers (set iff the manifest carried the tier blob). Log-tail
   /// forget events were already re-routed into them.
@@ -310,9 +312,6 @@ struct RecoveredState {
 StatusOr<RecoveredState> Recover(const std::string& dir,
                                  const std::string& log_path,
                                  const ReplaySinks& sinks = ReplaySinks());
-
-/// \brief Wraps recovered shards back into a ShardedTable.
-StatusOr<ShardedTable> RecoveredToShardedTable(RecoveredState state);
 
 /// \brief Runs one retention-GC pass over `dir` outside any checkpoint:
 /// keeps the newest `retain` manifests, deletes manifests and unreferenced

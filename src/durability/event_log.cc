@@ -2,6 +2,7 @@
 
 #include "durability/event_log.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -566,10 +567,13 @@ StatusOr<EventLogContents> ReadEventLogContents(const std::string& path) {
   if (f == nullptr) {
     return Status::NotFound("cannot open event log '" + path + "'");
   }
+  struct stat st;
+  uint64_t remaining =
+      fstat(fileno(f), &st) == 0 ? static_cast<uint64_t>(st.st_size) : 0;
   EventLogContents contents;
   bool first_frame = true;
   std::vector<uint8_t> payload;
-  while (wal::ReadFrame(f, &payload)) {
+  while (wal::ReadFrame(f, &remaining, &payload)) {
     uint64_t base = 0;
     if (DecodeTruncationMarker(payload, &base)) {
       // Only valid as the leading frame (TruncateBefore rewrites the

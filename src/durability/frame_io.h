@@ -43,21 +43,30 @@ inline Status WriteFrame(std::FILE* file, const std::vector<uint8_t>& payload,
   return Status::OK();
 }
 
-/// \brief Reads the next frame at the current file position. Returns true
-/// and fills `payload` on success; returns false at a clean EOF, a torn
-/// frame or a CRC mismatch (the file position past the valid prefix is
+/// \brief Reads the next frame at the current file position. `remaining`
+/// holds the bytes the file has left from that position and shrinks by
+/// each frame read, so a length field claiming more than the file holds is
+/// rejected before the payload buffer is sized for it. Returns true and
+/// fills `payload` on success; returns false at a clean EOF, a torn frame
+/// or a CRC mismatch (the file position past the valid prefix is
 /// unspecified — readers stop here).
-inline bool ReadFrame(std::FILE* file, std::vector<uint8_t>* payload) {
+inline bool ReadFrame(std::FILE* file, uint64_t* remaining,
+                      std::vector<uint8_t>* payload) {
   uint8_t header[kFrameHeaderSize];
-  if (std::fread(header, 1, sizeof(header), file) != sizeof(header)) {
+  if (*remaining < sizeof(header) ||
+      std::fread(header, 1, sizeof(header), file) != sizeof(header)) {
     return false;  // clean EOF or torn frame header
   }
+  *remaining -= sizeof(header);
   uint32_t length = 0, crc = 0;
   std::memcpy(&length, header, sizeof(length));
   std::memcpy(&crc, header + 4, sizeof(crc));
-  if (length > kMaxFramePayload) return false;  // corrupt length
+  if (length > kMaxFramePayload || length > *remaining) {
+    return false;  // corrupt length, or a payload torn off by a crash
+  }
   payload->resize(length);
   if (std::fread(payload->data(), 1, length, file) != length) return false;
+  *remaining -= length;
   return ckpt::Crc32(*payload) == crc;
 }
 

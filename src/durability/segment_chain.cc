@@ -165,13 +165,15 @@ StatusOr<ChainScan> ScanChain(const std::string& dir,
       continue;
     }
     seg.valid_bytes = header_size;
-    while (wal::ReadFrame(f, &payload) &&
+    const uint64_t file_size = FileSize(seg.path);
+    uint64_t remaining = file_size > header_size ? file_size - header_size : 0;
+    while (wal::ReadFrame(f, &remaining, &payload) &&
            (!visit.frame || visit.frame(payload))) {
       ++seg.count;
       seg.valid_bytes += wal::kFrameHeaderSize + payload.size();
     }
     std::fclose(f);
-    if (seg.valid_bytes < FileSize(seg.path)) {
+    if (seg.valid_bytes < file_size) {
       ended = true;
       scan.tail_torn = true;
     }

@@ -4,9 +4,6 @@
 
 #include <utility>
 
-#include "storage/checkpoint.h"
-#include "storage/checkpoint_io.h"
-
 namespace amnesia {
 
 namespace {
@@ -31,104 +28,7 @@ std::shared_ptr<const SnapshotChunk> CopyChunk(const Table& table,
   return chunk;
 }
 
-/// Serializes a mapped shard in the v2 blob layout (decoded by
-/// RestoreTableWithStorage). The sealed payload never enters the blob —
-/// recovery re-maps the partition files — so blob size and restore time
-/// scale with the tail plus flat metadata, not with history. Ticks are
-/// omitted entirely: mapped shards never compact, so row r's tick is
-/// always next_tick - num_rows + r.
-std::vector<uint8_t> SerializeMappedSnapshot(const ShardSnapshot& snapshot) {
-  std::vector<uint8_t> out;
-  ckpt::Writer w(&out);
-  WriteTableBlobPrefix(&w, kTableBlobVersionMapped, snapshot.schema,
-                       snapshot.num_rows, snapshot.next_tick,
-                       snapshot.lifetime_forgotten, snapshot.current_batch);
-  const size_t cols = snapshot.schema.num_columns();
-
-  w.U64(snapshot.partition_rows);
-  w.U64(snapshot.partitions.size());
-  for (const PartitionMeta& p : snapshot.partitions) {
-    w.U64(p.epoch_lo);
-    w.U64(p.epoch_hi);
-    w.U8(p.dropped ? 1 : 0);
-  }
-
-  for (size_t c = 0; c < cols; ++c) {
-    w.I64(snapshot.min_seen[c]);
-    w.I64(snapshot.max_seen[c]);
-    w.I64Array(snapshot.tail_columns[c]);
-  }
-
-  // Batches are monotonic per row, so run-length encoding collapses them
-  // to one entry per update batch.
-  std::vector<std::pair<BatchId, uint64_t>> batch_runs;
-  for (const BatchId b : snapshot.batches) {
-    if (batch_runs.empty() || batch_runs.back().first != b) {
-      batch_runs.emplace_back(b, 1);
-    } else {
-      ++batch_runs.back().second;
-    }
-  }
-  w.U64(batch_runs.size());
-  for (const auto& [batch, count] : batch_runs) {
-    w.U32(batch);
-    w.U64(count);
-  }
-
-  // Access counts cluster (cold history is all zeros); RLE when it wins,
-  // raw otherwise.
-  std::vector<std::pair<uint64_t, uint64_t>> access_runs;
-  for (const uint64_t a : snapshot.access_counts) {
-    if (access_runs.empty() || access_runs.back().first != a) {
-      access_runs.emplace_back(a, 1);
-    } else {
-      ++access_runs.back().second;
-    }
-  }
-  const bool rle_wins =
-      access_runs.size() * 2 < snapshot.access_counts.size();
-  w.U8(rle_wins ? 1 : 0);
-  if (rle_wins) {
-    w.U64(access_runs.size());
-    for (const auto& [value, count] : access_runs) {
-      w.U64(value);
-      w.U64(count);
-    }
-  } else {
-    w.U64Array(snapshot.access_counts);
-  }
-
-  w.BitArray(snapshot.active);
-  return out;
-}
-
 }  // namespace
-
-std::vector<uint8_t> SerializeShardSnapshot(const ShardSnapshot& snapshot) {
-  if (snapshot.mapped) return SerializeMappedSnapshot(snapshot);
-  std::vector<uint8_t> out;
-  ckpt::Writer w(&out);
-  WriteTableBlobPrefix(&w, kTableBlobVersion, snapshot.schema,
-                       snapshot.num_rows, snapshot.next_tick,
-                       snapshot.lifetime_forgotten, snapshot.current_batch);
-  const size_t cols = snapshot.schema.num_columns();
-
-  // One logical array per column, spliced from the copy-on-write chunks.
-  for (size_t c = 0; c < cols; ++c) {
-    w.I64(snapshot.min_seen[c]);
-    w.I64(snapshot.max_seen[c]);
-    w.U64(snapshot.num_rows);
-    for (const auto& chunk : snapshot.chunks) w.RawI64(chunk->columns[c]);
-  }
-
-  w.U64(snapshot.num_rows);
-  for (const auto& chunk : snapshot.chunks) w.RawU64(chunk->ticks);
-  w.U64(snapshot.num_rows);
-  for (const auto& chunk : snapshot.chunks) w.RawU32(chunk->batches);
-  w.U64Array(snapshot.access_counts);
-  w.BitArray(snapshot.active);
-  return out;
-}
 
 std::shared_ptr<const ShardSnapshot> SnapshotManager::CaptureShard(
     const Table& table, ShardState* state) {

@@ -19,20 +19,22 @@
 //     fresh on every (re)capture: forgets and access bumps mutate them in
 //     place, and they are an order of magnitude smaller than the payload.
 //
-// SerializeShardSnapshot emits exactly the bytes CheckpointTable(live
-// table) would have produced at capture time, so RestoreTable reads blobs
-// from either path and equivalence is testable byte-for-byte.
+// The captured types (ShardSnapshot, SnapshotChunk) and their writer,
+// SerializeShardSnapshot, live in storage/checkpoint.h with the rest of
+// the table-blob format: a vector shard serializes to exactly the bytes
+// CheckpointTable(live table) would have produced at capture time, so
+// RestoreTable reads blobs from either path and equivalence is testable
+// byte-for-byte.
 
 #ifndef AMNESIA_DURABILITY_SNAPSHOT_H_
 #define AMNESIA_DURABILITY_SNAPSHOT_H_
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
+#include "storage/checkpoint.h"
 #include "storage/cold_store.h"
-#include "storage/schema.h"
 #include "storage/sharded_table.h"
 #include "storage/summary_store.h"
 #include "storage/table.h"
@@ -46,57 +48,6 @@ namespace amnesia {
 struct TierSet {
   const ColdStore* cold = nullptr;
   const SummaryStore* summaries = nullptr;
-};
-
-/// \brief An immutable, contiguous run of captured rows. Chunks are
-/// shared between successive snapshots of an append-only shard.
-struct SnapshotChunk {
-  /// Column-major payload: columns[c][i] is row (base + i) of column c.
-  std::vector<std::vector<Value>> columns;
-  std::vector<Tick> ticks;
-  std::vector<BatchId> batches;
-
-  /// Returns the number of rows the chunk spans.
-  uint64_t size() const { return ticks.size(); }
-};
-
-/// \brief A consistent copy of one shard at a capture point.
-class ShardSnapshot {
- public:
-  /// Durability epoch at capture: Table::version() + Table::access_epoch().
-  uint64_t epoch = 0;
-  uint64_t num_rows = 0;
-  Schema schema;
-  std::vector<Value> min_seen;
-  std::vector<Value> max_seen;
-  Tick next_tick = 0;
-  uint64_t lifetime_forgotten = 0;
-  BatchId current_batch = 0;
-  /// Payload in capture order; chunk row ranges concatenate to
-  /// [0, num_rows). Empty for mapped shards (sealed payload lives in the
-  /// partition files; only `tail_columns` below travels in the blob).
-  std::vector<std::shared_ptr<const SnapshotChunk>> chunks;
-  /// Per-row access counts (fresh copy each capture).
-  std::vector<uint64_t> access_counts;
-  /// Active-row bitmap (fresh copy each capture).
-  std::vector<bool> active;
-
-  /// \name Mapped-shard capture (StorageBackend::kMapped only).
-  /// A mapped shard's blob records partition metadata plus the unsealed
-  /// tail; recovery re-maps the partition files instead of deserializing
-  /// the sealed payload. Ticks are not captured: mapped shards never
-  /// compact, so row r's tick is always next_tick - num_rows + r.
-  /// @{
-  bool mapped = false;
-  std::string storage_dir;      ///< The shard's partition directory.
-  uint64_t partition_rows = 0;  ///< Rows per sealed partition.
-  std::vector<PartitionMeta> partitions;
-  /// Per-column payload of rows [partitions.size() * partition_rows,
-  /// num_rows) — the unsealed tail.
-  std::vector<std::vector<Value>> tail_columns;
-  /// Per-row insertion batches, full length (fresh copy each capture).
-  std::vector<BatchId> batches;
-  /// @}
 };
 
 /// \brief One capture of a whole (possibly sharded) table, plus the
@@ -121,10 +72,6 @@ struct CaptureStats {
   uint64_t chunks_reused = 0;      ///< Payload chunks shared, not copied.
   uint64_t rows_copied = 0;        ///< Rows whose payload was copied.
 };
-
-/// \brief Serializes a snapshot to the CheckpointTable byte format
-/// (restorable with RestoreTable).
-std::vector<uint8_t> SerializeShardSnapshot(const ShardSnapshot& snapshot);
 
 /// \brief Captures per-shard versioned snapshots, reusing state across
 /// calls. One manager per table; captures must not run concurrently with

@@ -13,13 +13,20 @@ namespace amnesia {
 using ckpt::Reader;
 using ckpt::Writer;
 
+// ------------------------------------------------------------ table blobs
+
 namespace {
 
-// Version of the database, sharded-table and tier containers.
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kTableBlobMagic = 0x414D4E45;  // "AMNE"
+/// Self-contained layout: payload, ticks, batches, access counts, bitmap.
+constexpr uint32_t kTableBlobVersion = 1;
+/// Mapped-shard layout: partition metadata + unsealed tail; the sealed
+/// payload is re-mapped from the partition files at restore.
+constexpr uint32_t kTableBlobVersionMapped = 2;
 
-}  // namespace
-
+/// Writes the prefix every table blob opens with: magic, `version`, the
+/// schema, then the row count, next tick, lifetime forget total and
+/// current batch.
 void WriteTableBlobPrefix(Writer* w, uint32_t version, const Schema& schema,
                           uint64_t rows, uint64_t next_tick,
                           uint64_t lifetime_forgotten, BatchId current_batch) {
@@ -38,6 +45,92 @@ void WriteTableBlobPrefix(Writer* w, uint32_t version, const Schema& schema,
   w->U32(current_batch);
 }
 
+/// Reserves the rest of a self-contained blob once its prefix is written.
+/// The body has a known size, so the buffer is never regrown (and never
+/// holds a doubled, half-empty copy).
+void ReserveSelfContainedBody(std::vector<uint8_t>* out, size_t cols,
+                              uint64_t rows) {
+  constexpr size_t kLen = sizeof(uint64_t);  // every array's length prefix
+  out->reserve(out->size() +
+               cols * (2 * sizeof(Value) + kLen + rows * sizeof(Value)) +
+               kLen + rows * sizeof(uint64_t) +  // ticks
+               kLen + rows * sizeof(uint32_t) +  // batches
+               kLen + rows * sizeof(uint64_t) +  // access counts
+               kLen + (rows + 7) / 8);           // active bits
+}
+
+/// Serializes a mapped shard in the version 2 layout. The sealed payload
+/// never enters the blob — recovery re-maps the partition files — so blob
+/// size and restore time scale with the tail plus flat metadata, not with
+/// history. Ticks are omitted entirely: mapped shards never compact, so
+/// row r's tick is always next_tick - num_rows + r.
+std::vector<uint8_t> SerializeMappedSnapshot(const ShardSnapshot& snapshot) {
+  std::vector<uint8_t> out;
+  Writer w(&out);
+  WriteTableBlobPrefix(&w, kTableBlobVersionMapped, snapshot.schema,
+                       snapshot.num_rows, snapshot.next_tick,
+                       snapshot.lifetime_forgotten, snapshot.current_batch);
+  const size_t cols = snapshot.schema.num_columns();
+
+  w.U64(snapshot.partition_rows);
+  w.U64(snapshot.partitions.size());
+  for (const PartitionMeta& p : snapshot.partitions) {
+    w.U64(p.epoch_lo);
+    w.U64(p.epoch_hi);
+    w.U8(p.dropped ? 1 : 0);
+  }
+
+  for (size_t c = 0; c < cols; ++c) {
+    w.I64(snapshot.min_seen[c]);
+    w.I64(snapshot.max_seen[c]);
+    w.I64Array(snapshot.tail_columns[c]);
+  }
+
+  // Batches are monotonic per row, so run-length encoding collapses them
+  // to one entry per update batch.
+  std::vector<std::pair<BatchId, uint64_t>> batch_runs;
+  for (const BatchId b : snapshot.batches) {
+    if (batch_runs.empty() || batch_runs.back().first != b) {
+      batch_runs.emplace_back(b, 1);
+    } else {
+      ++batch_runs.back().second;
+    }
+  }
+  w.U64(batch_runs.size());
+  for (const auto& [batch, count] : batch_runs) {
+    w.U32(batch);
+    w.U64(count);
+  }
+
+  // Access counts cluster (cold history is all zeros); RLE when it wins,
+  // raw otherwise.
+  std::vector<std::pair<uint64_t, uint64_t>> access_runs;
+  for (const uint64_t a : snapshot.access_counts) {
+    if (access_runs.empty() || access_runs.back().first != a) {
+      access_runs.emplace_back(a, 1);
+    } else {
+      ++access_runs.back().second;
+    }
+  }
+  const bool rle_wins =
+      access_runs.size() * 2 < snapshot.access_counts.size();
+  w.U8(rle_wins ? 1 : 0);
+  if (rle_wins) {
+    w.U64(access_runs.size());
+    for (const auto& [value, count] : access_runs) {
+      w.U64(value);
+      w.U64(count);
+    }
+  } else {
+    w.U64Array(snapshot.access_counts);
+  }
+
+  w.BitArray(snapshot.active);
+  return out;
+}
+
+}  // namespace
+
 std::vector<uint8_t> CheckpointTable(const Table& table) {
   std::vector<uint8_t> out;
   Writer w(&out);
@@ -46,15 +139,7 @@ std::vector<uint8_t> CheckpointTable(const Table& table) {
   WriteTableBlobPrefix(&w, kTableBlobVersion, table.schema(), rows,
                        table.lifetime_inserted(), table.lifetime_forgotten(),
                        table.current_batch());
-  // The rest of the blob has a known size: reserve it once, so the buffer
-  // is never regrown (and never holds a doubled, half-empty copy).
-  constexpr size_t kLen = sizeof(uint64_t);  // every array's length prefix
-  out.reserve(out.size() +
-              cols * (2 * sizeof(Value) + kLen + rows * sizeof(Value)) +
-              kLen + rows * sizeof(uint64_t) +   // ticks
-              kLen + rows * sizeof(uint32_t) +   // batches
-              kLen + rows * sizeof(uint64_t) +   // access counts
-              kLen + (rows + 7) / 8);            // active bits
+  ReserveSelfContainedBody(&out, cols, rows);
 
   for (size_t c = 0; c < cols; ++c) {
     const Column& col = table.column(c);
@@ -87,33 +172,74 @@ std::vector<uint8_t> CheckpointTable(const Table& table) {
   return out;
 }
 
+std::vector<uint8_t> SerializeShardSnapshot(const ShardSnapshot& snapshot) {
+  if (snapshot.mapped) return SerializeMappedSnapshot(snapshot);
+  std::vector<uint8_t> out;
+  Writer w(&out);
+  const size_t cols = snapshot.schema.num_columns();
+  WriteTableBlobPrefix(&w, kTableBlobVersion, snapshot.schema,
+                       snapshot.num_rows, snapshot.next_tick,
+                       snapshot.lifetime_forgotten, snapshot.current_batch);
+  ReserveSelfContainedBody(&out, cols, snapshot.num_rows);
+
+  // One logical array per column, spliced from the copy-on-write chunks.
+  for (size_t c = 0; c < cols; ++c) {
+    w.I64(snapshot.min_seen[c]);
+    w.I64(snapshot.max_seen[c]);
+    w.U64(snapshot.num_rows);
+    for (const auto& chunk : snapshot.chunks) w.RawI64(chunk->columns[c]);
+  }
+
+  w.U64(snapshot.num_rows);
+  for (const auto& chunk : snapshot.chunks) w.RawU64(chunk->ticks);
+  w.U64(snapshot.num_rows);
+  for (const auto& chunk : snapshot.chunks) w.RawU32(chunk->batches);
+  w.U64Array(snapshot.access_counts);
+  w.BitArray(snapshot.active);
+  return out;
+}
+
 namespace {
 
-/// Decodes the v2 (mapped) blob body past the schema and hands the parts
-/// to Table::FromMappedParts, which re-maps the partition files.
-StatusOr<Table> RestoreMappedTable(Reader* r, Schema schema,
-                                   const std::string& storage_dir) {
+/// Decodes the version 1 (self-contained) body past the prefix.
+Status DecodeSelfContainedBody(Reader* r, uint64_t rows, Table::Parts* parts) {
+  const size_t cols = parts->schema.num_columns();
+  parts->columns.resize(cols);
+  parts->min_seen.resize(cols);
+  parts->max_seen.resize(cols);
+  for (size_t c = 0; c < cols; ++c) {
+    AMNESIA_RETURN_NOT_OK(r->I64(&parts->min_seen[c]));
+    AMNESIA_RETURN_NOT_OK(r->I64(&parts->max_seen[c]));
+    AMNESIA_RETURN_NOT_OK(r->I64Array(&parts->columns[c]));
+    if (parts->columns[c].size() != rows) {
+      return Status::InvalidArgument("checkpoint column length mismatch");
+    }
+  }
+
+  std::vector<uint32_t> batches;
+  AMNESIA_RETURN_NOT_OK(r->U64Array(&parts->insert_ticks));
+  AMNESIA_RETURN_NOT_OK(r->U32Array(&batches));
+  AMNESIA_RETURN_NOT_OK(r->U64Array(&parts->access_counts));
+  AMNESIA_RETURN_NOT_OK(r->BitArray(&parts->active));
+  parts->batches.assign(batches.begin(), batches.end());
+  return Status::OK();
+}
+
+/// Decodes the version 2 (mapped) body past the prefix; Table::FromParts
+/// then re-maps the partition files under `storage_dir`.
+Status DecodeMappedBody(Reader* r, uint64_t rows,
+                        const std::string& storage_dir, Table::Parts* parts) {
   if (storage_dir.empty()) {
     return Status::InvalidArgument(
         "mapped checkpoint blob needs a storage directory");
   }
-  Table::MappedParts parts;
-  parts.schema = std::move(schema);
-  const size_t cols = parts.schema.num_columns();
-
-  uint64_t rows = 0;
-  AMNESIA_RETURN_NOT_OK(r->U64(&rows));
   // The blob ends with a one-bit-per-row active bitmap, so a row count the
   // remaining bytes cannot hold is corrupt; checking it here bounds every
   // per-row allocation below.
   if (rows / 8 > r->remaining()) {
     return Status::InvalidArgument("mapped checkpoint row count exceeds blob");
   }
-  AMNESIA_RETURN_NOT_OK(r->U64(&parts.next_tick));
-  AMNESIA_RETURN_NOT_OK(r->U64(&parts.lifetime_forgotten));
-  uint32_t batch = 0;
-  AMNESIA_RETURN_NOT_OK(r->U32(&batch));
-  parts.current_batch = batch;
+  const size_t cols = parts->schema.num_columns();
 
   uint64_t partition_rows = 0, num_partitions = 0;
   AMNESIA_RETURN_NOT_OK(r->U64(&partition_rows));
@@ -125,8 +251,8 @@ StatusOr<Table> RestoreMappedTable(Reader* r, Schema schema,
     return Status::InvalidArgument(
         "mapped checkpoint partition geometry is inconsistent");
   }
-  parts.partitions.resize(static_cast<size_t>(num_partitions));
-  for (PartitionMeta& p : parts.partitions) {
+  parts->partitions.resize(static_cast<size_t>(num_partitions));
+  for (PartitionMeta& p : parts->partitions) {
     uint8_t dropped = 0;
     AMNESIA_RETURN_NOT_OK(r->U64(&p.epoch_lo));
     AMNESIA_RETURN_NOT_OK(r->U64(&p.epoch_hi));
@@ -135,14 +261,14 @@ StatusOr<Table> RestoreMappedTable(Reader* r, Schema schema,
   }
   const uint64_t tail = rows - num_partitions * partition_rows;
 
-  parts.tail_columns.resize(cols);
-  parts.min_seen.resize(cols);
-  parts.max_seen.resize(cols);
+  parts->columns.resize(cols);
+  parts->min_seen.resize(cols);
+  parts->max_seen.resize(cols);
   for (size_t c = 0; c < cols; ++c) {
-    AMNESIA_RETURN_NOT_OK(r->I64(&parts.min_seen[c]));
-    AMNESIA_RETURN_NOT_OK(r->I64(&parts.max_seen[c]));
-    AMNESIA_RETURN_NOT_OK(r->I64Array(&parts.tail_columns[c]));
-    if (parts.tail_columns[c].size() != tail) {
+    AMNESIA_RETURN_NOT_OK(r->I64(&parts->min_seen[c]));
+    AMNESIA_RETURN_NOT_OK(r->I64(&parts->max_seen[c]));
+    AMNESIA_RETURN_NOT_OK(r->I64Array(&parts->columns[c]));
+    if (parts->columns[c].size() != tail) {
       return Status::InvalidArgument("checkpoint tail length mismatch");
     }
   }
@@ -150,19 +276,19 @@ StatusOr<Table> RestoreMappedTable(Reader* r, Schema schema,
   // Batches travel run-length encoded (one run per update batch).
   uint64_t batch_runs = 0;
   AMNESIA_RETURN_NOT_OK(r->U64(&batch_runs));
-  parts.batches.reserve(static_cast<size_t>(rows));
+  parts->batches.reserve(static_cast<size_t>(rows));
   for (uint64_t i = 0; i < batch_runs; ++i) {
     uint32_t value = 0;
     uint64_t count = 0;
     AMNESIA_RETURN_NOT_OK(r->U32(&value));
     AMNESIA_RETURN_NOT_OK(r->U64(&count));
-    if (count == 0 || parts.batches.size() + count > rows) {
+    if (count == 0 || parts->batches.size() + count > rows) {
       return Status::InvalidArgument("checkpoint batch runs exceed rows");
     }
-    parts.batches.insert(parts.batches.end(), static_cast<size_t>(count),
-                         value);
+    parts->batches.insert(parts->batches.end(), static_cast<size_t>(count),
+                          value);
   }
-  if (parts.batches.size() != rows) {
+  if (parts->batches.size() != rows) {
     return Status::InvalidArgument("checkpoint batch runs cover too few rows");
   }
 
@@ -171,53 +297,49 @@ StatusOr<Table> RestoreMappedTable(Reader* r, Schema schema,
   if (access_rle != 0) {
     uint64_t access_runs = 0;
     AMNESIA_RETURN_NOT_OK(r->U64(&access_runs));
-    parts.access_counts.reserve(static_cast<size_t>(rows));
+    parts->access_counts.reserve(static_cast<size_t>(rows));
     for (uint64_t i = 0; i < access_runs; ++i) {
       uint64_t value = 0, count = 0;
       AMNESIA_RETURN_NOT_OK(r->U64(&value));
       AMNESIA_RETURN_NOT_OK(r->U64(&count));
-      if (count == 0 || parts.access_counts.size() + count > rows) {
+      if (count == 0 || parts->access_counts.size() + count > rows) {
         return Status::InvalidArgument("checkpoint access runs exceed rows");
       }
-      parts.access_counts.insert(parts.access_counts.end(),
-                                 static_cast<size_t>(count), value);
+      parts->access_counts.insert(parts->access_counts.end(),
+                                  static_cast<size_t>(count), value);
     }
   } else {
-    AMNESIA_RETURN_NOT_OK(r->U64Array(&parts.access_counts));
+    AMNESIA_RETURN_NOT_OK(r->U64Array(&parts->access_counts));
   }
-  if (parts.access_counts.size() != rows) {
+  if (parts->access_counts.size() != rows) {
     return Status::InvalidArgument("checkpoint access length mismatch");
   }
 
-  AMNESIA_RETURN_NOT_OK(r->BitArray(&parts.active));
-  if (parts.active.size() != rows) {
+  AMNESIA_RETURN_NOT_OK(r->BitArray(&parts->active));
+  if (parts->active.size() != rows) {
     return Status::InvalidArgument("checkpoint bitmap length mismatch");
   }
 
   // Mapped tables never compact, so ticks are always the contiguous run
   // ending at next_tick; the blob omits them.
-  if (parts.next_tick < rows) {
+  if (parts->next_tick < rows) {
     return Status::InvalidArgument("checkpoint next_tick below row count");
   }
-  parts.insert_ticks.resize(static_cast<size_t>(rows));
+  parts->insert_ticks.resize(static_cast<size_t>(rows));
   for (uint64_t i = 0; i < rows; ++i) {
-    parts.insert_ticks[i] = parts.next_tick - rows + i;
+    parts->insert_ticks[i] = parts->next_tick - rows + i;
   }
 
-  parts.storage.backend = StorageBackend::kMapped;
-  parts.storage.dir = storage_dir;
-  parts.storage.partition_rows = partition_rows;
-  return Table::FromMappedParts(std::move(parts));
+  parts->storage.backend = StorageBackend::kMapped;
+  parts->storage.dir = storage_dir;
+  parts->storage.partition_rows = partition_rows;
+  return Status::OK();
 }
 
 }  // namespace
 
-StatusOr<Table> RestoreTable(const std::vector<uint8_t>& buffer) {
-  return RestoreTableWithStorage(buffer, "");
-}
-
-StatusOr<Table> RestoreTableWithStorage(const std::vector<uint8_t>& buffer,
-                                        const std::string& storage_dir) {
+StatusOr<Table> RestoreTable(const std::vector<uint8_t>& buffer,
+                             const std::string& storage_dir) {
   Reader r(buffer);
   uint32_t magic = 0, version = 0;
   AMNESIA_RETURN_NOT_OK(r.U32(&magic));
@@ -242,106 +364,30 @@ StatusOr<Table> RestoreTableWithStorage(const std::vector<uint8_t>& buffer,
     AMNESIA_RETURN_NOT_OK(r.I64(&def.domain_hi));
   }
 
-  if (version == kTableBlobVersionMapped) {
-    return RestoreMappedTable(&r, Schema(std::move(defs)), storage_dir);
-  }
-
-  Table::RawParts parts;
+  Table::Parts parts;
   parts.schema = Schema(std::move(defs));
-
   uint64_t rows = 0;
+  uint32_t batch = 0;
   AMNESIA_RETURN_NOT_OK(r.U64(&rows));
   AMNESIA_RETURN_NOT_OK(r.U64(&parts.next_tick));
   AMNESIA_RETURN_NOT_OK(r.U64(&parts.lifetime_forgotten));
-  uint32_t batch = 0;
   AMNESIA_RETURN_NOT_OK(r.U32(&batch));
   parts.current_batch = batch;
-
-  parts.columns.resize(static_cast<size_t>(cols));
-  parts.min_seen.resize(static_cast<size_t>(cols));
-  parts.max_seen.resize(static_cast<size_t>(cols));
-  for (size_t c = 0; c < cols; ++c) {
-    AMNESIA_RETURN_NOT_OK(r.I64(&parts.min_seen[c]));
-    AMNESIA_RETURN_NOT_OK(r.I64(&parts.max_seen[c]));
-    AMNESIA_RETURN_NOT_OK(r.I64Array(&parts.columns[c]));
-    if (parts.columns[c].size() != rows) {
-      return Status::InvalidArgument("checkpoint column length mismatch");
-    }
-  }
-
-  std::vector<uint32_t> batches;
-  AMNESIA_RETURN_NOT_OK(r.U64Array(&parts.insert_ticks));
-  AMNESIA_RETURN_NOT_OK(r.U32Array(&batches));
-  AMNESIA_RETURN_NOT_OK(r.U64Array(&parts.access_counts));
-  AMNESIA_RETURN_NOT_OK(r.BitArray(&parts.active));
-  parts.batches.assign(batches.begin(), batches.end());
-
-  return Table::FromRawParts(std::move(parts));
+  AMNESIA_RETURN_NOT_OK(version == kTableBlobVersionMapped
+                            ? DecodeMappedBody(&r, rows, storage_dir, &parts)
+                            : DecodeSelfContainedBody(&r, rows, &parts));
+  return Table::FromParts(std::move(parts));
 }
 
+// -------------------------------------------------------------- database
+
 namespace {
+// Version of the database and tier containers.
+constexpr uint32_t kVersion = 1;
 constexpr uint32_t kDbMagic = 0x414D4442;     // "AMDB"
-constexpr uint32_t kShardMagic = 0x414D5348;  // "AMSH"
 constexpr uint32_t kColdMagic = 0x414D434C;   // "AMCL"
 constexpr uint32_t kSummaryMagic = 0x414D5355;  // "AMSU"
 }  // namespace
-
-std::vector<uint8_t> CheckpointShardedTable(const ShardedTable& table,
-                                            ThreadPool* pool) {
-  std::vector<uint8_t> out;
-  Writer w(&out);
-  w.U32(kShardMagic);
-  w.U32(kVersion);
-  w.U64(table.num_shards());
-  w.U64(table.ingest_cursor());
-
-  // Serialize every shard blob first (concurrently when a pool is given),
-  // then splice them into the container in shard order — the framing is
-  // identical either way, so the serial and pooled writers are
-  // bit-compatible.
-  std::vector<size_t> all(table.num_shards());
-  for (size_t s = 0; s < all.size(); ++s) all[s] = s;
-  const std::vector<std::vector<uint8_t>> blobs =
-      ckpt::SerializeBlobs(pool, table.num_shards(), all, [&table](size_t s) {
-        return CheckpointTable(table.shard(static_cast<uint32_t>(s)).table());
-      });
-  for (const std::vector<uint8_t>& blob : blobs) {
-    w.U64(blob.size());
-    out.insert(out.end(), blob.begin(), blob.end());
-  }
-  return out;
-}
-
-StatusOr<ShardedTable> RestoreShardedTable(
-    const std::vector<uint8_t>& buffer) {
-  Reader r(buffer);
-  uint32_t magic = 0, version = 0;
-  AMNESIA_RETURN_NOT_OK(r.U32(&magic));
-  if (magic != kShardMagic) {
-    return Status::InvalidArgument("not an AmnesiaDB sharded checkpoint");
-  }
-  AMNESIA_RETURN_NOT_OK(r.U32(&version));
-  if (version != kVersion) {
-    return Status::FailedPrecondition("unsupported checkpoint version " +
-                                      std::to_string(version));
-  }
-  uint64_t shards = 0;
-  uint64_t cursor = 0;
-  AMNESIA_RETURN_NOT_OK(r.U64(&shards));
-  AMNESIA_RETURN_NOT_OK(r.U64(&cursor));
-  if (shards == 0 || shards > kMaxShards) {
-    return Status::InvalidArgument("implausible shard count");
-  }
-  std::vector<Table> tables;
-  tables.reserve(static_cast<size_t>(shards));
-  for (uint64_t s = 0; s < shards; ++s) {
-    std::vector<uint8_t> blob;
-    AMNESIA_RETURN_NOT_OK(r.ByteArray(&blob));
-    AMNESIA_ASSIGN_OR_RETURN(Table table, RestoreTable(blob));
-    tables.push_back(std::move(table));
-  }
-  return ShardedTable::FromShards(std::move(tables), cursor);
-}
 
 std::vector<uint8_t> CheckpointDatabase(const Database& db) {
   std::vector<uint8_t> out;
@@ -597,25 +643,6 @@ StatusOr<std::vector<uint8_t>> ReadBytesFile(const std::string& path) {
     return Status::Internal("short read from '" + path + "'");
   }
   return buffer;
-}
-
-Status WriteCheckpointFile(const Table& table, const std::string& path) {
-  return WriteBytesFileAtomic(CheckpointTable(table), path);
-}
-
-StatusOr<Table> ReadCheckpointFile(const std::string& path) {
-  AMNESIA_ASSIGN_OR_RETURN(std::vector<uint8_t> buffer, ReadBytesFile(path));
-  return RestoreTable(buffer);
-}
-
-Status WriteShardedCheckpointFile(const ShardedTable& table,
-                                  const std::string& path, ThreadPool* pool) {
-  return WriteBytesFileAtomic(CheckpointShardedTable(table, pool), path);
-}
-
-StatusOr<ShardedTable> ReadShardedCheckpointFile(const std::string& path) {
-  AMNESIA_ASSIGN_OR_RETURN(std::vector<uint8_t> buffer, ReadBytesFile(path));
-  return RestoreShardedTable(buffer);
 }
 
 }  // namespace amnesia

@@ -1,55 +1,24 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
-// Shared little-endian byte codec for every on-disk artifact: table
-// checkpoints (storage/checkpoint.cc), durability snapshots, event-log
-// records and checkpoint manifests (src/durability/). One Writer/Reader
-// pair keeps the formats bit-compatible across producers — the async
-// snapshot serializer must emit exactly the bytes CheckpointTable would,
-// so RestoreTable reads blobs from either path.
+// Shared little-endian byte codec for every on-disk artifact: table blobs
+// and the database and tier containers (storage/checkpoint.cc), partition
+// file headers (storage/mapped_file.cc), event-log records, audit records
+// and checkpoint manifests. The table-blob format itself, with both of its
+// writers and its one decoder, lives in storage/checkpoint.cc.
 
 #ifndef AMNESIA_STORAGE_CHECKPOINT_IO_H_
 #define AMNESIA_STORAGE_CHECKPOINT_IO_H_
 
 #include <cstdint>
 #include <cstring>
-#include <future>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 
 namespace amnesia {
 namespace ckpt {
-
-/// \brief Produces `blobs[i] = serialize(i)` for every i in `indices`
-/// (each < `count`; other slots stay empty), fanning the serializers out
-/// on `pool` via SubmitTask futures when one is given and more than one
-/// blob is needed. Shared by the pooled CheckpointShardedTable writer and
-/// the background checkpointer so the two cannot drift. The caller must
-/// not be a pool worker (the futures are waited on directly).
-template <typename Fn>
-std::vector<std::vector<uint8_t>> SerializeBlobs(
-    ThreadPool* pool, size_t count, const std::vector<size_t>& indices,
-    const Fn& serialize) {
-  std::vector<std::vector<uint8_t>> blobs(count);
-  if (pool != nullptr && indices.size() > 1) {
-    std::vector<std::future<std::vector<uint8_t>>> futures;
-    futures.reserve(indices.size());
-    for (size_t i : indices) {
-      futures.push_back(pool->SubmitTask([&serialize, i] {
-        return serialize(i);
-      }));
-    }
-    for (size_t k = 0; k < indices.size(); ++k) {
-      blobs[indices[k]] = futures[k].get();
-    }
-  } else {
-    for (size_t i : indices) blobs[i] = serialize(i);
-  }
-  return blobs;
-}
 
 /// \brief CRC-32 (IEEE 802.3, reflected) over a byte range. Guards event-log
 /// records, shard blobs and manifests against torn writes and bit rot.

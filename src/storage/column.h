@@ -223,7 +223,8 @@ class Column {
   /// extrema are recomputed from it — a caller that wants to preserve
   /// wider historical bounds (checkpoint restore, compaction of a table
   /// whose max-seen drives the query generator) must follow up with
-  /// OverrideExtrema. Vector mode only.
+  /// OverrideExtrema. In mapped mode `new_values` replaces the unsealed
+  /// tail only (checkpoint restore).
   void ReplaceData(std::vector<Value> new_values) {
     values_ = std::move(new_values);
     if (values_.empty()) {

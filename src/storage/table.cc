@@ -61,30 +61,78 @@ StatusOr<Table> Table::Make(Schema schema, StorageOptions storage) {
   return table;
 }
 
-StatusOr<Table> Table::FromRawParts(RawParts parts) {
+StatusOr<Table> Table::FromParts(Parts parts) {
+  const bool mapped = parts.storage.backend == StorageBackend::kMapped;
+  const uint64_t pr = parts.storage.partition_rows;
+  if (mapped) {
+    if (parts.storage.dir.empty()) {
+      return Status::InvalidArgument("table parts: missing storage dir");
+    }
+    if (pr < 64 || (pr & (pr - 1)) != 0) {
+      return Status::InvalidArgument("table parts: bad partition_rows");
+    }
+  } else if (!parts.partitions.empty()) {
+    return Status::InvalidArgument("table parts: partitions on a vector table");
+  }
   if (parts.schema.num_columns() == 0 ||
       parts.columns.size() != parts.schema.num_columns()) {
-    return Status::InvalidArgument("raw parts: column/schema mismatch");
+    return Status::InvalidArgument("table parts: column/schema mismatch");
   }
   if (parts.min_seen.size() != parts.columns.size() ||
       parts.max_seen.size() != parts.columns.size()) {
-    return Status::InvalidArgument("raw parts: extrema arity mismatch");
+    return Status::InvalidArgument("table parts: extrema arity mismatch");
   }
-  const size_t rows = parts.columns[0].size();
+  const size_t payload = parts.columns[0].size();
   for (const auto& col : parts.columns) {
-    if (col.size() != rows) {
-      return Status::InvalidArgument("raw parts: ragged columns");
+    if (col.size() != payload) {
+      return Status::InvalidArgument("table parts: ragged columns");
     }
+  }
+  uint64_t rows = payload;
+  if (mapped) {
+    if (payload >= pr) {
+      return Status::InvalidArgument("table parts: tail spans a partition");
+    }
+    rows += parts.partitions.size() * pr;
   }
   if (parts.insert_ticks.size() != rows || parts.batches.size() != rows ||
       parts.access_counts.size() != rows || parts.active.size() != rows) {
-    return Status::InvalidArgument("raw parts: metadata length mismatch");
+    return Status::InvalidArgument("table parts: metadata length mismatch");
   }
   if (parts.next_tick < rows) {
-    return Status::InvalidArgument("raw parts: next_tick below row count");
+    return Status::InvalidArgument("table parts: next_tick below row count");
   }
 
   Table table(std::move(parts.schema));
+  if (mapped) {
+    table.storage_ = std::move(parts.storage);
+    for (auto& col : table.columns_) col.SetMapped(pr);
+    for (const PartitionMeta& p : parts.partitions) {
+      if (p.dropped) {
+        for (auto& col : table.columns_) col.AttachDroppedSegment();
+      } else {
+        const std::string live =
+            table.storage_.dir + "/" + PartitionDirName(p.epoch_lo, p.epoch_hi);
+        const std::string renamed =
+            table.storage_.dir + "/" +
+            DroppedPartitionDirName(p.epoch_lo, p.epoch_hi);
+        const std::string dir = DirExists(live) ? live : renamed;
+        for (size_t c = 0; c < table.columns_.size(); ++c) {
+          const std::string path =
+              dir + "/" + PartitionColumnFileName(table.schema_.column(c).name);
+          AMNESIA_ASSIGN_OR_RETURN(MappedColumnFile file,
+                                   MappedColumnFile::Map(path, pr));
+          if (file.epoch_lo() != p.epoch_lo || file.epoch_hi() != p.epoch_hi) {
+            return Status::InvalidArgument("partition file '" + path +
+                                           "': epoch mismatch");
+          }
+          AMNESIA_RETURN_NOT_OK(
+              table.columns_[c].AttachSegment(std::move(file)));
+        }
+      }
+      table.partitions_.push_back(p);
+    }
+  }
   for (size_t c = 0; c < parts.columns.size(); ++c) {
     table.columns_[c].ReplaceData(std::move(parts.columns[c]));
     table.columns_[c].OverrideExtrema(parts.min_seen[c], parts.max_seen[c]);
@@ -246,93 +294,6 @@ uint64_t Table::MappedBytes() const {
   uint64_t total = 0;
   for (const auto& col : columns_) total += col.MappedBytes();
   return total;
-}
-
-StatusOr<Table> Table::FromMappedParts(MappedParts parts) {
-  if (parts.storage.backend != StorageBackend::kMapped) {
-    return Status::InvalidArgument("mapped parts: backend is not kMapped");
-  }
-  if (parts.storage.dir.empty()) {
-    return Status::InvalidArgument("mapped parts: missing storage dir");
-  }
-  const uint64_t pr = parts.storage.partition_rows;
-  if (pr < 64 || (pr & (pr - 1)) != 0) {
-    return Status::InvalidArgument("mapped parts: bad partition_rows");
-  }
-  if (parts.schema.num_columns() == 0 ||
-      parts.tail_columns.size() != parts.schema.num_columns()) {
-    return Status::InvalidArgument("mapped parts: column/schema mismatch");
-  }
-  if (parts.min_seen.size() != parts.tail_columns.size() ||
-      parts.max_seen.size() != parts.tail_columns.size()) {
-    return Status::InvalidArgument("mapped parts: extrema arity mismatch");
-  }
-  const size_t tail = parts.tail_columns[0].size();
-  for (const auto& col : parts.tail_columns) {
-    if (col.size() != tail) {
-      return Status::InvalidArgument("mapped parts: ragged tail columns");
-    }
-  }
-  if (tail >= pr) {
-    return Status::InvalidArgument("mapped parts: tail spans a partition");
-  }
-  const uint64_t rows = parts.partitions.size() * pr + tail;
-  if (parts.insert_ticks.size() != rows || parts.batches.size() != rows ||
-      parts.access_counts.size() != rows || parts.active.size() != rows) {
-    return Status::InvalidArgument("mapped parts: metadata length mismatch");
-  }
-  if (parts.next_tick < rows) {
-    return Status::InvalidArgument("mapped parts: next_tick below row count");
-  }
-
-  Table table(std::move(parts.schema));
-  table.storage_ = std::move(parts.storage);
-  for (auto& col : table.columns_) col.SetMapped(pr);
-  for (const PartitionMeta& p : parts.partitions) {
-    if (p.dropped) {
-      for (auto& col : table.columns_) col.AttachDroppedSegment();
-    } else {
-      const std::string live =
-          table.storage_.dir + "/" + PartitionDirName(p.epoch_lo, p.epoch_hi);
-      const std::string renamed =
-          table.storage_.dir + "/" +
-          DroppedPartitionDirName(p.epoch_lo, p.epoch_hi);
-      const std::string dir = DirExists(live) ? live : renamed;
-      for (size_t c = 0; c < table.columns_.size(); ++c) {
-        const std::string path =
-            dir + "/" + PartitionColumnFileName(table.schema_.column(c).name);
-        AMNESIA_ASSIGN_OR_RETURN(MappedColumnFile file,
-                                 MappedColumnFile::Map(path, pr));
-        if (file.epoch_lo() != p.epoch_lo || file.epoch_hi() != p.epoch_hi) {
-          return Status::InvalidArgument("partition file '" + path +
-                                         "': epoch mismatch");
-        }
-        AMNESIA_RETURN_NOT_OK(table.columns_[c].AttachSegment(std::move(file)));
-      }
-    }
-    table.partitions_.push_back(p);
-  }
-  for (size_t c = 0; c < table.columns_.size(); ++c) {
-    table.columns_[c].AppendMany(parts.tail_columns[c]);
-    table.columns_[c].OverrideExtrema(parts.min_seen[c], parts.max_seen[c]);
-  }
-  table.insert_tick_ = std::move(parts.insert_ticks);
-  table.batch_of_ = std::move(parts.batches);
-  table.access_count_ = std::move(parts.access_counts);
-  table.active_ = Bitmap(rows, false);
-  uint64_t active_count = 0;
-  for (size_t r = 0; r < rows; ++r) {
-    if (parts.active[r]) {
-      table.active_.Set(r);
-      ++active_count;
-    }
-  }
-  table.num_active_ = active_count;
-  table.next_tick_ = parts.next_tick;
-  table.lifetime_forgotten_ = parts.lifetime_forgotten;
-  table.current_batch_ = parts.current_batch;
-  table.version_ = 1;  // restored tables start a fresh version history
-  return table;
 }
 
 Status Table::Forget(RowId row) {

@@ -119,10 +119,18 @@ class Table {
   /// two (minimum 64) so scan morsels never straddle a seal boundary.
   static StatusOr<Table> Make(Schema schema, StorageOptions storage);
 
-  /// \brief Raw ingredients of a table, used by checkpoint restore.
-  struct RawParts {
+  /// \brief Ingredients of a table, used by checkpoint restore. Metadata
+  /// vectors always cover the full row count.
+  struct Parts {
     Schema schema;
-    /// Per-column payload; all inner vectors must share one length.
+    /// kVector (the default) or kMapped; for kMapped, `dir` and
+    /// `partition_rows` must match the partition files.
+    StorageOptions storage;
+    /// Sealed partitions of a mapped table; a vector table has none.
+    std::vector<PartitionMeta> partitions;
+    /// Per-column payload; all inner vectors must share one length. A
+    /// vector table's whole payload, a mapped table's unsealed tail (the
+    /// sealed rows are re-mapped from the partition files).
     std::vector<std::vector<Value>> columns;
     /// Historical extrema per column (may be wider than the payload when
     /// compaction removed the extreme rows).
@@ -139,38 +147,14 @@ class Table {
   };
 
   /// Reassembles a table from checkpointed parts. Validates lengths and
-  /// counter consistency (InvalidArgument on mismatch). Exposed for the
-  /// checkpoint module; regular clients use Make() + AppendRow().
-  static StatusOr<Table> FromRawParts(RawParts parts);
-
-  /// \brief Raw ingredients of a mapped table, used by checkpoint restore:
-  /// sealed partitions are re-mapped from their files; only the unsealed
-  /// tail payload travels through the blob. Metadata vectors cover the
-  /// full row count (partition files hold values only).
-  struct MappedParts {
-    Schema schema;
-    /// backend must be kMapped; partition_rows must match the files.
-    StorageOptions storage;
-    std::vector<PartitionMeta> partitions;
-    /// Per-column payload of rows past the sealed prefix.
-    std::vector<std::vector<Value>> tail_columns;
-    std::vector<Value> min_seen;
-    std::vector<Value> max_seen;
-    std::vector<Tick> insert_ticks;
-    std::vector<BatchId> batches;
-    std::vector<uint64_t> access_counts;
-    std::vector<bool> active;
-    Tick next_tick = 0;
-    uint64_t lifetime_forgotten = 0;
-    BatchId current_batch = 0;
-  };
-
-  /// Reassembles a mapped table: validates the metadata, re-maps every
-  /// live partition's column files (falling back to the `.dropped` name
-  /// when a drop's rename was durable but its journal record was lost —
-  /// the rename preserves the bytes, so the partition restores intact),
-  /// and attaches zero-reading placeholders for dropped partitions.
-  static StatusOr<Table> FromMappedParts(MappedParts parts);
+  /// counter consistency (InvalidArgument on mismatch). A mapped table
+  /// re-maps every live partition's column files (falling back to the
+  /// `.dropped` name when a drop's rename was durable but its journal
+  /// record was lost — the rename preserves the bytes, so the partition
+  /// restores intact) and attaches zero-reading placeholders for dropped
+  /// partitions. Exposed for the checkpoint module; regular clients use
+  /// Make() + AppendRow().
+  static StatusOr<Table> FromParts(Parts parts);
 
   /// Returns the schema.
   const Schema& schema() const { return schema_; }

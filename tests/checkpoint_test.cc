@@ -3,14 +3,18 @@
 // Tests for table checkpoint/restore (§5 explicit backup recovery).
 
 #include <cstdio>
+#include <filesystem>
+#include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "amnesia/controller.h"
 #include "amnesia/fifo.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
+#include "durability/snapshot.h"
 #include "storage/checkpoint.h"
+#include "storage/checkpoint_io.h"
 
 namespace amnesia {
 namespace {
@@ -73,15 +77,22 @@ TEST(CheckpointTest, RoundTripEmptyTable) {
 }
 
 TEST(CheckpointTest, BlobBodyIsReservedOnceAtItsExactSize) {
-  // CheckpointTable reserves everything after the schema prefix in one
-  // step. Too small a reservation regrows the buffer (holding a doubled,
-  // half-empty copy at the peak); too large leaves capacity unused.
+  // Both self-contained writers reserve everything after the schema
+  // prefix in one step. Too small a reservation regrows the buffer
+  // (holding a doubled, half-empty copy at the peak); too large leaves
+  // capacity unused.
   Table single = Table::Make(Schema::SingleColumn("a", 0, 1000)).value();
   for (int i = 0; i < 1001; ++i) ASSERT_TRUE(single.AppendRow({i}).ok());
-  const std::vector<uint8_t> blob = CheckpointTable(single);
-  EXPECT_EQ(blob.capacity(), blob.size());
-  const std::vector<uint8_t> rich = CheckpointTable(MakeRichTable());
-  EXPECT_EQ(rich.capacity(), rich.size());
+  const Table rich = MakeRichTable();
+  for (const Table* table : std::vector<const Table*>{&single, &rich}) {
+    const std::vector<uint8_t> blob = CheckpointTable(*table);
+    EXPECT_EQ(blob.capacity(), blob.size());
+    SnapshotManager manager;
+    const std::vector<uint8_t> snap =
+        SerializeShardSnapshot(*manager.Capture(*table).shards[0]);
+    EXPECT_EQ(snap.capacity(), snap.size());
+    EXPECT_EQ(snap, blob);
+  }
 }
 
 TEST(CheckpointTest, RoundTripAfterCompaction) {
@@ -133,21 +144,182 @@ TEST(CheckpointTest, RejectsWrongVersion) {
 TEST(CheckpointTest, FileRoundTrip) {
   const Table original = MakeRichTable();
   const std::string path = "/tmp/amnesia_checkpoint_test.bin";
-  ASSERT_TRUE(WriteCheckpointFile(original, path).ok());
-  const Table restored = ReadCheckpointFile(path).value();
+  ASSERT_TRUE(WriteBytesFileAtomic(CheckpointTable(original), path).ok());
+  const Table restored = RestoreTable(ReadBytesFile(path).value()).value();
   ExpectTablesEqual(original, restored);
   std::remove(path.c_str());
+  // An unwritable target directory surfaces as a Status, not a crash.
+  EXPECT_FALSE(
+      WriteBytesFileAtomic(CheckpointTable(original), "/proc/nope/ckpt.bin")
+          .ok());
 }
 
 TEST(CheckpointTest, MissingFileIsNotFound) {
-  EXPECT_EQ(ReadCheckpointFile("/tmp/definitely_missing_amnesia.bin")
+  EXPECT_EQ(ReadBytesFile("/tmp/definitely_missing_amnesia.bin")
                 .status()
                 .code(),
             StatusCode::kNotFound);
 }
 
-TEST(RawPartsTest, ValidatesShapes) {
-  Table::RawParts parts;
+TEST(CheckpointTest, BlobLayoutsMatchHandEncodedBytes) {
+  // Both table-blob layouts are pinned byte for byte, so checkpoint
+  // directories written by earlier builds keep restoring: the leading
+  // magic and version as literals, the rest assembled by hand from how
+  // the tables were built.
+  const std::vector<uint8_t> self_contained_head = {
+      'E', 'N', 'M', 'A', 1, 0, 0, 0};  // magic "AMNE", version 1
+  const std::vector<uint8_t> mapped_head = {
+      'E', 'N', 'M', 'A', 2, 0, 0, 0};  // magic "AMNE", version 2
+
+  // A two-column vector table over two batches, with forgotten and
+  // accessed rows.
+  Table vec = Table::Make(Schema({ColumnDef{"a", 0, 1000},
+                                  ColumnDef{"b", -50, 50}}))
+                  .value();
+  ASSERT_TRUE(vec.AppendRow({10, -5}).ok());
+  ASSERT_TRUE(vec.AppendRow({700, 20}).ok());
+  ASSERT_TRUE(vec.AppendRow({3, -40}).ok());
+  vec.BeginBatch();
+  ASSERT_TRUE(vec.AppendRow({999, 0}).ok());
+  ASSERT_TRUE(vec.AppendRow({42, 50}).ok());
+  ASSERT_TRUE(vec.Forget(1).ok());
+  ASSERT_TRUE(vec.Forget(4).ok());
+  vec.BumpAccess(0);
+  vec.BumpAccess(0);
+  vec.BumpAccess(3);
+
+  std::vector<uint8_t> vec_blob = self_contained_head;
+  ckpt::Writer vw(&vec_blob);
+  vw.U64(2);  // columns: name, domain
+  vw.String("a");
+  vw.I64(0);
+  vw.I64(1000);
+  vw.String("b");
+  vw.I64(-50);
+  vw.I64(50);
+  vw.U64(5);  // rows
+  vw.U64(5);  // next tick
+  vw.U64(2);  // lifetime forgotten
+  vw.U32(1);  // current batch
+  vw.I64(3);  // column a: min, max, payload
+  vw.I64(999);
+  vw.I64Array({10, 700, 3, 999, 42});
+  vw.I64(-40);  // column b
+  vw.I64(50);
+  vw.I64Array({-5, 20, -40, 0, 50});
+  vw.U64Array({0, 1, 2, 3, 4});  // insert ticks
+  vw.U32Array({0, 0, 0, 1, 1});  // batches
+  vw.U64Array({2, 0, 0, 1, 0});  // access counts
+  vw.BitArray({true, false, true, true, false});
+
+  SnapshotManager vec_manager;
+  EXPECT_EQ(CheckpointTable(vec), vec_blob);
+  EXPECT_EQ(SerializeShardSnapshot(*vec_manager.Capture(vec).shards[0]),
+            vec_blob);
+
+  // A mapped table with 64-row partitions: rows 0-63 sealed and live,
+  // rows 64-127 sealed and dropped, rows 128-139 the unsealed tail. Row r
+  // holds the value r.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "amnesia_blob_bytes_test")
+          .string();
+  std::filesystem::remove_all(dir);
+  StorageOptions storage;
+  storage.backend = StorageBackend::kMapped;
+  storage.dir = dir;
+  storage.partition_rows = 64;
+  Table mapped =
+      Table::Make(Schema::SingleColumn("v", 0, 1000), storage).value();
+  for (Value v = 0; v < 100; ++v) ASSERT_TRUE(mapped.AppendRow({v}).ok());
+  mapped.BeginBatch();
+  for (Value v = 100; v < 140; ++v) ASSERT_TRUE(mapped.AppendRow({v}).ok());
+  ASSERT_TRUE(mapped.Forget(130).ok());
+  ASSERT_EQ(mapped.DropPartition(1).value(), 64u);
+  mapped.BumpAccess(5);
+  mapped.BumpAccess(5);
+  mapped.BumpAccess(129);
+
+  std::vector<bool> active(140, true);
+  for (size_t r = 64; r < 128; ++r) active[r] = false;
+  active[130] = false;
+  std::vector<uint32_t> batches(140, 0);
+  for (size_t r = 100; r < 140; ++r) batches[r] = 1;
+  std::vector<uint64_t> access(140, 0);
+  access[5] = 2;
+  access[129] = 1;
+
+  // CheckpointTable splices the sealed payload in (the dropped partition
+  // reads as the scrub value 0) and writes the self-contained layout.
+  std::vector<Value> payload(140);
+  std::iota(payload.begin(), payload.end(), Value{0});
+  std::fill(payload.begin() + 64, payload.begin() + 128, Value{0});
+  std::vector<uint64_t> ticks(140);
+  std::iota(ticks.begin(), ticks.end(), uint64_t{0});
+  std::vector<uint8_t> spliced_blob = self_contained_head;
+  ckpt::Writer sw(&spliced_blob);
+  sw.U64(1);  // columns
+  sw.String("v");
+  sw.I64(0);
+  sw.I64(1000);
+  sw.U64(140);  // rows
+  sw.U64(140);  // next tick
+  sw.U64(65);   // lifetime forgotten: row 130 plus partition 1
+  sw.U32(1);    // current batch
+  sw.I64(0);    // min, max, payload
+  sw.I64(139);
+  sw.I64Array(payload);
+  sw.U64Array(ticks);
+  sw.U32Array(batches);
+  sw.U64Array(access);
+  sw.BitArray(active);
+  EXPECT_EQ(CheckpointTable(mapped), spliced_blob);
+
+  // The snapshot writer records the partitions and the tail only.
+  std::vector<uint8_t> mapped_blob = mapped_head;
+  ckpt::Writer mw(&mapped_blob);
+  mw.U64(1);  // columns
+  mw.String("v");
+  mw.I64(0);
+  mw.I64(1000);
+  mw.U64(140);  // rows
+  mw.U64(140);  // next tick
+  mw.U64(65);   // lifetime forgotten
+  mw.U32(1);    // current batch
+  mw.U64(64);   // partition rows
+  mw.U64(2);    // partitions: epoch_lo, epoch_hi, dropped
+  mw.U64(0);
+  mw.U64(63);
+  mw.U8(0);
+  mw.U64(64);
+  mw.U64(127);
+  mw.U8(1);
+  mw.I64(0);  // min, max, tail
+  mw.I64(139);
+  mw.I64Array({128, 129, 130, 131, 132, 133, 134, 135, 136, 137, 138, 139});
+  mw.U64(2);  // batch runs: (batch, count)
+  mw.U32(0);
+  mw.U64(100);
+  mw.U32(1);
+  mw.U64(40);
+  mw.U8(1);   // access counts run-length encoded
+  mw.U64(5);  // access runs: (count value, rows)
+  for (const auto& [value, rows] :
+       {std::pair<uint64_t, uint64_t>{0, 5}, {2, 1}, {0, 123}, {1, 1},
+        {0, 10}}) {
+    mw.U64(value);
+    mw.U64(rows);
+  }
+  mw.BitArray(active);
+  SnapshotManager mapped_manager;
+  EXPECT_EQ(SerializeShardSnapshot(*mapped_manager.Capture(mapped).shards[0]),
+            mapped_blob);
+  std::filesystem::remove_all(dir);
+}
+
+/// Two active rows of a one-column table, valid as the parts of a vector
+/// table and as the tail of a mapped one.
+Table::Parts TwoRowParts() {
+  Table::Parts parts;
   parts.schema = Schema::SingleColumn("a", 0, 10);
   parts.columns = {{1, 2}};
   parts.min_seen = {1};
@@ -157,25 +329,69 @@ TEST(RawPartsTest, ValidatesShapes) {
   parts.access_counts = {0, 0};
   parts.active = {true, true};
   parts.next_tick = 2;
-  EXPECT_TRUE(Table::FromRawParts(parts).ok());
+  return parts;
+}
+
+TEST(PartsTest, ValidatesShapes) {
+  const Table::Parts parts = TwoRowParts();
+  EXPECT_TRUE(Table::FromParts(parts).ok());
 
   auto bad = parts;
   bad.insert_ticks = {0};
-  EXPECT_FALSE(Table::FromRawParts(bad).ok());
+  EXPECT_FALSE(Table::FromParts(bad).ok());
 
   bad = parts;
   bad.next_tick = 1;  // below row count
-  EXPECT_FALSE(Table::FromRawParts(bad).ok());
+  EXPECT_FALSE(Table::FromParts(bad).ok());
 
   bad = parts;
   bad.min_seen = {};
-  EXPECT_FALSE(Table::FromRawParts(bad).ok());
+  EXPECT_FALSE(Table::FromParts(bad).ok());
 
   bad = parts;
   bad.columns = {{1, 2}, {3}};
-  EXPECT_FALSE(Table::FromRawParts(bad).ok());
+  EXPECT_FALSE(Table::FromParts(bad).ok());
+
+  // A vector table has no sealed partitions to name.
+  bad = parts;
+  bad.partitions = {PartitionMeta{0, 63, true}};
+  EXPECT_FALSE(Table::FromParts(bad).ok());
 }
 
+TEST(PartsTest, ValidatesMappedShapes) {
+  // No sealed partitions: the two rows are the tail, so nothing is mapped.
+  Table::Parts parts = TwoRowParts();
+  parts.storage.backend = StorageBackend::kMapped;
+  parts.storage.dir =
+      (std::filesystem::temp_directory_path() / "amnesia_parts_test").string();
+  parts.storage.partition_rows = 64;
+  const Table table = Table::FromParts(parts).value();
+  EXPECT_TRUE(table.mapped());
+  EXPECT_EQ(table.num_rows(), 2u);
+
+  for (const uint64_t partition_rows : {uint64_t{0}, uint64_t{32},
+                                        uint64_t{100}}) {
+    auto bad = parts;
+    bad.storage.partition_rows = partition_rows;
+    EXPECT_FALSE(Table::FromParts(bad).ok()) << partition_rows;
+  }
+  auto bad = parts;
+  bad.storage.dir.clear();
+  EXPECT_FALSE(Table::FromParts(bad).ok());
+
+  // A tail as long as a partition would have been sealed.
+  Table::Parts full = parts;
+  full.columns = {std::vector<Value>(64, 1)};
+  full.insert_ticks.resize(64);
+  std::iota(full.insert_ticks.begin(), full.insert_ticks.end(), Tick{0});
+  full.batches.assign(64, 0);
+  full.access_counts.assign(64, 0);
+  full.active.assign(64, true);
+  full.next_tick = 64;
+  EXPECT_FALSE(Table::FromParts(full).ok());
+  full.storage.partition_rows = 128;
+  EXPECT_TRUE(Table::FromParts(full).ok());
+}
 
 // ------------------------------------------------------ database level
 
@@ -229,58 +445,6 @@ TEST(DatabaseCheckpointTest, RejectsTruncation) {
   std::vector<uint8_t> buffer = CheckpointDatabase(db);
   buffer.resize(buffer.size() / 2);
   EXPECT_FALSE(RestoreDatabase(buffer).ok());
-}
-
-
-// ------------------------------------------------------- sharded parallel
-
-TEST(ShardedCheckpointTest, PooledWriterIsBitIdenticalToSerial) {
-  ShardedTable table =
-      ShardedTable::Make(Schema({ColumnDef{"a", 0, 1000},
-                                 ColumnDef{"b", -50, 50}}),
-                         4)
-          .value();
-  Rng rng(77);
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(
-        table.AppendRow({rng.UniformInt(0, 999), rng.UniformInt(-49, 49)})
-            .ok());
-  }
-  for (RowId r = 0; r < 500; r += 3) {
-    // Dense global ids only exist per shard; forget via (shard, local).
-    ASSERT_TRUE(table.Forget(MakeGlobalRowId(r % 4, r / 4)).ok());
-  }
-
-  const std::vector<uint8_t> serial = CheckpointShardedTable(table);
-  ThreadPool pool(3);
-  const std::vector<uint8_t> pooled = CheckpointShardedTable(table, &pool);
-  EXPECT_EQ(pooled, serial);
-
-  const ShardedTable restored = RestoreShardedTable(pooled).value();
-  EXPECT_EQ(restored.num_shards(), 4u);
-  EXPECT_EQ(restored.ingest_cursor(), table.ingest_cursor());
-  for (uint32_t s = 0; s < 4; ++s) {
-    ExpectTablesEqual(restored.shard(s).table(), table.shard(s).table());
-  }
-}
-
-TEST(ShardedCheckpointTest, FileRoundTripReportsIoErrors) {
-  ShardedTable table =
-      ShardedTable::Make(Schema::SingleColumn("a", 0, 100), 2).value();
-  ASSERT_TRUE(table.AppendRow({5}).ok());
-  const std::string path = "/tmp/amnesia_sharded_checkpoint_test.bin";
-  ASSERT_TRUE(WriteShardedCheckpointFile(table, path).ok());
-  const ShardedTable restored = ReadShardedCheckpointFile(path).value();
-  EXPECT_EQ(restored.num_rows(), 1u);
-  std::remove(path.c_str());
-
-  // Unwritable target directory surfaces as Status, not a crash.
-  EXPECT_FALSE(
-      WriteShardedCheckpointFile(table, "/proc/nope/checkpoint.bin").ok());
-  EXPECT_EQ(ReadShardedCheckpointFile("/tmp/missing_amnesia_sharded.bin")
-                .status()
-                .code(),
-            StatusCode::kNotFound);
 }
 
 

@@ -23,6 +23,7 @@
 #include "common/rng.h"
 #include "durability/checkpointer.h"
 #include "durability/event_log.h"
+#include "durability/frame_io.h"
 #include "durability/log_segments.h"
 #include "sim/simulator.h"
 #include "storage/checkpoint.h"
@@ -511,6 +512,61 @@ TEST(SegmentChainTest, FilesMatchHandEncodedBytes) {
   EXPECT_EQ(FileBytes(dir.file("audit/audit-1.seg")),
             HandSegment(HandHeader("ALED", 1, &seed),
                         EncodeAuditRecord(records[1])));
+}
+
+TEST(FrameIoTest, LengthBeyondTheFileAllocatesNothing) {
+  // A 20-byte file whose frame header claims a 60 MiB payload: the reader
+  // rejects the frame before it sizes a buffer for the claimed length.
+  ScratchDir dir("amnesia_frame_bound_test");
+  std::vector<uint8_t> bytes;
+  PutLe(&bytes, 60u << 20, 4);  // payload length
+  PutLe(&bytes, 0, 4);          // payload CRC
+  bytes.resize(20);             // 12 payload bytes follow
+  {
+    std::ofstream f(dir.file("frames"), std::ios::binary);
+    f.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  }
+  std::FILE* f = std::fopen(dir.file("frames").c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  uint64_t remaining = bytes.size();
+  std::vector<uint8_t> payload;
+  EXPECT_FALSE(wal::ReadFrame(f, &remaining, &payload));
+  std::fclose(f);
+  EXPECT_LT(payload.capacity(), size_t{1} << 20);
+}
+
+TEST(FrameIoTest, OversizedLastFrameEndsTheValidPrefix) {
+  // Both log formats: a last frame whose length claims more than the file
+  // holds ends the valid prefix, like any torn tail.
+  ScratchDir dir("amnesia_frame_oversized_test");
+  {
+    EventLog single = EventLog::Open(dir.file("events.log")).value();
+    SegmentedEventLog segmented =
+        SegmentedEventLog::Open(dir.file("segs"), SegmentedLogOptions())
+            .value();
+    for (RowId r = 0; r < 3; ++r) {
+      ASSERT_TRUE(single.Append(ForgetEvent(r)).ok());
+      ASSERT_TRUE(segmented.Append(ForgetEvent(r)).ok());
+    }
+  }
+  std::vector<uint8_t> oversized;
+  PutLe(&oversized, 1u << 20, 4);  // 1 MiB claimed, 4 bytes present
+  PutLe(&oversized, 0, 4);
+  PutLe(&oversized, 0, 4);
+  for (const std::string& path :
+       {dir.file("events.log"), dir.file("segs/log-0.seg")}) {
+    std::ofstream f(path, std::ios::binary | std::ios::app);
+    f.write(reinterpret_cast<const char*>(oversized.data()),
+            static_cast<std::streamsize>(oversized.size()));
+  }
+  for (const std::string& path : {dir.file("events.log"), dir.file("segs")}) {
+    const EventLogContents contents = ReadAnyEventLogContents(path).value();
+    ASSERT_EQ(contents.events.size(), 3u) << path;
+    for (RowId r = 0; r < 3; ++r) {
+      EXPECT_EQ(EncodeEvent(contents.events[r]), EncodeEvent(ForgetEvent(r)));
+    }
+  }
 }
 
 TEST(EventLogTest, GroupCommitOnLegacyLog) {
