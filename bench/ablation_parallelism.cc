@@ -199,12 +199,13 @@ int main(int argc, char** argv) {
 
   for (const Tier& tier : tiers) {
     // Cross-check both engines end to end before timing anything.
-    const uint64_t c_scalar = CountRange(table, tier.pred, vis).value();
+    const uint64_t c_scalar =
+        CountRange(table, tier.pred, vis, Engine::kScalar).value();
     const uint64_t c_vec =
         CountRange(table, tier.pred, vis, Engine::kVectorized).value();
     if (c_scalar != c_vec) Die("vectorized count");
     const AggregateResult a_scalar =
-        AggregateRange(table, tier.pred, vis).value();
+        AggregateRange(table, tier.pred, vis, Engine::kScalar).value();
     const AggregateResult a_vec =
         AggregateRange(table, tier.pred, vis, Engine::kVectorized).value();
     if (a_scalar.count != a_vec.count || a_scalar.min != a_vec.min ||
@@ -215,26 +216,30 @@ int main(int argc, char** argv) {
         1e-6 * (std::abs(a_scalar.sum) + 1.0)) {
       Die("vectorized sum beyond FP tolerance");
     }
-    const ResultSet s_scalar = ScanRange(table, tier.pred, vis).value();
+    const ResultSet s_scalar =
+        ScanRange(table, tier.pred, vis, Engine::kScalar).value();
     const ResultSet s_vec =
         ScanRange(table, tier.pred, vis, Engine::kVectorized).value();
     if (s_scalar.rows != s_vec.rows || s_scalar.values != s_vec.values) {
       Die("vectorized scan rows/values");
     }
 
-    const double count_scalar_ms =
-        BestOf3([&] { (void)CountRange(table, tier.pred, vis).value(); });
+    const double count_scalar_ms = BestOf3([&] {
+      (void)CountRange(table, tier.pred, vis, Engine::kScalar).value();
+    });
     const double count_vec_ms = BestOf3([&] {
       (void)CountRange(table, tier.pred, vis, Engine::kVectorized).value();
     });
-    const double agg_scalar_ms =
-        BestOf3([&] { (void)AggregateRange(table, tier.pred, vis).value(); });
+    const double agg_scalar_ms = BestOf3([&] {
+      (void)AggregateRange(table, tier.pred, vis, Engine::kScalar).value();
+    });
     const double agg_vec_ms = BestOf3([&] {
       (void)AggregateRange(table, tier.pred, vis, Engine::kVectorized)
           .value();
     });
-    const double scan_scalar_ms =
-        BestOf3([&] { (void)ScanRange(table, tier.pred, vis).value(); });
+    const double scan_scalar_ms = BestOf3([&] {
+      (void)ScanRange(table, tier.pred, vis, Engine::kScalar).value();
+    });
     const double scan_vec_ms = BestOf3([&] {
       (void)ScanRange(table, tier.pred, vis, Engine::kVectorized).value();
     });

@@ -41,7 +41,8 @@ void BM_FullScanRange(benchmark::State& state) {
   Table t = MakeUniformTable(n);
   const RangePredicate pred{0, 100'000, 120'000};
   for (auto _ : state) {
-    auto result = ScanRange(t, pred, Visibility::kActiveOnly);
+    auto result =
+        ScanRange(t, pred, Visibility::kActiveOnly, Engine::kScalar);
     benchmark::DoNotOptimize(result.value().size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -52,8 +53,8 @@ BENCHMARK(BM_FullScanRange)->Arg(1000)->Arg(10000)->Arg(100000);
 void BM_AggregateKernel(benchmark::State& state) {
   Table t = MakeUniformTable(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto result =
-        AggregateRange(t, RangePredicate::All(0), Visibility::kActiveOnly);
+    auto result = AggregateRange(t, RangePredicate::All(0),
+                                 Visibility::kActiveOnly, Engine::kScalar);
     benchmark::DoNotOptimize(result.value().avg);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

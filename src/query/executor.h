@@ -51,12 +51,13 @@ struct ExecOptions {
   /// in morsel order, so results and access bumps are identical to serial
   /// (aggregates up to FP reassociation). Index plans ignore this knob.
   int parallelism = 1;
-  /// Execution engine for full-scan plans and the aggregate fold.
-  /// kVectorized routes scans through the batch-at-a-time selection-bitmap
-  /// kernels (same rows/COUNT/MIN/MAX as kScalar, SUM/AVG/variance up to
-  /// FP reassociation) and folds index-plan aggregates with the dense lane
-  /// kernel instead of Welford. Index lookups themselves are unaffected.
-  Engine engine = Engine::kScalar;
+  /// Execution engine for full-scan plans and the aggregate fold. The
+  /// default, kVectorized, routes scans through the batch-at-a-time
+  /// selection-bitmap kernels and folds index-plan aggregates with the
+  /// dense lane kernel. kScalar (row loops, Welford fold) is the reference
+  /// the equivalence tests name: same rows/COUNT/MIN/MAX, SUM/AVG/variance
+  /// up to FP reassociation. Index lookups themselves are unaffected.
+  Engine engine = Engine::kVectorized;
   /// When true, the query records an EXPLAIN-ANALYZE-style QueryProfile
   /// (per-stage wall times, per-shard morsel/row counts, engine used)
   /// into ProfileLog::Global() — the /profilez data (query/profile.h).

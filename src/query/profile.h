@@ -73,7 +73,7 @@ struct QueryProfile {
   uint64_t query_id = 0;
   const char* op = "";  ///< "scan" | "count" | "aggregate".
   PlanKind plan = PlanKind::kFullScan;
-  Engine engine = Engine::kScalar;
+  Engine engine = Engine::kVectorized;
   Visibility visibility = Visibility::kActiveOnly;
   int parallelism = 1;
   uint64_t total_ns = 0;
@@ -161,7 +161,7 @@ class ProfiledMorselScope {
   ProfileCollector* collector_;
   const Table* table_ = nullptr;
   Visibility visibility_ = Visibility::kActiveOnly;
-  Engine engine_ = Engine::kScalar;
+  Engine engine_ = Engine::kVectorized;
   Morsel morsel_{0, 0};
   uint32_t shard_ = 0;
   uint64_t start_ns_ = 0;

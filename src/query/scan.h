@@ -5,12 +5,12 @@
 // amnesia-aware plans only see active ones.
 //
 // Every Scan/Count/AggregateRange operator below is a one-line forward
-// into one internal morsel driver (scan.cc). The driver takes the shards to scan (an unsharded
-// Table is the one-shard case), picks the morsel plan, runs the chosen
-// engine's per-morsel kernel on each morsel and merges the partials in
-// morsel order. The plans:
-//   - serial, kScalar: each shard as one whole-shard morsel;
+// into one internal morsel driver (scan.cc). The driver takes the shards
+// to scan (an unsharded Table is the one-shard case), picks the morsel
+// plan, runs the chosen engine's per-morsel kernel on each morsel and
+// merges the partials in morsel order. The plans:
 //   - serial, kVectorized: each shard's Morsels();
+//   - serial, kScalar: each shard as one whole-shard morsel;
 //   - parallel: the table's Morsels(morsel_rows) on a ThreadPool, falling
 //     back to the serial plan when the pool is one wide or the table fits
 //     in one morsel.
@@ -18,13 +18,14 @@
 // parallel output equals serial output; COUNT/MIN/MAX are bit-identical and
 // SUM/AVG/variance differ by FP reassociation only.
 //
-// kScalar runs tuple-at-a-time row loops; kVectorized runs the
-// batch-at-a-time kernels of query/vector_kernels.h (branch-free selection
-// bitmaps ANDed against the visibility bitmap, with fully-forgotten morsels
-// skipped wholesale). Both engines return the same rows in the same order;
-// COUNT/MIN/MAX are bit-identical across engines, SUM/AVG/variance agree up
-// to FP reassociation (scalar folds through Welford, vectorized sums
-// directly).
+// Every operator defaults to kVectorized, the batch-at-a-time kernels of
+// query/vector_kernels.h (branch-free selection bitmaps ANDed against the
+// visibility bitmap, with fully-forgotten morsels skipped wholesale).
+// kScalar runs tuple-at-a-time row loops and is kept only as the reference
+// the equivalence tests name. Both engines return the same rows in the
+// same order; COUNT/MIN/MAX are bit-identical across engines,
+// SUM/AVG/variance agree up to FP reassociation (scalar folds through
+// Welford, vectorized sums directly).
 
 #ifndef AMNESIA_QUERY_SCAN_H_
 #define AMNESIA_QUERY_SCAN_H_
@@ -48,8 +49,8 @@ enum class Visibility : int {
 
 /// \brief Which execution engine a scan operator runs.
 enum class Engine : int {
-  kScalar = 0,      ///< Tuple-at-a-time row loops (the cross-check oracle).
-  kVectorized = 1,  ///< Batch-at-a-time selection-bitmap kernels.
+  kScalar = 0,      ///< Tuple-at-a-time row loops (the tests' reference).
+  kVectorized = 1,  ///< Batch-at-a-time selection-bitmap kernels; default.
 };
 
 /// \brief Returns InvalidArgument unless `pred` names one of a table's
@@ -65,18 +66,18 @@ AggregateResult ToAggregateResult(const RunningStats& stats);
 /// Returns rows in ascending RowId order.
 StatusOr<ResultSet> ScanRange(const Table& table, const RangePredicate& pred,
                               Visibility visibility,
-                              Engine engine = Engine::kScalar);
+                              Engine engine = Engine::kVectorized);
 
 /// \brief Counts matching rows without materializing them.
 StatusOr<uint64_t> CountRange(const Table& table, const RangePredicate& pred,
                               Visibility visibility,
-                              Engine engine = Engine::kScalar);
+                              Engine engine = Engine::kVectorized);
 
 /// \brief Computes all aggregates over matching rows in one pass.
 StatusOr<AggregateResult> AggregateRange(const Table& table,
                                          const RangePredicate& pred,
                                          Visibility visibility,
-                                         Engine engine = Engine::kScalar);
+                                         Engine engine = Engine::kVectorized);
 
 /// \brief Morsel-parallel ScanRange. Returns exactly the rows and values of
 /// the serial scan, in the same (ascending RowId) order. `max_workers`
@@ -88,7 +89,7 @@ StatusOr<ResultSet> ScanRangeParallel(const Table& table,
                                       Visibility visibility, ThreadPool& pool,
                                       uint64_t morsel_rows = kDefaultMorselRows,
                                       size_t max_workers = 0,
-                                      Engine engine = Engine::kScalar);
+                                      Engine engine = Engine::kVectorized);
 
 /// \brief Morsel-parallel CountRange; bit-identical to the serial count.
 StatusOr<uint64_t> CountRangeParallel(const Table& table,
@@ -96,7 +97,7 @@ StatusOr<uint64_t> CountRangeParallel(const Table& table,
                                       Visibility visibility, ThreadPool& pool,
                                       uint64_t morsel_rows = kDefaultMorselRows,
                                       size_t max_workers = 0,
-                                      Engine engine = Engine::kScalar);
+                                      Engine engine = Engine::kVectorized);
 
 /// \brief Morsel-parallel AggregateRange. Partial accumulators are merged
 /// associatively in morsel order (Chan et al.), so COUNT/MIN/MAX match the
@@ -104,7 +105,7 @@ StatusOr<uint64_t> CountRangeParallel(const Table& table,
 StatusOr<AggregateResult> AggregateRangeParallel(
     const Table& table, const RangePredicate& pred, Visibility visibility,
     ThreadPool& pool, uint64_t morsel_rows = kDefaultMorselRows,
-    size_t max_workers = 0, Engine engine = Engine::kScalar);
+    size_t max_workers = 0, Engine engine = Engine::kVectorized);
 
 // Sharded-table overloads. The driver scans every shard with the same
 // per-morsel kernels as an unsharded table and merges in shard-major order
@@ -119,19 +120,19 @@ StatusOr<AggregateResult> AggregateRangeParallel(
 StatusOr<ResultSet> ScanRange(const ShardedTable& table,
                               const RangePredicate& pred,
                               Visibility visibility,
-                              Engine engine = Engine::kScalar);
+                              Engine engine = Engine::kVectorized);
 
 /// \brief Counts matching rows across all shards.
 StatusOr<uint64_t> CountRange(const ShardedTable& table,
                               const RangePredicate& pred,
                               Visibility visibility,
-                              Engine engine = Engine::kScalar);
+                              Engine engine = Engine::kVectorized);
 
 /// \brief Computes all aggregates over matching rows across all shards.
 StatusOr<AggregateResult> AggregateRange(const ShardedTable& table,
                                          const RangePredicate& pred,
                                          Visibility visibility,
-                                         Engine engine = Engine::kScalar);
+                                         Engine engine = Engine::kVectorized);
 
 /// \brief Morsel-parallel sharded ScanRange: workers consume shard-local
 /// morsel streams (no morsel spans two shards), results merge in
@@ -141,7 +142,7 @@ StatusOr<ResultSet> ScanRangeParallel(const ShardedTable& table,
                                       Visibility visibility, ThreadPool& pool,
                                       uint64_t morsel_rows = kDefaultMorselRows,
                                       size_t max_workers = 0,
-                                      Engine engine = Engine::kScalar);
+                                      Engine engine = Engine::kVectorized);
 
 /// \brief Morsel-parallel sharded CountRange; bit-identical to the serial
 /// sharded count.
@@ -150,7 +151,7 @@ StatusOr<uint64_t> CountRangeParallel(const ShardedTable& table,
                                       Visibility visibility, ThreadPool& pool,
                                       uint64_t morsel_rows = kDefaultMorselRows,
                                       size_t max_workers = 0,
-                                      Engine engine = Engine::kScalar);
+                                      Engine engine = Engine::kVectorized);
 
 /// \brief Morsel-parallel sharded AggregateRange; COUNT/MIN/MAX match the
 /// serial sharded kernel exactly, SUM/AVG/variance up to FP reassociation.
@@ -158,7 +159,7 @@ StatusOr<AggregateResult> AggregateRangeParallel(
     const ShardedTable& table, const RangePredicate& pred,
     Visibility visibility, ThreadPool& pool,
     uint64_t morsel_rows = kDefaultMorselRows, size_t max_workers = 0,
-    Engine engine = Engine::kScalar);
+    Engine engine = Engine::kVectorized);
 
 }  // namespace amnesia
 

@@ -62,11 +62,13 @@ struct SimulationConfig {
   /// aggregates up to FP reassociation). Ground-truth counts stay on the
   /// oracle's sealed O(log n) path, which no scan parallelism can beat.
   int parallelism = 1;
-  /// Execution engine for the measured queries (ExecOptions::engine):
-  /// kScalar runs the original tuple-at-a-time loops, kVectorized the
-  /// batch-at-a-time selection-bitmap kernels. Result counts and
-  /// precision/recall metrics are identical either way.
-  Engine engine = Engine::kScalar;
+  /// Execution engine for the measured queries (ExecOptions::engine) and
+  /// the attestation count. The default, kVectorized, runs the
+  /// batch-at-a-time selection-bitmap kernels; kScalar, the tuple-at-a-time
+  /// reference, is for tests. Result counts, range-precision metrics and
+  /// the final table are identical either way; aggregate_precision and
+  /// aggregate_rel_error differ in the last bits (sum/n vs Welford AVG).
+  Engine engine = Engine::kVectorized;
 
   /// Durability (src/durability): when > 0, the simulator journals every
   /// ingest and forget-pass outcome to an event log under

@@ -31,6 +31,10 @@ constexpr Visibility kAllVisibilities[] = {
 // Small morsels so even modest tables span many of them.
 constexpr uint64_t kTestMorselRows = 97;
 
+// Each equivalence holds under either engine: scalar is the reference,
+// vectorized the default.
+constexpr Engine kBothEngines[] = {Engine::kScalar, Engine::kVectorized};
+
 Table MakeRandomTable(uint64_t rows, double forget_fraction, uint64_t seed) {
   Table t = Table::Make(Schema::SingleColumn("a", 0, 1000)).value();
   Rng rng(seed);
@@ -213,32 +217,37 @@ TEST_P(ParallelEquivalenceTest, ScanCountAggregateMatchSerial) {
   // test is applied per call via max_workers, mirroring how the executor
   // maps ExecOptions::parallelism onto its cached pool.
   ThreadPool pool(7);
-  for (size_t width : {1u, 2u, 8u}) {
-    for (Visibility vis : kAllVisibilities) {
-      for (const RangePredicate& pred : preds) {
-        const ResultSet serial = ScanRange(t, pred, vis).value();
-        const ResultSet parallel =
-            ScanRangeParallel(t, pred, vis, pool, kTestMorselRows, width)
-                .value();
-        EXPECT_EQ(parallel.rows, serial.rows);
-        EXPECT_EQ(parallel.values, serial.values);
+  for (Engine engine : kBothEngines) {
+    for (size_t width : {1u, 2u, 8u}) {
+      for (Visibility vis : kAllVisibilities) {
+        for (const RangePredicate& pred : preds) {
+          const ResultSet serial = ScanRange(t, pred, vis, engine).value();
+          const ResultSet parallel =
+              ScanRangeParallel(t, pred, vis, pool, kTestMorselRows, width,
+                                engine)
+                  .value();
+          EXPECT_EQ(parallel.rows, serial.rows);
+          EXPECT_EQ(parallel.values, serial.values);
 
-        EXPECT_EQ(
-            CountRangeParallel(t, pred, vis, pool, kTestMorselRows, width)
-                .value(),
-            CountRange(t, pred, vis).value());
+          EXPECT_EQ(CountRangeParallel(t, pred, vis, pool, kTestMorselRows,
+                                       width, engine)
+                        .value(),
+                    CountRange(t, pred, vis, engine).value());
 
-        const AggregateResult sa = AggregateRange(t, pred, vis).value();
-        const AggregateResult pa =
-            AggregateRangeParallel(t, pred, vis, pool, kTestMorselRows, width)
-                .value();
-        EXPECT_EQ(pa.count, sa.count);
-        EXPECT_EQ(pa.min, sa.min);  // bit-identical incl. empty-range +inf
-        EXPECT_EQ(pa.max, sa.max);
-        EXPECT_NEAR(pa.sum, sa.sum, 1e-6 * (std::abs(sa.sum) + 1.0));
-        EXPECT_NEAR(pa.avg, sa.avg, 1e-9 * (std::abs(sa.avg) + 1.0));
-        EXPECT_NEAR(pa.variance, sa.variance,
-                    1e-6 * (std::abs(sa.variance) + 1.0));
+          const AggregateResult sa =
+              AggregateRange(t, pred, vis, engine).value();
+          const AggregateResult pa =
+              AggregateRangeParallel(t, pred, vis, pool, kTestMorselRows,
+                                     width, engine)
+                  .value();
+          EXPECT_EQ(pa.count, sa.count);
+          EXPECT_EQ(pa.min, sa.min);  // bit-identical incl. empty-range +inf
+          EXPECT_EQ(pa.max, sa.max);
+          EXPECT_NEAR(pa.sum, sa.sum, 1e-6 * (std::abs(sa.sum) + 1.0));
+          EXPECT_NEAR(pa.avg, sa.avg, 1e-9 * (std::abs(sa.avg) + 1.0));
+          EXPECT_NEAR(pa.variance, sa.variance,
+                      1e-6 * (std::abs(sa.variance) + 1.0));
+        }
       }
     }
   }
@@ -268,26 +277,30 @@ TEST(ExecutorParallelismTest, ParallelExecutorMatchesSerialIncludingAccess) {
   Executor parallel_exec(&parallel_table, nullptr);
 
   const RangePredicate pred{0, 200, 800};
-  for (Visibility vis : kAllVisibilities) {
-    ExecOptions serial_opts;
-    serial_opts.visibility = vis;
-    ExecOptions parallel_opts = serial_opts;
-    parallel_opts.parallelism = 8;
+  for (Engine engine : kBothEngines) {
+    for (Visibility vis : kAllVisibilities) {
+      ExecOptions serial_opts;
+      serial_opts.visibility = vis;
+      serial_opts.engine = engine;
+      ExecOptions parallel_opts = serial_opts;
+      parallel_opts.parallelism = 8;
 
-    const ResultSet rs = serial_exec.ExecuteRange(pred, serial_opts).value();
-    const ResultSet rp =
-        parallel_exec.ExecuteRange(pred, parallel_opts).value();
-    EXPECT_EQ(rp.rows, rs.rows);
-    EXPECT_EQ(rp.values, rs.values);
+      const ResultSet rs =
+          serial_exec.ExecuteRange(pred, serial_opts).value();
+      const ResultSet rp =
+          parallel_exec.ExecuteRange(pred, parallel_opts).value();
+      EXPECT_EQ(rp.rows, rs.rows);
+      EXPECT_EQ(rp.values, rs.values);
 
-    const AggregateResult as =
-        serial_exec.ExecuteAggregate(pred, serial_opts).value();
-    const AggregateResult ap =
-        parallel_exec.ExecuteAggregate(pred, parallel_opts).value();
-    EXPECT_EQ(ap.count, as.count);
-    EXPECT_EQ(ap.min, as.min);
-    EXPECT_EQ(ap.max, as.max);
-    EXPECT_NEAR(ap.sum, as.sum, 1e-6 * (std::abs(as.sum) + 1.0));
+      const AggregateResult as =
+          serial_exec.ExecuteAggregate(pred, serial_opts).value();
+      const AggregateResult ap =
+          parallel_exec.ExecuteAggregate(pred, parallel_opts).value();
+      EXPECT_EQ(ap.count, as.count);
+      EXPECT_EQ(ap.min, as.min);
+      EXPECT_EQ(ap.max, as.max);
+      EXPECT_NEAR(ap.sum, as.sum, 1e-6 * (std::abs(as.sum) + 1.0));
+    }
   }
 
   // The rot-policy feedback signal must be unaffected by parallelism.

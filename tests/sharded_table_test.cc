@@ -269,34 +269,43 @@ TEST(ShardedScanTest, SingleShardIsBitIdenticalToUnshardedSerial) {
   ThreadPool pool(3);
   const std::vector<RangePredicate> preds = {
       RangePredicate::All(0), {0, 100, 900}, {0, 500, 501}, {0, 700, 300}};
-  for (Visibility vis : kAllVisibilities) {
-    for (const RangePredicate& pred : preds) {
-      const ResultSet fs = ScanRange(flat, pred, vis).value();
-      const ResultSet ss = ScanRange(sharded, pred, vis).value();
-      EXPECT_EQ(ss.rows, fs.rows);      // bit-identical global == local ids
-      EXPECT_EQ(ss.values, fs.values);
-      const ResultSet sp =
-          ScanRangeParallel(sharded, pred, vis, pool, 97).value();
-      EXPECT_EQ(sp.rows, fs.rows);
-      EXPECT_EQ(sp.values, fs.values);
+  for (Engine engine : {Engine::kScalar, Engine::kVectorized}) {
+    for (Visibility vis : kAllVisibilities) {
+      for (const RangePredicate& pred : preds) {
+        const ResultSet fs = ScanRange(flat, pred, vis, engine).value();
+        const ResultSet ss = ScanRange(sharded, pred, vis, engine).value();
+        EXPECT_EQ(ss.rows, fs.rows);  // bit-identical global == local ids
+        EXPECT_EQ(ss.values, fs.values);
+        const ResultSet sp = ScanRangeParallel(sharded, pred, vis, pool, 97,
+                                               /*max_workers=*/0, engine)
+                                 .value();
+        EXPECT_EQ(sp.rows, fs.rows);
+        EXPECT_EQ(sp.values, fs.values);
 
-      EXPECT_EQ(CountRange(sharded, pred, vis).value(),
-                CountRange(flat, pred, vis).value());
-      EXPECT_EQ(CountRangeParallel(sharded, pred, vis, pool, 97).value(),
-                CountRange(flat, pred, vis).value());
+        const uint64_t fc = CountRange(flat, pred, vis, engine).value();
+        EXPECT_EQ(CountRange(sharded, pred, vis, engine).value(), fc);
+        EXPECT_EQ(CountRangeParallel(sharded, pred, vis, pool, 97,
+                                     /*max_workers=*/0, engine)
+                      .value(),
+                  fc);
 
-      const AggregateResult fa = AggregateRange(flat, pred, vis).value();
-      const AggregateResult sa = AggregateRange(sharded, pred, vis).value();
-      EXPECT_EQ(sa.count, fa.count);
-      EXPECT_EQ(sa.min, fa.min);  // bit-identical incl. empty-range +inf
-      EXPECT_EQ(sa.max, fa.max);
-      EXPECT_EQ(sa.sum, fa.sum);  // one shard: same accumulation order
-      const AggregateResult pa =
-          AggregateRangeParallel(sharded, pred, vis, pool, 97).value();
-      EXPECT_EQ(pa.count, fa.count);
-      EXPECT_EQ(pa.min, fa.min);
-      EXPECT_EQ(pa.max, fa.max);
-      EXPECT_NEAR(pa.sum, fa.sum, 1e-6 * (std::abs(fa.sum) + 1.0));
+        const AggregateResult fa =
+            AggregateRange(flat, pred, vis, engine).value();
+        const AggregateResult sa =
+            AggregateRange(sharded, pred, vis, engine).value();
+        EXPECT_EQ(sa.count, fa.count);
+        EXPECT_EQ(sa.min, fa.min);  // bit-identical incl. empty-range +inf
+        EXPECT_EQ(sa.max, fa.max);
+        EXPECT_EQ(sa.sum, fa.sum);  // one shard: same morsels, same order
+        const AggregateResult pa =
+            AggregateRangeParallel(sharded, pred, vis, pool, 97,
+                                   /*max_workers=*/0, engine)
+                .value();
+        EXPECT_EQ(pa.count, fa.count);
+        EXPECT_EQ(pa.min, fa.min);
+        EXPECT_EQ(pa.max, fa.max);
+        EXPECT_NEAR(pa.sum, fa.sum, 1e-6 * (std::abs(fa.sum) + 1.0));
+      }
     }
   }
 }

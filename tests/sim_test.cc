@@ -3,10 +3,16 @@
 // Tests for the simulator: config validation, invariants of the
 // query-dominant loop, determinism, the canned experiment configs.
 
+#include <cstdint>
+#include <filesystem>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/experiments.h"
 #include "sim/simulator.h"
+#include "storage/checkpoint.h"
 
 namespace amnesia {
 namespace {
@@ -159,6 +165,128 @@ TEST(SimulatorTest, ParallelBatchLoopMatchesSerial) {
     EXPECT_NEAR(rp.batches[i].aggregate_precision,
                 rs.batches[i].aggregate_precision, 1e-9);
   }
+}
+
+// One simulator run, stepped batch by batch, with what the engine
+// comparison needs from it.
+struct EngineRun {
+  std::vector<BatchMetrics> batches;
+  std::vector<uint8_t> table_image;  ///< CheckpointTable of the final table.
+  ExecutorStats executor;
+};
+
+// Runs `config` with its durable files under a fresh temp directory
+// `dir_name`. With a vacuum deadline, every batch must record a passing
+// attestation.
+void RunBatches(SimulationConfig config, const std::string& dir_name,
+                EngineRun* run) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / dir_name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  if (config.checkpoint_every_n_batches > 0) {
+    config.checkpoint_dir = (dir / "ckpt").string();
+  }
+  if (config.storage_backend == StorageBackend::kMapped) {
+    config.storage_dir = (dir / "storage").string();
+  }
+  {
+    auto made = Simulator::Make(config);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    Simulator& sim = *made.value();
+    ASSERT_TRUE(sim.Initialize().ok());
+    for (uint32_t b = 1; b <= config.num_batches; ++b) {
+      StatusOr<BatchMetrics> step = sim.StepBatch();
+      ASSERT_TRUE(step.ok()) << step.status().ToString();
+      run->batches.push_back(step.value());
+      if (config.vacuum_max_age_batches == 0) continue;
+      const std::vector<obs::SlaPolicySnapshot> sla = sim.sla().Snapshot();
+      ASSERT_EQ(sla.size(), 1u);
+      EXPECT_EQ(sla[0].attestation.batch, sim.table().current_batch());
+      EXPECT_TRUE(sla[0].attestation.passed) << "batch " << b;
+    }
+    ASSERT_TRUE(sim.FlushCheckpoints().ok());
+    run->table_image = CheckpointTable(sim.table());
+    run->executor = sim.executor().stats();
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// The default engine against the scalar oracle: every batch metric is
+// bit-identical except the two aggregate fields, where the vectorized
+// fold's plain sum/n AVG differs from the scalar Welford mean in the last
+// bits; the final table (access counts and scrubbed rows included) and
+// the executor's counters are identical.
+void ExpectDefaultMatchesScalar(const SimulationConfig& config,
+                                const std::string& dir_name) {
+  SimulationConfig scalar = config;
+  scalar.engine = Engine::kScalar;
+  EngineRun oracle;
+  EngineRun fast;
+  RunBatches(scalar, dir_name + "_scalar", &oracle);
+  RunBatches(config, dir_name + "_default", &fast);
+
+  ASSERT_EQ(fast.batches.size(), oracle.batches.size());
+  for (size_t i = 0; i < oracle.batches.size(); ++i) {
+    const BatchMetrics& o = oracle.batches[i];
+    const BatchMetrics& f = fast.batches[i];
+    SCOPED_TRACE("batch " + std::to_string(o.batch));
+    EXPECT_EQ(f.batch, o.batch);
+    EXPECT_EQ(f.inserted, o.inserted);
+    EXPECT_EQ(f.forgotten_total, o.forgotten_total);
+    EXPECT_EQ(f.active, o.active);
+    EXPECT_EQ(f.avg_rf, o.avg_rf);
+    EXPECT_EQ(f.avg_mf, o.avg_mf);
+    EXPECT_EQ(f.mean_pf, o.mean_pf);
+    EXPECT_EQ(f.error_margin, o.error_margin);
+    EXPECT_NEAR(f.aggregate_precision, o.aggregate_precision, 1e-9);
+    EXPECT_NEAR(f.aggregate_rel_error, o.aggregate_rel_error, 1e-9);
+  }
+  EXPECT_EQ(fast.table_image, oracle.table_image);
+  EXPECT_EQ(fast.executor.queries, oracle.executor.queries);
+  EXPECT_EQ(fast.executor.full_scans, oracle.executor.full_scans);
+  EXPECT_EQ(fast.executor.brin_scans, oracle.executor.brin_scans);
+  EXPECT_EQ(fast.executor.btree_probes, oracle.executor.btree_probes);
+  EXPECT_EQ(fast.executor.rows_examined, oracle.executor.rows_examined);
+  EXPECT_EQ(fast.executor.rows_returned, oracle.executor.rows_returned);
+}
+
+TEST(SimulatorTest, VectorizedDefaultMatchesScalarOracle) {
+  EXPECT_EQ(SimulationConfig{}.engine, Engine::kVectorized);
+  EXPECT_EQ(ExecOptions{}.engine, Engine::kVectorized);
+
+  // Query-dominant rot loop: forgotten rows stay in storage, queries feed
+  // access counts back to the policy, and aggregates run over ranges.
+  SimulationConfig rot = SmallConfig();
+  rot.dbsize = 3000;
+  rot.upd_perc = 0.1;
+  rot.num_batches = 8;
+  rot.queries_per_batch = 30;
+  rot.aggregate_queries_per_batch = 5;
+  rot.aggregate_over_range = true;
+  rot.record_access = true;
+  rot.policy.kind = PolicyKind::kRot;
+  rot.backend = BackendKind::kMarkOnly;
+  ExpectDefaultMatchesScalar(rot, "amnesia_sim_engine_rot");
+
+  // Privacy path: FIFO deletes on mapped partitions under a vacuum
+  // deadline, journaled, checkpointed and attested in the audit ledger.
+  SimulationConfig vacuum = SmallConfig();
+  vacuum.dbsize = 1500;
+  vacuum.upd_perc = 0.3;
+  vacuum.num_batches = 8;
+  vacuum.queries_per_batch = 20;
+  vacuum.record_access = false;
+  vacuum.policy.kind = PolicyKind::kFifo;
+  vacuum.backend = BackendKind::kDelete;
+  vacuum.storage_backend = StorageBackend::kMapped;
+  vacuum.partition_rows = 256;
+  vacuum.log_format = LogFormat::kSegmented;
+  vacuum.checkpoint_every_n_batches = 3;
+  vacuum.checkpoint_retention = 2;
+  vacuum.audit_ledger = true;
+  vacuum.vacuum_max_age_batches = 4;
+  ExpectDefaultMatchesScalar(vacuum, "amnesia_sim_engine_vacuum");
 }
 
 TEST(ConfigTest, ValidateRejectsNonPositiveParallelism) {

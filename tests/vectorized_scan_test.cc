@@ -79,19 +79,21 @@ void ExpectAggEqual(const AggregateResult& scalar,
 void ExpectEnginesAgree(const Table& table, const RangePredicate& pred) {
   ThreadPool pool(3);  // plus the caller: 4-way scans
   for (Visibility vis : kAllVisibilities) {
-    const ResultSet scalar_rows = ScanRange(table, pred, vis).value();
+    const ResultSet scalar_rows =
+        ScanRange(table, pred, vis, Engine::kScalar).value();
     const ResultSet vec_rows =
         ScanRange(table, pred, vis, Engine::kVectorized).value();
     EXPECT_EQ(scalar_rows.rows, vec_rows.rows);
     EXPECT_EQ(scalar_rows.values, vec_rows.values);
 
-    const uint64_t scalar_count = CountRange(table, pred, vis).value();
+    const uint64_t scalar_count =
+        CountRange(table, pred, vis, Engine::kScalar).value();
     EXPECT_EQ(scalar_count,
               CountRange(table, pred, vis, Engine::kVectorized).value());
     EXPECT_EQ(scalar_count, scalar_rows.rows.size());
 
     const AggregateResult scalar_agg =
-        AggregateRange(table, pred, vis).value();
+        AggregateRange(table, pred, vis, Engine::kScalar).value();
     ExpectAggEqual(scalar_agg,
                    AggregateRange(table, pred, vis, Engine::kVectorized)
                        .value());
@@ -307,18 +309,20 @@ void ExpectShardedEnginesAgree(const ShardedTable& table,
                                const RangePredicate& pred) {
   ThreadPool pool(3);
   for (Visibility vis : kAllVisibilities) {
-    const ResultSet scalar_rows = ScanRange(table, pred, vis).value();
+    const ResultSet scalar_rows =
+        ScanRange(table, pred, vis, Engine::kScalar).value();
     const ResultSet vec_rows =
         ScanRange(table, pred, vis, Engine::kVectorized).value();
     EXPECT_EQ(scalar_rows.rows, vec_rows.rows);
     EXPECT_EQ(scalar_rows.values, vec_rows.values);
 
-    const uint64_t scalar_count = CountRange(table, pred, vis).value();
+    const uint64_t scalar_count =
+        CountRange(table, pred, vis, Engine::kScalar).value();
     EXPECT_EQ(scalar_count,
               CountRange(table, pred, vis, Engine::kVectorized).value());
 
     const AggregateResult scalar_agg =
-        AggregateRange(table, pred, vis).value();
+        AggregateRange(table, pred, vis, Engine::kScalar).value();
     ExpectAggEqual(scalar_agg,
                    AggregateRange(table, pred, vis, Engine::kVectorized)
                        .value());
@@ -374,6 +378,7 @@ TEST(ExecutorEngineTest, FullScanPlansAgreeIncludingAccessCounts) {
   for (int parallelism : {1, 4}) {
     ExecOptions scalar_opts;
     scalar_opts.parallelism = parallelism;
+    scalar_opts.engine = Engine::kScalar;
     ExecOptions vec_opts = scalar_opts;
     vec_opts.engine = Engine::kVectorized;
 
@@ -401,6 +406,7 @@ TEST(ExecutorEngineTest, IndexPlanAggregateFoldAgrees) {
   for (PlanKind plan : {PlanKind::kBrinScan, PlanKind::kBTreeProbe}) {
     ExecOptions scalar_opts;
     scalar_opts.plan = plan;
+    scalar_opts.engine = Engine::kScalar;
     scalar_opts.record_access = false;
     ExecOptions vec_opts = scalar_opts;
     vec_opts.engine = Engine::kVectorized;
