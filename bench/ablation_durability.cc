@@ -67,8 +67,7 @@ bool SameState(const ShardedTable& a, const ShardedTable& b) {
     return false;
   }
   for (uint32_t s = 0; s < a.num_shards(); ++s) {
-    if (CheckpointTable(a.shard(s).table()) !=
-        CheckpointTable(b.shard(s).table())) {
+    if (CheckpointTable(a.shard(s)) != CheckpointTable(b.shard(s))) {
       return false;
     }
   }

@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
     Rng rng(11);
     uint64_t forgotten = 0;
     for (uint32_t s = 0; s < table->num_shards(); ++s) {
-      Table& shard = table->mutable_shard(s).mutable_table();
+      Table& shard = table->mutable_shard(s);
       const uint64_t n = shard.num_rows();
       const uint64_t wholesale =
           s % 2 == 1 ? std::min<uint64_t>(n, 2 * kDefaultMorselRows) : 0;

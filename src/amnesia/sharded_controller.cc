@@ -83,8 +83,7 @@ StatusOr<ShardedAmnesiaController> ShardedAmnesiaController::Make(
     copts.compact_every_n_rounds = options.compact_every_n_rounds;
     AMNESIA_ASSIGN_OR_RETURN(
         AmnesiaController ctrl,
-        AmnesiaController::Make(copts, policy.get(),
-                                &table->mutable_shard(s).mutable_table()));
+        AmnesiaController::Make(copts, policy.get(), &table->mutable_shard(s)));
     if (event_sink != nullptr) ctrl.set_event_sink(event_sink, s);
     out.policies_.push_back(std::move(policy));
     out.rngs_.emplace_back(options.seed + s);
@@ -111,7 +110,7 @@ Status ShardedAmnesiaController::EnforceBudget(ThreadPool* pool) {
   obs::EngineMetrics::Get().amnesia_shard_passes->Inc(shards);
   std::vector<uint64_t> active(shards);
   for (uint32_t s = 0; s < shards; ++s) {
-    active[s] = table_->shard(s).table().num_active();
+    active[s] = table_->shard(s).num_active();
   }
   last_budgets_ = SplitBudget(options_.dbsize_budget, active);
 

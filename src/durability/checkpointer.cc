@@ -644,9 +644,9 @@ Status BackgroundCheckpointer::WriteSnapshot(
   return gc_status;
 }
 
-Status BackgroundCheckpointer::Checkpoint(
-    const std::vector<const Table*>& shards, uint64_t ingest_cursor,
-    uint64_t covered_lsn, const TierSet& tiers) {
+Status BackgroundCheckpointer::Checkpoint(const TableShards& table,
+                                          uint64_t covered_lsn,
+                                          const TierSet& tiers) {
   const auto start = std::chrono::steady_clock::now();
   // One write in flight at a time; surfacing the previous write's error
   // here keeps the Status chain unbroken in async mode.
@@ -656,7 +656,7 @@ Status BackgroundCheckpointer::Checkpoint(
     obs::TraceScope capture_trace(
         "checkpoint.capture",
         obs::EngineMetrics::Get().checkpoint_capture_ns);
-    return snapshots_.Capture(shards, ingest_cursor, tiers);
+    return snapshots_.Capture(table, tiers);
   }();
   const uint64_t id = next_checkpoint_id_++;
 
@@ -677,23 +677,6 @@ Status BackgroundCheckpointer::Checkpoint(
   std::lock_guard<std::mutex> lock(shared_->mu);
   shared_->stats.caller_stall_ms += MillisSince(start);
   return Status::OK();
-}
-
-Status BackgroundCheckpointer::Checkpoint(const ShardedTable& table,
-                                          uint64_t covered_lsn,
-                                          const TierSet& tiers) {
-  std::vector<const Table*> shards;
-  shards.reserve(table.num_shards());
-  for (uint32_t s = 0; s < table.num_shards(); ++s) {
-    shards.push_back(&table.shard(s).table());
-  }
-  return Checkpoint(shards, table.ingest_cursor(), covered_lsn, tiers);
-}
-
-Status BackgroundCheckpointer::Checkpoint(const Table& table,
-                                          uint64_t covered_lsn,
-                                          const TierSet& tiers) {
-  return Checkpoint({&table}, table.lifetime_inserted(), covered_lsn, tiers);
 }
 
 // ---------------------------------------------------------------- Recover

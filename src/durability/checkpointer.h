@@ -207,19 +207,14 @@ class BackgroundCheckpointer {
   BackgroundCheckpointer(const BackgroundCheckpointer&) = delete;
   BackgroundCheckpointer& operator=(const BackgroundCheckpointer&) = delete;
 
-  /// Captures a snapshot of `shards` plus `tiers` (cheap, on the caller)
-  /// and commits it covering the first `covered_lsn` events of the log.
+  /// Captures a snapshot of every shard of `table` plus `tiers` (cheap, on
+  /// the caller) and commits it covering the first `covered_lsn` events of
+  /// the log. One signature serves either table shape: a Table converts
+  /// implicitly as the one-shard case, a ShardedTable as its shard list.
   /// In async mode the serialize+write happens in the background and this
   /// returns immediately; errors surface from the next
   /// Checkpoint()/WaitIdle().
-  Status Checkpoint(const std::vector<const Table*>& shards,
-                    uint64_t ingest_cursor, uint64_t covered_lsn,
-                    const TierSet& tiers = TierSet());
-
-  /// Convenience overloads for the two table flavors.
-  Status Checkpoint(const ShardedTable& table, uint64_t covered_lsn,
-                    const TierSet& tiers = TierSet());
-  Status Checkpoint(const Table& table, uint64_t covered_lsn,
+  Status Checkpoint(const TableShards& table, uint64_t covered_lsn,
                     const TierSet& tiers = TierSet());
 
   /// Blocks until any in-flight checkpoint committed; returns its status.

@@ -94,6 +94,22 @@ Status RewriteLogFileAtomic(const std::string& path, uint64_t base_lsn,
   return Status::OK();
 }
 
+/// True for the kinds this code reads; false for every other byte,
+/// including the retired 6 and 7.
+bool IsEventKind(EventKind kind) {
+  switch (kind) {
+    case EventKind::kBeginBatch:
+    case EventKind::kAppendRows:
+    case EventKind::kForget:
+    case EventKind::kScrub:
+    case EventKind::kCompact:
+    case EventKind::kDropPartition:
+    case EventKind::kForgetRows:
+      return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeEvent(const Event& event) {
@@ -119,10 +135,6 @@ std::vector<uint8_t> EncodeEvent(const Event& event) {
       w.U64(event.row);
       w.I64(event.value);
       break;
-    case EventKind::kRevive:
-    case EventKind::kAccess:
-      w.U64(event.row);
-      break;
     case EventKind::kForgetRows:
       out.reserve(out.size() + sizeof(event.backend) +
                   sizeof(event.payload_col) + sizeof(uint64_t) +
@@ -144,12 +156,11 @@ StatusOr<Event> DecodeEvent(const std::vector<uint8_t>& payload) {
   Event event;
   uint8_t kind = 0;
   AMNESIA_RETURN_NOT_OK(r.U8(&kind));
-  if (kind < static_cast<uint8_t>(EventKind::kBeginBatch) ||
-      kind > static_cast<uint8_t>(EventKind::kForgetRows)) {
+  event.kind = static_cast<EventKind>(kind);
+  if (!IsEventKind(event.kind)) {
     return Status::InvalidArgument("unknown event kind " +
                                    std::to_string(kind));
   }
-  event.kind = static_cast<EventKind>(kind);
   AMNESIA_RETURN_NOT_OK(r.U32(&event.shard));
   switch (event.kind) {
     case EventKind::kBeginBatch:
@@ -179,10 +190,6 @@ StatusOr<Event> DecodeEvent(const std::vector<uint8_t>& payload) {
     case EventKind::kDropPartition:
       AMNESIA_RETURN_NOT_OK(r.U64(&event.row));
       AMNESIA_RETURN_NOT_OK(r.I64(&event.value));
-      break;
-    case EventKind::kRevive:
-    case EventKind::kAccess:
-      AMNESIA_RETURN_NOT_OK(r.U64(&event.row));
       break;
     case EventKind::kForgetRows: {
       AMNESIA_RETURN_NOT_OK(r.U8(&event.backend));
@@ -337,11 +344,6 @@ Status ReplayEvent(const Event& event, std::vector<Table>* tables,
       return table.ScrubRow(event.row, event.value);
     case EventKind::kCompact:
       table.CompactForgotten();
-      return Status::OK();
-    case EventKind::kRevive:
-      return table.Revive(event.row);
-    case EventKind::kAccess:
-      table.BumpAccess(event.row);
       return Status::OK();
     case EventKind::kDropPartition: {
       if (table.mapped()) {

@@ -1,9 +1,9 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
 // Physical redo log for the durability subsystem. Between two checkpoints
-// every table mutation — batched appends, forget-pass outcomes (one
-// record per sweep naming its rows as runs, compaction, partition drops),
-// revives and access bumps — is recorded as an Event; replaying the tail
+// every table mutation — batched appends and forget-pass outcomes (one
+// record per sweep naming its rows as runs, compaction, partition drops) —
+// is recorded as an Event; replaying the tail
 // of the log on top of the newest snapshot reconstructs the exact
 // pre-crash state. The shape follows KERI's append-only key-event-log
 // design (PAPERS.md): an event log plus periodic snapshots gives cheap
@@ -51,10 +51,8 @@ enum class EventKind : uint8_t {
   kScrub = 4,
   /// One shard ran physical compaction (deterministic given its state).
   kCompact = 5,
-  /// A forgotten row was revived (explicit cold-storage recovery).
-  kRevive = 6,
-  /// A row's access count was bumped (rot-policy feedback).
-  kAccess = 7,
+  // Kind bytes 6 and 7 (a revive and an access bump) are retired: no
+  // writer ever emitted them, and DecodeEvent rejects them.
   /// One shard dropped a whole sealed partition (mapped storage's O(1)
   /// forget): `row` is the partition index, `value` the partition's row
   /// count. Journaled after the partition directory's fsync'd rename to
@@ -88,8 +86,8 @@ struct Event {
   /// Shard the event applies to (0 for unsharded tables; unused by
   /// kAppendRows, which round-robins globally).
   uint32_t shard = 0;
-  /// Shard-local row id (kForget / kScrub / kRevive / kAccess) or
-  /// partition index (kDropPartition).
+  /// Shard-local row id (kForget / kScrub) or partition index
+  /// (kDropPartition).
   RowId row = 0;
   /// Scrub value (kScrub) or partition row count (kDropPartition).
   Value value = 0;

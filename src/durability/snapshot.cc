@@ -131,16 +131,15 @@ std::shared_ptr<const ShardSnapshot> SnapshotManager::CaptureShard(
   return snapshot;
 }
 
-TableSnapshot SnapshotManager::Capture(
-    const std::vector<const Table*>& shards, uint64_t ingest_cursor,
-    const TierSet& tiers) {
+TableSnapshot SnapshotManager::Capture(const TableShards& table,
+                                       const TierSet& tiers) {
   last_stats_ = CaptureStats{};
-  states_.resize(shards.size());
+  states_.resize(table.num_shards());
   TableSnapshot out;
-  out.ingest_cursor = ingest_cursor;
-  out.shards.reserve(shards.size());
-  for (size_t s = 0; s < shards.size(); ++s) {
-    out.shards.push_back(CaptureShard(*shards[s], &states_[s]));
+  out.ingest_cursor = table.ingest_cursor();
+  out.shards.reserve(table.num_shards());
+  for (uint32_t s = 0; s < table.num_shards(); ++s) {
+    out.shards.push_back(CaptureShard(table.shard(s), &states_[s]));
   }
   // Tier copies in the same pass: the caller holds mutations off for the
   // whole Capture, so table and tiers are one consistent cut.
@@ -151,21 +150,6 @@ TableSnapshot SnapshotManager::Capture(
     out.summaries = std::make_shared<SummaryStore>(*tiers.summaries);
   }
   return out;
-}
-
-TableSnapshot SnapshotManager::Capture(const ShardedTable& table,
-                                       const TierSet& tiers) {
-  std::vector<const Table*> shards;
-  shards.reserve(table.num_shards());
-  for (uint32_t s = 0; s < table.num_shards(); ++s) {
-    shards.push_back(&table.shard(s).table());
-  }
-  return Capture(shards, table.ingest_cursor(), tiers);
-}
-
-TableSnapshot SnapshotManager::Capture(const Table& table,
-                                       const TierSet& tiers) {
-  return Capture({&table}, table.lifetime_inserted(), tiers);
 }
 
 }  // namespace amnesia

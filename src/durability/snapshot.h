@@ -1,10 +1,11 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
 // Versioned per-shard snapshots: the cheap, caller-thread half of an
-// asynchronous checkpoint. Capture copies a shard's state into immutable
-// structures the background writer serializes later, so ingest and forget
-// passes proceed the moment Capture() returns — the foreground never
-// waits on serialization or I/O.
+// asynchronous checkpoint. Capture takes a table as its shard list (a
+// TableShards view, so an unsharded Table is the one-shard case) and
+// copies each shard's state into immutable structures the background
+// writer serializes later, so ingest and forget passes proceed the moment
+// Capture() returns — the foreground never waits on serialization or I/O.
 //
 // Three levels of work avoidance keep capture cheap:
 //  1. Shard skip: a shard whose durability epoch (version + access epoch)
@@ -85,18 +86,13 @@ class SnapshotManager {
     return table.version() + table.access_epoch();
   }
 
-  /// Captures all shards (given in shard order, as for
-  /// ShardedTable::FromShards) plus the forgetting tiers in one pass, so
-  /// table and tiers commit under the same covered LSN. `ingest_cursor`
-  /// is the global round-robin position at capture.
-  TableSnapshot Capture(const std::vector<const Table*>& shards,
-                        uint64_t ingest_cursor,
+  /// Captures every shard of `table` (in shard order, as for
+  /// ShardedTable::FromShards) and its round-robin ingest cursor, plus the
+  /// forgetting tiers in one pass, so table and tiers commit under the
+  /// same covered LSN. A Table or a ShardedTable converts implicitly; an
+  /// unsharded Table is the one-shard case.
+  TableSnapshot Capture(const TableShards& table,
                         const TierSet& tiers = TierSet());
-
-  /// Convenience overloads for the two table flavors.
-  TableSnapshot Capture(const ShardedTable& table,
-                        const TierSet& tiers = TierSet());
-  TableSnapshot Capture(const Table& table, const TierSet& tiers = TierSet());
 
   /// Returns the work accounting of the most recent Capture call.
   const CaptureStats& last_stats() const { return last_stats_; }

@@ -10,17 +10,6 @@ namespace obs {
 
 namespace {
 
-/// Appends `s` as a JSON string literal (metric names are plain dotted
-/// identifiers, but escape the structural characters anyway).
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
 void AppendDouble(double v, std::string* out) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -79,13 +68,45 @@ HistogramSnapshot Histogram::Snapshot() const {
 }
 #endif
 
+void AppendJsonString(std::string* out, std::string_view s) {
+  out->push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out->append(buf);
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
 std::string MetricsSnapshot::ToJson() const {
   std::string out = "{\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : counters) {
     if (!first) out.push_back(',');
     first = false;
-    AppendJsonString(name, &out);
+    AppendJsonString(&out, name);
     out.push_back(':');
     out.append(std::to_string(value));
   }
@@ -94,7 +115,7 @@ std::string MetricsSnapshot::ToJson() const {
   for (const auto& [name, gv] : gauges) {
     if (!first) out.push_back(',');
     first = false;
-    AppendJsonString(name, &out);
+    AppendJsonString(&out, name);
     out.append(":{\"value\":");
     out.append(std::to_string(gv.value));
     out.append(",\"high_water\":");
@@ -106,7 +127,7 @@ std::string MetricsSnapshot::ToJson() const {
   for (const auto& [name, h] : histograms) {
     if (!first) out.push_back(',');
     first = false;
-    AppendJsonString(name, &out);
+    AppendJsonString(&out, name);
     out.append(":{\"count\":");
     out.append(std::to_string(h.count));
     out.append(",\"sum\":");

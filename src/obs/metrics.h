@@ -27,6 +27,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace amnesia {
 namespace obs {
@@ -284,6 +285,11 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
+
+/// \brief Appends `s` to `out` as a JSON string literal, escaping quotes,
+/// backslashes and every control character. The one escaper behind every
+/// JSON exposition: the registry dump and the introspection server.
+void AppendJsonString(std::string* out, std::string_view s);
 
 }  // namespace obs
 }  // namespace amnesia

@@ -213,57 +213,6 @@ struct AggregateOp {
 
 // ------------------------------------------------------ the morsel driver
 
-// What a scan reads: an unsharded Table, or every shard of a ShardedTable
-// in shard order. An unsharded table is shard 0, and MakeGlobalRowId(0, r)
-// == r, so shard 0's local row ids already are its global ones.
-class ScanSource {
- public:
-  explicit ScanSource(const Table& table) : table_(&table) {}
-  explicit ScanSource(const ShardedTable& table) : sharded_(&table) {}
-
-  size_t num_columns() const {
-    return sharded_ != nullptr ? sharded_->num_columns()
-                               : table_->num_columns();
-  }
-  uint32_t num_shards() const {
-    return sharded_ != nullptr ? sharded_->num_shards() : 1;
-  }
-  const Table& shard(uint32_t s) const {
-    return sharded_ != nullptr ? sharded_->shard(s).table() : *table_;
-  }
-
-  const Table* table() const { return table_; }
-  const ShardedTable* sharded() const { return sharded_; }
-
- private:
-  const Table* table_ = nullptr;
-  const ShardedTable* sharded_ = nullptr;
-};
-
-// The morsels a parallel scan hands to the pool, in merge order: the source
-// table's own Morsels(morsel_rows), read lazily. No morsel spans two shards.
-class PoolMorsels {
- public:
-  PoolMorsels(const ScanSource& source, uint64_t morsel_rows) {
-    if (source.sharded() != nullptr) {
-      sharded_.emplace(source.sharded()->Morsels(morsel_rows));
-    } else {
-      table_.emplace(source.table()->Morsels(morsel_rows));
-    }
-  }
-
-  uint64_t count() const {
-    return sharded_ ? sharded_->count() : table_->count();
-  }
-  ShardMorsel at(uint64_t i) const {
-    return sharded_ ? sharded_->at(i) : ShardMorsel{0, table_->at(i)};
-  }
-
- private:
-  std::optional<MorselRange> table_;
-  std::optional<ShardedMorselRange> sharded_;
-};
-
 // Pool settings of a *Parallel operator call.
 struct PoolPlan {
   ThreadPool* pool;
@@ -286,24 +235,25 @@ void ToGlobal(uint32_t, Partial*) {}
 //
 // Serial plans keep one partial per shard: the scalar kernel runs the whole
 // shard as one morsel, the vectorized kernels run its Morsels(). A
-// parallel plan keeps one partial per pool morsel and falls back to the
-// serial plan when the pool is one wide or there is at most one morsel.
+// parallel plan keeps one partial per pool morsel, every shard's own
+// Morsels(morsel_rows) in shard-major order, and falls back to the serial
+// plan when the pool is one wide or there is at most one morsel.
 template <typename Op>
-StatusOr<typename Op::Result> RunScan(const ScanSource& source,
+StatusOr<typename Op::Result> RunScan(const TableShards& table,
                                       const RangePredicate& pred,
                                       Visibility visibility, Engine engine,
                                       std::optional<PoolPlan> parallel = {}) {
-  AMNESIA_RETURN_NOT_OK(ValidatePredicate(pred, source.num_columns()));
-  std::optional<PoolMorsels> morsels;
+  AMNESIA_RETURN_NOT_OK(ValidatePredicate(pred, table.num_columns()));
+  std::optional<ShardedMorselRange> morsels;
   if (parallel && parallel->pool->EffectiveWidth(parallel->max_workers) > 1) {
-    morsels.emplace(source, parallel->morsel_rows);
+    morsels.emplace(table.Morsels(parallel->morsel_rows));
   }
   NoteOp(engine);
 
   auto run = [&](ShardMorsel sm, typename Op::Partial* part) {
-    const Table& table = source.shard(sm.shard);
-    ProfiledMorselScope prof(table, visibility, engine, sm.morsel, sm.shard);
-    Op::Run(table, pred, visibility, sm.morsel, engine, part);
+    const Table& shard = table.shard(sm.shard);
+    ProfiledMorselScope prof(shard, visibility, engine, sm.morsel, sm.shard);
+    Op::Run(shard, pred, visibility, sm.morsel, engine, part);
   };
 
   std::vector<typename Op::Partial> parts;
@@ -319,13 +269,13 @@ StatusOr<typename Op::Result> RunScan(const ScanSource& source,
           }
         });
   } else {
-    parts.resize(source.num_shards());
-    for (uint32_t s = 0; s < source.num_shards(); ++s) {
-      const Table& table = source.shard(s);
+    parts.resize(table.num_shards());
+    for (uint32_t s = 0; s < table.num_shards(); ++s) {
+      const Table& shard = table.shard(s);
       if (engine == Engine::kVectorized) {
-        for (Morsel m : table.Morsels()) run(ShardMorsel{s, m}, &parts[s]);
+        for (Morsel m : shard.Morsels()) run(ShardMorsel{s, m}, &parts[s]);
       } else {
-        run(ShardMorsel{s, Morsel{0, table.num_rows()}}, &parts[s]);
+        run(ShardMorsel{s, Morsel{0, shard.num_rows()}}, &parts[s]);
       }
       ToGlobal(s, &parts[s]);
     }
@@ -354,97 +304,51 @@ AggregateResult ToAggregateResult(const RunningStats& stats) {
   return out;
 }
 
-StatusOr<ResultSet> ScanRange(const Table& table, const RangePredicate& pred,
+StatusOr<ResultSet> ScanRange(const TableShards& table,
+                              const RangePredicate& pred,
                               Visibility visibility, Engine engine) {
-  return RunScan<ScanOp>(ScanSource(table), pred, visibility, engine);
+  return RunScan<ScanOp>(table, pred, visibility, engine);
 }
 
-StatusOr<uint64_t> CountRange(const Table& table, const RangePredicate& pred,
+StatusOr<uint64_t> CountRange(const TableShards& table,
+                              const RangePredicate& pred,
                               Visibility visibility, Engine engine) {
-  return RunScan<CountOp>(ScanSource(table), pred, visibility, engine);
+  return RunScan<CountOp>(table, pred, visibility, engine);
 }
 
-StatusOr<AggregateResult> AggregateRange(const Table& table,
+StatusOr<AggregateResult> AggregateRange(const TableShards& table,
                                          const RangePredicate& pred,
                                          Visibility visibility,
                                          Engine engine) {
-  return RunScan<AggregateOp>(ScanSource(table), pred, visibility, engine);
+  return RunScan<AggregateOp>(table, pred, visibility, engine);
 }
 
-StatusOr<ResultSet> ScanRangeParallel(const Table& table,
+StatusOr<ResultSet> ScanRangeParallel(const TableShards& table,
                                       const RangePredicate& pred,
                                       Visibility visibility, ThreadPool& pool,
                                       uint64_t morsel_rows, size_t max_workers,
                                       Engine engine) {
-  return RunScan<ScanOp>(ScanSource(table), pred, visibility, engine,
+  return RunScan<ScanOp>(table, pred, visibility, engine,
                          PoolPlan{&pool, morsel_rows, max_workers});
 }
 
-StatusOr<uint64_t> CountRangeParallel(const Table& table,
+StatusOr<uint64_t> CountRangeParallel(const TableShards& table,
                                       const RangePredicate& pred,
                                       Visibility visibility, ThreadPool& pool,
                                       uint64_t morsel_rows, size_t max_workers,
                                       Engine engine) {
-  return RunScan<CountOp>(ScanSource(table), pred, visibility, engine,
+  return RunScan<CountOp>(table, pred, visibility, engine,
                           PoolPlan{&pool, morsel_rows, max_workers});
 }
 
-StatusOr<AggregateResult> AggregateRangeParallel(const Table& table,
+StatusOr<AggregateResult> AggregateRangeParallel(const TableShards& table,
                                                  const RangePredicate& pred,
                                                  Visibility visibility,
                                                  ThreadPool& pool,
                                                  uint64_t morsel_rows,
                                                  size_t max_workers,
                                                  Engine engine) {
-  return RunScan<AggregateOp>(ScanSource(table), pred, visibility, engine,
-                              PoolPlan{&pool, morsel_rows, max_workers});
-}
-
-StatusOr<ResultSet> ScanRange(const ShardedTable& table,
-                              const RangePredicate& pred,
-                              Visibility visibility, Engine engine) {
-  return RunScan<ScanOp>(ScanSource(table), pred, visibility, engine);
-}
-
-StatusOr<uint64_t> CountRange(const ShardedTable& table,
-                              const RangePredicate& pred,
-                              Visibility visibility, Engine engine) {
-  return RunScan<CountOp>(ScanSource(table), pred, visibility, engine);
-}
-
-StatusOr<AggregateResult> AggregateRange(const ShardedTable& table,
-                                         const RangePredicate& pred,
-                                         Visibility visibility,
-                                         Engine engine) {
-  return RunScan<AggregateOp>(ScanSource(table), pred, visibility, engine);
-}
-
-StatusOr<ResultSet> ScanRangeParallel(const ShardedTable& table,
-                                      const RangePredicate& pred,
-                                      Visibility visibility, ThreadPool& pool,
-                                      uint64_t morsel_rows, size_t max_workers,
-                                      Engine engine) {
-  return RunScan<ScanOp>(ScanSource(table), pred, visibility, engine,
-                         PoolPlan{&pool, morsel_rows, max_workers});
-}
-
-StatusOr<uint64_t> CountRangeParallel(const ShardedTable& table,
-                                      const RangePredicate& pred,
-                                      Visibility visibility, ThreadPool& pool,
-                                      uint64_t morsel_rows, size_t max_workers,
-                                      Engine engine) {
-  return RunScan<CountOp>(ScanSource(table), pred, visibility, engine,
-                          PoolPlan{&pool, morsel_rows, max_workers});
-}
-
-StatusOr<AggregateResult> AggregateRangeParallel(const ShardedTable& table,
-                                                 const RangePredicate& pred,
-                                                 Visibility visibility,
-                                                 ThreadPool& pool,
-                                                 uint64_t morsel_rows,
-                                                 size_t max_workers,
-                                                 Engine engine) {
-  return RunScan<AggregateOp>(ScanSource(table), pred, visibility, engine,
+  return RunScan<AggregateOp>(table, pred, visibility, engine,
                               PoolPlan{&pool, morsel_rows, max_workers});
 }
 

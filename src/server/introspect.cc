@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "amnesia/audit_ledger.h"
+#include "obs/metrics.h"
 #include "obs/sla.h"
 #include "query/profile.h"
 
@@ -36,37 +37,6 @@ __attribute__((format(printf, 2, 3))) void AppendFmt(std::string* out,
   if (n > 0) out->append(buf, static_cast<size_t>(n) < sizeof(buf)
                                   ? static_cast<size_t>(n)
                                   : sizeof(buf) - 1);
-}
-
-void AppendJsonString(std::string* out, const char* s) {
-  out->push_back('"');
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          AppendFmt(out, "\\u%04x", c);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 // One exposition family header. `orig` keeps the dotted registry name
@@ -173,7 +143,7 @@ std::string RenderTraceJson(const std::vector<obs::TraceSpan>& spans) {
     if (!first) out.push_back(',');
     first = false;
     out += "{\"name\":";
-    AppendJsonString(&out, span.name);
+    obs::AppendJsonString(&out, span.name);
     AppendFmt(&out,
               ",\"cat\":\"amnesia\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,"
               "\"ts\":%.3f,\"dur\":%.3f",
@@ -183,7 +153,7 @@ std::string RenderTraceJson(const std::vector<obs::TraceSpan>& spans) {
       out += ",\"args\":{";
       for (int a = 0; a < span.num_annotations; ++a) {
         if (a > 0) out.push_back(',');
-        AppendJsonString(&out, span.annotations[a].key);
+        obs::AppendJsonString(&out, span.annotations[a].key);
         AppendFmt(&out, ":%lld",
                   static_cast<long long>(span.annotations[a].value));
       }
@@ -292,7 +262,7 @@ void AppendAuditRecordJson(std::string* out, const AuditRecord& r) {
             static_cast<unsigned long>(r.prev_crc),
             std::string(AuditOpToString(r.op)).c_str());
   *out += "\"policy\":";
-  AppendJsonString(out, r.policy.c_str());
+  obs::AppendJsonString(out, r.policy);
   AppendFmt(out,
             ",\"backend\":%u,\"shard\":%lu,\"rows_marked\":%llu,"
             "\"rows_scrubbed\":%llu,\"partitions_dropped\":%llu,"
@@ -332,7 +302,7 @@ HttpResponse HandleAuditz(AuditLedger* ledger,
   const std::vector<AuditRecord> tail = ledger->Tail(n);
   if (WantsJson(params)) {
     std::string out = "{\"dir\":";
-    AppendJsonString(&out, ledger->dir().c_str());
+    obs::AppendJsonString(&out, ledger->dir());
     AppendFmt(&out,
               ",\"chain\":{\"ok\":%s,\"records\":%llu,\"base_seq\":%llu,"
               "\"next_seq\":%llu,\"head_crc\":%lu,\"detail\":",
@@ -341,7 +311,7 @@ HttpResponse HandleAuditz(AuditLedger* ledger,
               static_cast<unsigned long long>(chain.base_seq),
               static_cast<unsigned long long>(chain.next_seq),
               static_cast<unsigned long>(chain.chain_crc));
-    AppendJsonString(&out, chain.detail.c_str());
+    obs::AppendJsonString(&out, chain.detail);
     out += "},\"tail\":[";
     for (size_t i = 0; i < tail.size(); ++i) {
       if (i > 0) out.push_back(',');
@@ -396,7 +366,7 @@ HttpResponse HandleSlaz(obs::SlaTracker* sla,
       const obs::SlaPolicySnapshot& p = policies[i];
       if (i > 0) out.push_back(',');
       out += "{\"policy\":";
-      AppendJsonString(&out, p.policy.c_str());
+      obs::AppendJsonString(&out, p.policy);
       AppendFmt(&out,
                 ",\"sweeps\":%llu,\"last_batch\":%llu,"
                 "\"forget_lag_batches\":%llu,\"max_lag_batches\":%llu,"

@@ -3,18 +3,16 @@
 #include "storage/shard.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace amnesia {
 
-ShardedMorselRange::ShardedMorselRange(std::vector<uint64_t> shard_rows,
-                                       uint64_t morsel_rows)
-    : shard_rows_(std::move(shard_rows)),
-      morsel_rows_(morsel_rows == 0 ? 1 : morsel_rows) {
-  prefix_.reserve(shard_rows_.size() + 1);
+ShardedMorselRange::ShardedMorselRange(std::vector<MorselRange> shards)
+    : shards_(std::move(shards)) {
+  prefix_.reserve(shards_.size() + 1);
   prefix_.push_back(0);
-  for (uint64_t rows : shard_rows_) {
-    prefix_.push_back(prefix_.back() +
-                      MorselRange(rows, morsel_rows_).count());
+  for (const MorselRange& range : shards_) {
+    prefix_.push_back(prefix_.back() + range.count());
   }
 }
 
@@ -25,7 +23,7 @@ ShardMorsel ShardedMorselRange::at(uint64_t i) const {
   const size_t s = static_cast<size_t>(it - prefix_.begin()) - 1;
   ShardMorsel out;
   out.shard = static_cast<uint32_t>(s);
-  out.morsel = MorselRange(shard_rows_[s], morsel_rows_).at(i - prefix_[s]);
+  out.morsel = shards_[s].at(i - prefix_[s]);
   return out;
 }
 

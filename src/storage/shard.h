@@ -1,17 +1,16 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
-// One shard of a partitioned table, plus the global RowId codec that makes
-// shards transparent to RowId consumers. A shard owns its own columns,
-// amnesia metadata and active bitmap (a full Table), so scans, forget
-// passes and compaction proceed shard-locally without touching any shared
-// per-table state — the prerequisite for parallelizing forgetting and
-// compaction the way PR 1 parallelized scans.
+// The global RowId codec that makes shards transparent to RowId consumers,
+// and the shard-major morsel partition a parallel scan hands to its pool.
+// A ShardedTable's shards are plain Tables, each owning its columns,
+// amnesia metadata and active bitmap, so scans, forget passes and
+// compaction proceed shard-locally without touching any shared per-table
+// state.
 
 #ifndef AMNESIA_STORAGE_SHARD_H_
 #define AMNESIA_STORAGE_SHARD_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "storage/table.h"
@@ -45,37 +44,6 @@ constexpr uint32_t ShardOfRow(RowId global) {
 /// Returns the shard-local row index encoded in a global RowId.
 constexpr RowId LocalRowOf(RowId global) { return global & kShardLocalMask; }
 
-/// \brief One partition of a ShardedTable: a full Table plus its shard id.
-///
-/// The wrapped table is a regular Table, so every existing component that
-/// consumes a `const Table&` (policies, scan kernels, checkpointing,
-/// indexes) works on one shard unchanged; only the RowIds it sees are
-/// shard-local.
-class Shard {
- public:
-  Shard(uint32_t id, Table table) : id_(id), table_(std::move(table)) {}
-
-  /// Returns this shard's index within its ShardedTable.
-  uint32_t id() const { return id_; }
-
-  /// Returns the shard's storage.
-  const Table& table() const { return table_; }
-  /// Returns the shard's storage for mutation (ingest, forgetting).
-  Table& mutable_table() { return table_; }
-
-  /// Translates a shard-local RowId into the global encoding.
-  RowId ToGlobal(RowId local) const { return MakeGlobalRowId(id_, local); }
-
-  /// Partitions this shard's rows into scan morsels (shard-local ids).
-  MorselRange Morsels(uint64_t morsel_rows = kDefaultMorselRows) const {
-    return table_.Morsels(morsel_rows);
-  }
-
- private:
-  uint32_t id_;
-  Table table_;
-};
-
 /// \brief A morsel of scan work pinned to one shard.
 struct ShardMorsel {
   uint32_t shard = 0;
@@ -83,8 +51,8 @@ struct ShardMorsel {
   Morsel morsel;
 };
 
-/// \brief Random-access partition of all shards' rows into shard-local
-/// morsels, enumerated in shard-major order.
+/// \brief Random-access concatenation of per-shard morsel partitions,
+/// enumerated in shard-major order.
 ///
 /// Morsel i of the flattened range never spans a shard boundary, so a
 /// worker holding it touches exactly one shard's columns and bitmap (no
@@ -92,8 +60,10 @@ struct ShardMorsel {
 /// order yields shard-major row order — ascending global RowId order.
 class ShardedMorselRange {
  public:
-  /// Builds the partition for shards with the given row counts.
-  ShardedMorselRange(std::vector<uint64_t> shard_rows, uint64_t morsel_rows);
+  /// Concatenates the shards' own partitions, shard s's at index s (each
+  /// typically that shard's Table::Morsels, so every shard keeps its own
+  /// morsel size).
+  explicit ShardedMorselRange(std::vector<MorselRange> shards);
 
   /// Returns the total number of morsels across all shards.
   uint64_t count() const { return prefix_.back(); }
@@ -123,8 +93,7 @@ class ShardedMorselRange {
   Iterator end() const { return Iterator(this, count()); }
 
  private:
-  std::vector<uint64_t> shard_rows_;
-  uint64_t morsel_rows_;
+  std::vector<MorselRange> shards_;
   /// prefix_[s] = number of morsels in shards [0, s); size num_shards + 1.
   std::vector<uint64_t> prefix_;
 };

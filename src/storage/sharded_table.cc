@@ -15,11 +15,11 @@ StatusOr<ShardedTable> ShardedTable::Make(Schema schema, uint32_t num_shards) {
     return Status::InvalidArgument("shard count must be in [1, " +
                                    std::to_string(kMaxShards) + "]");
   }
-  std::vector<Shard> shards;
+  std::vector<Table> shards;
   shards.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
     AMNESIA_ASSIGN_OR_RETURN(Table table, Table::Make(schema));
-    shards.emplace_back(s, std::move(table));
+    shards.push_back(std::move(table));
   }
   return ShardedTable(std::move(shards), 0);
 }
@@ -37,14 +37,14 @@ StatusOr<ShardedTable> ShardedTable::Make(Schema schema, uint32_t num_shards,
     return Status::InvalidArgument("mapped storage needs a directory");
   }
   AMNESIA_RETURN_NOT_OK(EnsureDirExists(storage.dir));
-  std::vector<Shard> shards;
+  std::vector<Table> shards;
   shards.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
     StorageOptions shard_storage = storage;
     shard_storage.dir = storage.dir + "/shard-" + std::to_string(s);
     AMNESIA_ASSIGN_OR_RETURN(Table table,
                              Table::Make(schema, shard_storage));
-    shards.emplace_back(s, std::move(table));
+    shards.push_back(std::move(table));
   }
   return ShardedTable(std::move(shards), 0);
 }
@@ -60,54 +60,48 @@ StatusOr<ShardedTable> ShardedTable::FromShards(std::vector<Table> tables,
       return Status::InvalidArgument("shards disagree on the schema");
     }
   }
-  std::vector<Shard> shards;
-  shards.reserve(tables.size());
-  for (uint32_t s = 0; s < tables.size(); ++s) {
-    shards.emplace_back(s, std::move(tables[s]));
-  }
-  return ShardedTable(std::move(shards), next_shard);
+  return ShardedTable(std::move(tables), next_shard);
 }
 
 uint64_t ShardedTable::num_rows() const {
   uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.table().num_rows();
+  for (const Table& s : shards_) total += s.num_rows();
   return total;
 }
 
 uint64_t ShardedTable::num_active() const {
   uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.table().num_active();
+  for (const Table& s : shards_) total += s.num_active();
   return total;
 }
 
 uint64_t ShardedTable::num_forgotten() const {
   uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.table().num_forgotten();
+  for (const Table& s : shards_) total += s.num_forgotten();
   return total;
 }
 
 uint64_t ShardedTable::lifetime_inserted() const {
   uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.table().lifetime_inserted();
+  for (const Table& s : shards_) total += s.lifetime_inserted();
   return total;
 }
 
 uint64_t ShardedTable::lifetime_forgotten() const {
   uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.table().lifetime_forgotten();
+  for (const Table& s : shards_) total += s.lifetime_forgotten();
   return total;
 }
 
 void ShardedTable::BeginBatch() {
-  for (Shard& s : shards_) s.mutable_table().BeginBatch();
+  for (Table& s : shards_) s.BeginBatch();
 }
 
 StatusOr<RowId> ShardedTable::AppendRow(const std::vector<Value>& values) {
-  Shard& shard = shards_[next_shard_ % shards_.size()];
-  AMNESIA_ASSIGN_OR_RETURN(RowId local,
-                           shard.mutable_table().AppendRow(values));
+  const uint32_t s = static_cast<uint32_t>(next_shard_ % shards_.size());
+  AMNESIA_ASSIGN_OR_RETURN(RowId local, shards_[s].AppendRow(values));
   ++next_shard_;
-  return shard.ToGlobal(local);
+  return MakeGlobalRowId(s, local);
 }
 
 StatusOr<uint64_t> ShardedTable::AppendColumns(
@@ -127,7 +121,7 @@ StatusOr<uint64_t> ShardedTable::AppendColumns(
   if (shards_.size() == 1) {
     // Single shard: no redistribution needed, forward the buffers as-is.
     AMNESIA_RETURN_NOT_OK(
-        shards_[0].mutable_table().AppendColumns(columns).status());
+        shards_[0].AppendColumns(columns).status());
     next_shard_ += rows;
     return static_cast<uint64_t>(rows);
   }
@@ -155,16 +149,15 @@ StatusOr<uint64_t> ShardedTable::AppendColumns(
   for (size_t s = 0; s < n; ++s) {
     if (per_shard[s][0].empty()) continue;
     AMNESIA_RETURN_NOT_OK(
-        shards_[s].mutable_table().AppendColumns(per_shard[s]).status());
+        shards_[s].AppendColumns(per_shard[s]).status());
   }
   next_shard_ += rows;
   return static_cast<uint64_t>(rows);
 }
 
-StatusOr<Shard*> ShardedTable::Resolve(RowId row) {
+StatusOr<Table*> ShardedTable::Resolve(RowId row) {
   const uint32_t s = ShardOfRow(row);
-  if (s >= shards_.size() ||
-      LocalRowOf(row) >= shards_[s].table().num_rows()) {
+  if (s >= shards_.size() || LocalRowOf(row) >= shards_[s].num_rows()) {
     return Status::OutOfRange("global row " + std::to_string(row) +
                               " does not address a stored row");
   }
@@ -172,62 +165,58 @@ StatusOr<Shard*> ShardedTable::Resolve(RowId row) {
 }
 
 Status ShardedTable::Forget(RowId row) {
-  AMNESIA_ASSIGN_OR_RETURN(Shard * shard, Resolve(row));
-  return shard->mutable_table().Forget(LocalRowOf(row));
+  AMNESIA_ASSIGN_OR_RETURN(Table * shard, Resolve(row));
+  return shard->Forget(LocalRowOf(row));
 }
 
 Status ShardedTable::Revive(RowId row) {
-  AMNESIA_ASSIGN_OR_RETURN(Shard * shard, Resolve(row));
-  return shard->mutable_table().Revive(LocalRowOf(row));
+  AMNESIA_ASSIGN_OR_RETURN(Table * shard, Resolve(row));
+  return shard->Revive(LocalRowOf(row));
 }
 
 Status ShardedTable::ScrubRow(RowId row, Value scrub_value) {
-  AMNESIA_ASSIGN_OR_RETURN(Shard * shard, Resolve(row));
-  return shard->mutable_table().ScrubRow(LocalRowOf(row), scrub_value);
+  AMNESIA_ASSIGN_OR_RETURN(Table * shard, Resolve(row));
+  return shard->ScrubRow(LocalRowOf(row), scrub_value);
 }
 
 Value ShardedTable::max_seen(size_t col) const {
-  Value out = shards_[0].table().max_seen(col);
-  for (const Shard& s : shards_) {
-    out = std::max(out, s.table().max_seen(col));
-  }
+  Value out = shards_[0].max_seen(col);
+  for (const Table& s : shards_) out = std::max(out, s.max_seen(col));
   return out;
 }
 
 Value ShardedTable::min_seen(size_t col) const {
-  Value out = shards_[0].table().min_seen(col);
-  for (const Shard& s : shards_) {
-    out = std::min(out, s.table().min_seen(col));
-  }
+  Value out = shards_[0].min_seen(col);
+  for (const Table& s : shards_) out = std::min(out, s.min_seen(col));
   return out;
-}
-
-ShardedMorselRange ShardedTable::Morsels(uint64_t morsel_rows) const {
-  std::vector<uint64_t> rows;
-  rows.reserve(shards_.size());
-  for (const Shard& s : shards_) rows.push_back(s.table().num_rows());
-  return ShardedMorselRange(std::move(rows), morsel_rows);
 }
 
 std::vector<RowMapping> ShardedTable::CompactForgotten() {
   std::vector<RowMapping> mappings;
   mappings.reserve(shards_.size());
-  for (Shard& s : shards_) {
-    mappings.push_back(s.mutable_table().CompactForgotten());
-  }
+  for (Table& s : shards_) mappings.push_back(s.CompactForgotten());
   return mappings;
 }
 
 uint64_t ShardedTable::version() const {
   uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.table().version();
+  for (const Table& s : shards_) total += s.version();
   return total;
 }
 
 size_t ShardedTable::ApproxBytes() const {
   size_t total = 0;
-  for (const Shard& s : shards_) total += s.table().ApproxBytes();
+  for (const Table& s : shards_) total += s.ApproxBytes();
   return total;
+}
+
+ShardedMorselRange TableShards::Morsels(uint64_t morsel_rows) const {
+  std::vector<MorselRange> ranges;
+  ranges.reserve(num_shards_);
+  for (uint32_t s = 0; s < num_shards_; ++s) {
+    ranges.push_back(shards_[s].Morsels(morsel_rows));
+  }
+  return ShardedMorselRange(std::move(ranges));
 }
 
 }  // namespace amnesia

@@ -70,8 +70,7 @@ void ExpectSameShardedState(const ShardedTable& a, const ShardedTable& b) {
   ASSERT_EQ(a.num_shards(), b.num_shards());
   EXPECT_EQ(a.ingest_cursor(), b.ingest_cursor());
   for (uint32_t s = 0; s < a.num_shards(); ++s) {
-    EXPECT_EQ(CheckpointTable(a.shard(s).table()),
-              CheckpointTable(b.shard(s).table()))
+    EXPECT_EQ(CheckpointTable(a.shard(s)), CheckpointTable(b.shard(s)))
         << "shard " << s;
   }
 }
@@ -224,7 +223,7 @@ TEST(SnapshotTest, ShardedCaptureSkipsUntouchedShards) {
   EXPECT_EQ(manager.last_stats().shards_recaptured, 1u);
   for (uint32_t s = 0; s < 4; ++s) {
     EXPECT_EQ(SerializeShardSnapshot(*snap.shards[s]),
-              CheckpointTable(table.shard(s).table()))
+              CheckpointTable(table.shard(s)))
         << "shard " << s;
   }
 }
@@ -258,12 +257,10 @@ TEST(EventLogTest, CodecRoundTripsEveryKind) {
   e.shard = 2;
   events.push_back(e);
   e = Event{};
-  e.kind = EventKind::kRevive;
-  e.row = 8;
-  events.push_back(e);
-  e = Event{};
-  e.kind = EventKind::kAccess;
-  e.row = 30;
+  e.kind = EventKind::kDropPartition;
+  e.shard = 1;
+  e.row = 3;
+  e.value = 64;
   events.push_back(e);
   e = Event{};
   e.kind = EventKind::kForgetRows;
@@ -289,6 +286,22 @@ TEST(EventLogTest, CodecRoundTripsEveryKind) {
 TEST(EventLogTest, RejectsGarbagePayload) {
   EXPECT_FALSE(DecodeEvent({}).ok());
   EXPECT_FALSE(DecodeEvent({0xFF, 1, 2, 3, 4}).ok());
+}
+
+TEST(EventLogTest, RejectsRetiredKindBytes) {
+  // Bytes 6 and 7 once named a revive and an access bump, which nothing
+  // ever wrote. Each payload below is (kind, shard, row), well formed
+  // under the old row-carrying layout.
+  for (uint8_t kind : {uint8_t{6}, uint8_t{7}}) {
+    std::vector<uint8_t> payload(13, 0);
+    payload[0] = kind;
+    const Status status = DecodeEvent(payload).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "unknown event kind " + std::to_string(kind));
+  }
+  // Their neighbours keep their bytes.
+  EXPECT_EQ(static_cast<uint8_t>(EventKind::kCompact), 5);
+  EXPECT_EQ(static_cast<uint8_t>(EventKind::kDropPartition), 8);
 }
 
 TEST(EventLogTest, FileRoundTripAndLsn) {

@@ -223,6 +223,16 @@ TEST(RegistryTest, DumpJsonContainsRegisteredMetricsAndBalances) {
   EXPECT_FALSE(in_string);
 }
 
+TEST(RegistryTest, SnapshotJsonEscapesEveryControlCharacter) {
+  // `/metrics?format=json` and the introspection pages share one escaper,
+  // so any metric name still yields one valid JSON string.
+  obs::MetricsSnapshot snap;
+  snap.counters["a\"b\\c\nd\te\rf\x01g"] = 1;
+  EXPECT_NE(snap.ToJson().find(R"("a\"b\\c\nd\te\rf\u0001g":1)"),
+            std::string::npos)
+      << snap.ToJson();
+}
+
 TEST(RegistryTest, DeltaSummaryReportsOnlyWhatMoved) {
   SKIP_WITHOUT_METRICS();
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();

@@ -57,7 +57,7 @@ ShardedTable MakeSkippyTable(uint32_t num_shards = 4) {
   }
   EXPECT_TRUE(table->AppendColumns(columns).ok());
   for (uint32_t s = 0; s < num_shards; ++s) {
-    Table& shard = table->mutable_shard(s).mutable_table();
+    Table& shard = table->mutable_shard(s);
     for (RowId r = 0; r < shard.num_rows(); ++r) {
       if (s == 1 || rng.Bernoulli(0.1)) {
         EXPECT_TRUE(shard.Forget(r).ok());

@@ -90,8 +90,9 @@ std::vector<Event> MixedEvents(size_t n, uint64_t seed = 5) {
       }
       default: {
         Event e;
-        e.kind = EventKind::kAccess;
+        e.kind = EventKind::kDropPartition;
         e.row = rng.UniformInt(0, 999);
+        e.value = 64;
         events.push_back(e);
         break;
       }

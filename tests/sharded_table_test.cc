@@ -79,9 +79,11 @@ TEST(ShardRowIdTest, CodecRoundTripsAndShardZeroIsIdentity) {
 // ------------------------------------------------- ShardedMorselRange
 
 TEST(ShardedMorselRangeTest, CoversEveryShardRowExactlyOnceInOrder) {
-  const ShardedMorselRange range({250, 0, 97, 10}, 97);
-  // shard 0: 3 morsels, shard 1: 0, shard 2: 1, shard 3: 1.
-  EXPECT_EQ(range.count(), 5u);
+  // Each shard keeps its own morsel size: shard 2's is 50.
+  const ShardedMorselRange range({MorselRange(250, 97), MorselRange(0, 97),
+                                  MorselRange(97, 50), MorselRange(10, 97)});
+  // shard 0: 3 morsels, shard 1: 0, shard 2: 2, shard 3: 1.
+  EXPECT_EQ(range.count(), 6u);
   std::vector<uint64_t> covered(4, 0);
   uint32_t last_shard = 0;
   RowId expect_begin = 0;
@@ -93,6 +95,7 @@ TEST(ShardedMorselRangeTest, CoversEveryShardRowExactlyOnceInOrder) {
     }
     EXPECT_EQ(sm.morsel.begin, expect_begin);
     EXPECT_GT(sm.morsel.end, sm.morsel.begin);
+    EXPECT_LE(sm.morsel.size(), sm.shard == 2 ? 50u : 97u);
     covered[sm.shard] += sm.morsel.size();
     expect_begin = sm.morsel.end;
   }
@@ -100,12 +103,13 @@ TEST(ShardedMorselRangeTest, CoversEveryShardRowExactlyOnceInOrder) {
 }
 
 TEST(ShardedMorselRangeTest, EmptyShardsYieldNoMorsels) {
-  const ShardedMorselRange range({0, 0, 0}, 64);
+  const ShardedMorselRange range(
+      {MorselRange(0, 64), MorselRange(0, 64), MorselRange(0, 64)});
   EXPECT_EQ(range.count(), 0u);
 }
 
 TEST(ShardedMorselRangeTest, ZeroMorselRowsClampsToOne) {
-  const ShardedMorselRange range({3, 2}, 0);
+  const ShardedMorselRange range({MorselRange(3, 0), MorselRange(2, 0)});
   EXPECT_EQ(range.count(), 5u);  // one row per morsel after the clamp
   for (ShardMorsel sm : range) EXPECT_EQ(sm.morsel.size(), 1u);
 }
@@ -132,9 +136,9 @@ TEST(ShardedTableTest, RoundRobinPlacementAndGlobalAccessors) {
   }
   EXPECT_EQ(t.num_rows(), 7u);
   EXPECT_EQ(t.num_active(), 7u);
-  EXPECT_EQ(t.shard(0).table().num_rows(), 3u);
-  EXPECT_EQ(t.shard(1).table().num_rows(), 2u);
-  EXPECT_EQ(t.shard(2).table().num_rows(), 2u);
+  EXPECT_EQ(t.shard(0).num_rows(), 3u);
+  EXPECT_EQ(t.shard(1).num_rows(), 2u);
+  EXPECT_EQ(t.shard(2).num_rows(), 2u);
   EXPECT_EQ(t.lifetime_inserted(), 7u);
   EXPECT_EQ(t.min_seen(0), 0);
   EXPECT_EQ(t.max_seen(0), 60);
@@ -166,7 +170,7 @@ TEST(ShardedTableTest, BeginBatchKeepsShardsInLockstep) {
   const RowId id = t.AppendRow({5}).value();
   EXPECT_EQ(t.batch_of(id), 2u);
   for (uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(t.shard(s).table().current_batch(), 2u);
+    EXPECT_EQ(t.shard(s).current_batch(), 2u);
   }
 }
 
@@ -247,8 +251,8 @@ TEST(AppendColumnsTest, ShardedBulkMatchesRowAtATime) {
     ASSERT_EQ(bulk.num_rows(), serial.num_rows());
     ASSERT_EQ(bulk.ingest_cursor(), serial.ingest_cursor());
     for (uint32_t s = 0; s < shards; ++s) {
-      const Table& bs = bulk.shard(s).table();
-      const Table& ss = serial.shard(s).table();
+      const Table& bs = bulk.shard(s);
+      const Table& ss = serial.shard(s);
       ASSERT_EQ(bs.num_rows(), ss.num_rows()) << "shard " << s;
       for (RowId r = 0; r < bs.num_rows(); ++r) {
         ASSERT_EQ(bs.value(0, r), ss.value(0, r));
@@ -496,7 +500,7 @@ TEST_P(ShardedForgetTest, EveryShardCountEnforcesTheGlobalBudget) {
     const std::vector<uint64_t>& budgets = ctrl.value().last_budgets();
     ASSERT_EQ(budgets.size(), shards);
     for (uint32_t s = 0; s < shards; ++s) {
-      EXPECT_EQ(table.shard(s).table().num_active(), budgets[s]);
+      EXPECT_EQ(table.shard(s).num_active(), budgets[s]);
     }
   }
 }
@@ -539,8 +543,8 @@ TEST(ShardedForgetTest, PoolAndSerialPassesProduceIdenticalState) {
 
     ASSERT_EQ(pooled_t.num_rows(), serial_t.num_rows());
     for (uint32_t s = 0; s < shards; ++s) {
-      const Table& a = serial_t.shard(s).table();
-      const Table& b = pooled_t.shard(s).table();
+      const Table& a = serial_t.shard(s);
+      const Table& b = pooled_t.shard(s);
       ASSERT_EQ(a.num_rows(), b.num_rows());
       for (RowId r = 0; r < a.num_rows(); ++r) {
         ASSERT_EQ(a.IsActive(r), b.IsActive(r));
@@ -618,8 +622,7 @@ TEST(ShardedCheckpointTest, RoundTripsShardsIndependently) {
   EXPECT_EQ(r.current_batch(), table.current_batch());
   EXPECT_EQ(r.lifetime_forgotten(), table.lifetime_forgotten());
   for (uint32_t s = 0; s < table.num_shards(); ++s) {
-    EXPECT_EQ(CheckpointTable(r.shard(s).table()),
-              CheckpointTable(table.shard(s).table()))
+    EXPECT_EQ(CheckpointTable(r.shard(s)), CheckpointTable(table.shard(s)))
         << "shard " << s;
   }
 
