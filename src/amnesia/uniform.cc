@@ -8,11 +8,14 @@ StatusOr<std::vector<RowId>> UniformPolicy::SelectVictims(const Table& table,
                                                           size_t k,
                                                           Rng* rng) {
   const size_t active = static_cast<size_t>(table.num_active());
-  std::vector<size_t> picks = rng->SampleWithoutReplacement(active, k);
+  const std::vector<size_t> picks = rng->SampleWithoutReplacement(active, k);
+  // One pass over the visibility bitmap resolves every pick; the victims
+  // keep pick order, which is the order the journal records them in.
+  const Bitmap& visible = table.active_bitmap();
   std::vector<RowId> victims;
   victims.reserve(picks.size());
-  for (size_t p : picks) {
-    victims.push_back(table.NthActiveRow(p));
+  for (size_t row : visible.SelectSetMany(picks)) {
+    victims.push_back(row == visible.size() ? kInvalidRow : row);
   }
   return victims;
 }

@@ -2,7 +2,9 @@
 
 #include "common/bitmap.h"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace amnesia {
 
@@ -147,6 +149,31 @@ size_t Bitmap::SelectSet(size_t k) const {
     }
   }
   return size_;
+}
+
+std::vector<size_t> Bitmap::SelectSetMany(
+    const std::vector<size_t>& ranks) const {
+  std::vector<std::pair<size_t, size_t>> order;  // (rank, input index)
+  order.reserve(ranks.size());
+  for (size_t i = 0; i < ranks.size(); ++i) order.emplace_back(ranks[i], i);
+  std::sort(order.begin(), order.end());
+  std::vector<size_t> out(ranks.size(), size_);
+  size_t next = 0;  // first entry of `order` not yet resolved
+  size_t seen = 0;  // set bits in the words before w
+  for (size_t w = 0; w < words_.size() && next < order.size(); ++w) {
+    const size_t pc = static_cast<size_t>(__builtin_popcountll(words_[w]));
+    // `word` drops its lowest set bits as the ranks inside it ascend, so
+    // its lowest remaining set bit always has rank `lowest`.
+    uint64_t word = words_[w];
+    size_t lowest = seen;
+    for (; next < order.size() && order[next].first < seen + pc; ++next) {
+      for (; lowest < order[next].first; ++lowest) word &= word - 1;
+      out[order[next].second] =
+          (w << 6) + static_cast<size_t>(__builtin_ctzll(word));
+    }
+    seen += pc;
+  }
+  return out;
 }
 
 void Bitmap::Fill(bool value) {

@@ -96,6 +96,14 @@ class Bitmap {
   /// fewer than k+1 set bits. O(words).
   size_t SelectSet(size_t k) const;
 
+  /// SelectSet for many ranks at once: out[i] is SelectSet(ranks[i]), so
+  /// the positions come back in input order and a rank past the last set
+  /// bit yields size(). Ranks may come in any order and may repeat. The
+  /// ranks are sorted and every one is resolved in a single walk over the
+  /// words with a running popcount: O(k log k + size()/64) for k ranks,
+  /// where k calls to SelectSet cost O(k * size()/64).
+  std::vector<size_t> SelectSetMany(const std::vector<size_t>& ranks) const;
+
   /// Sets all bits to `value`.
   void Fill(bool value);
 

@@ -6,8 +6,9 @@
 #include <cassert>
 #include <cmath>
 #include <queue>
-#include <unordered_set>
 #include <utility>
+
+#include "common/bitmap.h"
 
 namespace amnesia {
 
@@ -109,14 +110,14 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
     Shuffle(&out);
     return out;
   }
-  // Floyd's algorithm.
-  std::unordered_set<size_t> chosen;
-  chosen.reserve(k * 2);
+  // Floyd's algorithm. Membership is one bit per candidate: n/64 words to
+  // clear, then one bit test and set per draw.
+  Bitmap chosen(n);
   out.reserve(k);
   for (size_t j = n - k; j < n; ++j) {
     size_t t = static_cast<size_t>(UniformInt(0, static_cast<int64_t>(j)));
-    if (chosen.count(t)) t = j;
-    chosen.insert(t);
+    if (chosen.Test(t)) t = j;
+    chosen.Set(t);
     out.push_back(t);
   }
   Shuffle(&out);

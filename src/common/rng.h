@@ -80,7 +80,8 @@ class Rng {
 
   /// Samples `k` distinct indices uniformly from [0, n) without replacement.
   /// Returns fewer than k indices when k > n (all of them, shuffled).
-  /// Uses Floyd's algorithm: O(k) expected time, O(k) space.
+  /// Uses Floyd's algorithm with a bitmap of the ranks chosen so far:
+  /// O(k + n/64) time and n bits of scratch besides the k-entry output.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
   /// Samples `k` distinct indices from [0, n) with probability proportional

@@ -50,8 +50,7 @@ void GroundTruthOracle::Seal() {
   std::sort(pending_.begin(), pending_.end());
   // History values up to the batch's smallest keep their index, and so do
   // the prefix sums over them; only the suffix from `moved` is merged and
-  // re-summed. Sums accumulate in index order from the same start, so
-  // every entry is bit-identical to a full re-sort's.
+  // must be re-summed before the next aggregate.
   const size_t history_size = values_.size();
   const auto moved = static_cast<size_t>(
       std::upper_bound(values_.begin(), values_.end(), pending_.front()) -
@@ -63,19 +62,26 @@ void GroundTruthOracle::Seal() {
   std::inplace_merge(values_.begin() + static_cast<Offset>(moved),
                      values_.begin() + static_cast<Offset>(history_size),
                      values_.end());
+  summed_ = std::min(summed_, moved);
+}
+
+void GroundTruthOracle::BuildPrefixSums() {
   prefix_sum_.resize(values_.size() + 1, 0.0);
   prefix_sq_.resize(values_.size() + 1, 0.0);
-  // Running sums stay in registers: the two add chains no longer wait on
-  // a store and reload of the previous entry. Same adds, same order.
-  double sum = prefix_sum_[moved];
-  double sq = prefix_sq_[moved];
-  for (size_t i = moved; i < values_.size(); ++i) {
+  // Sums accumulate in index order from the last entry still valid, so
+  // every entry is bit-identical to a full re-sort's. Running sums stay in
+  // registers: the two add chains do not wait on a store and reload of
+  // the previous entry. Same adds, same order.
+  double sum = prefix_sum_[summed_];
+  double sq = prefix_sq_[summed_];
+  for (size_t i = summed_; i < values_.size(); ++i) {
     const double v = static_cast<double>(values_[i]);
     sum += v;
     sq += v * v;
     prefix_sum_[i + 1] = sum;
     prefix_sq_[i + 1] = sq;
   }
+  summed_ = values_.size();
 }
 
 StatusOr<uint64_t> GroundTruthOracle::CountRange(Value lo, Value hi) const {
@@ -107,12 +113,13 @@ StatusOr<Value> GroundTruthOracle::ValueAt(uint64_t i) const {
 }
 
 StatusOr<AggregateResult> GroundTruthOracle::AggregateRange(Value lo,
-                                                            Value hi) const {
+                                                            Value hi) {
   if (!sealed()) {
     return Status::FailedPrecondition("oracle has unsealed appends");
   }
   AggregateResult out;
   if (lo >= hi) return out;
+  BuildPrefixSums();
   const auto begin = values_.begin();
   const size_t first =
       static_cast<size_t>(std::lower_bound(begin, values_.end(), lo) - begin);

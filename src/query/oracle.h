@@ -10,6 +10,7 @@
 #ifndef AMNESIA_QUERY_ORACLE_H_
 #define AMNESIA_QUERY_ORACLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -25,19 +26,24 @@ class ThreadPool;  // common/thread_pool.h; kept out of this header
 /// \brief Immutable-history answer service for one column.
 ///
 /// Appends are buffered; Seal() (called once per update batch) sorts the
-/// b buffered values and merges them into the sorted history in place,
-/// then recomputes the prefix sums from the first index the merge moved.
-/// A seal costs O(b log b + s), where s is the history suffix above the
-/// batch's smallest value, and leaves the history and prefix sums
-/// bit-identical to a full re-sort's. Range counts and range aggregates
-/// then cost O(log n).
+/// b buffered values and merges them into the sorted history in place. A
+/// seal costs O(b log b + s), where s is the history suffix above the
+/// batch's smallest value, and leaves the history bit-identical to a full
+/// re-sort's. Range counts then cost O(log n).
+///
+/// Only AggregateRange reads the prefix sums, so a seal just notes the
+/// lowest index its merge moved. The first AggregateRange after one or
+/// more seals re-sums from the lowest such index, in index order from the
+/// same start, so every entry is bit-identical to a full re-sort's; later
+/// aggregates cost O(log n). A history that is never aggregated never
+/// allocates or sums them.
 class GroundTruthOracle {
  public:
   /// Records one inserted value.
   void Append(Value v);
 
-  /// Merges buffered appends into the sorted history and extends the
-  /// prefix aggregates. Idempotent.
+  /// Merges buffered appends into the sorted history and notes where the
+  /// prefix sums went stale. Idempotent.
   void Seal();
 
   /// Returns the number of values ever inserted.
@@ -54,9 +60,10 @@ class GroundTruthOracle {
   uint64_t CountRangeParallel(Value lo, Value hi, ThreadPool& pool,
                               size_t max_workers = 0) const;
 
-  /// Returns the full aggregates over values in [lo, hi).
+  /// Returns the full aggregates over values in [lo, hi). Non-const: it
+  /// first brings the prefix sums up to date with the last Seal().
   /// Precondition: Seal() since the last Append.
-  StatusOr<AggregateResult> AggregateRange(Value lo, Value hi) const;
+  StatusOr<AggregateResult> AggregateRange(Value lo, Value hi);
 
   /// Returns the i-th smallest inserted value. Used by query generators to
   /// draw anchors "over all data being inserted" (§4.2).
@@ -71,10 +78,16 @@ class GroundTruthOracle {
  private:
   bool sealed() const { return pending_.empty(); }
 
+  /// Extends the prefix sums over the sealed history from `summed_`.
+  void BuildPrefixSums();
+
   std::vector<Value> values_;   // sorted after Seal()
   std::vector<Value> pending_;  // not yet merged
+  // prefix_sum_[i] and prefix_sq_[i] cover values_[0, i); entries past
+  // `summed_` are stale until BuildPrefixSums() runs.
   std::vector<double> prefix_sum_;
   std::vector<double> prefix_sq_;
+  size_t summed_ = 0;
   Value max_seen_;
   Value min_seen_;
 };

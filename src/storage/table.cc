@@ -195,9 +195,6 @@ StatusOr<uint64_t> Table::AppendColumns(
     columns_[c].AppendMany(columns[c]);
   }
   const uint64_t old_rows = insert_tick_.size();
-  insert_tick_.reserve(old_rows + rows);
-  batch_of_.reserve(old_rows + rows);
-  access_count_.reserve(old_rows + rows);
   active_.Resize(old_rows + rows, true);
   for (size_t i = 0; i < rows; ++i) {
     insert_tick_.push_back(next_tick_++);
@@ -205,7 +202,7 @@ StatusOr<uint64_t> Table::AppendColumns(
     access_count_.push_back(0);
   }
   num_active_ += rows;
-  ++version_;
+  version_ += rows;  // as `rows` AppendRow calls would
   AMNESIA_RETURN_NOT_OK(MaybeSealTail());
   return static_cast<uint64_t>(rows);
 }

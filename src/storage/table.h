@@ -215,7 +215,12 @@ class Table {
   /// Bulk ingest: appends `columns[c][i]` as row i's column c. All inner
   /// vectors must share one length and `columns` must have num_columns()
   /// entries. Equivalent to (but much faster than) appending each row with
-  /// AppendRow. Returns the number of rows appended.
+  /// AppendRow, down to version(), which advances by the row count, so
+  /// the durability epoch a checkpoint records does not depend on the
+  /// ingest path. Returns the number of rows appended. Every per-row array
+  /// grows geometrically, never to an exact fit, so a run of bulk appends
+  /// costs amortized O(rows appended); an exact-fit reserve would copy all
+  /// per-row metadata on every call.
   StatusOr<uint64_t> AppendColumns(
       const std::vector<std::vector<Value>>& columns);
 
@@ -271,7 +276,8 @@ class Table {
   std::vector<RowId> ActiveRows() const;
 
   /// Returns the RowId of the k-th active row in storage order, or
-  /// kInvalidRow when k >= num_active(). O(num_rows()/64).
+  /// kInvalidRow when k >= num_active(). O(num_rows()/64). For many ranks
+  /// at once, active_bitmap().SelectSetMany() resolves all in one pass.
   RowId NthActiveRow(uint64_t k) const;
 
   /// Returns the largest value ever appended to column `col` — the paper's

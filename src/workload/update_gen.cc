@@ -2,6 +2,8 @@
 
 #include "workload/update_gen.h"
 
+#include <numeric>
+
 namespace amnesia {
 
 namespace {
@@ -14,15 +16,18 @@ StatusOr<std::vector<RowId>> AppendGenerated(Table* table,
     return Status::InvalidArgument(
         "workload ingest drives single-column tables");
   }
-  std::vector<RowId> rows;
-  rows.reserve(count);
-  std::vector<Value> row(1);
+  // Values are drawn in row order, which every seeded run depends on; the
+  // table then takes the whole batch in one bulk append.
+  std::vector<std::vector<Value>> columns(1);
+  std::vector<Value>& batch = columns[0];
+  batch.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    row[0] = gen->Next(rng);
-    AMNESIA_ASSIGN_OR_RETURN(RowId r, table->AppendRow(row));
-    oracle->Append(row[0]);
-    rows.push_back(r);
+    batch.push_back(gen->Next(rng));
+    oracle->Append(batch.back());
   }
+  std::vector<RowId> rows(count);
+  std::iota(rows.begin(), rows.end(), table->num_rows());
+  AMNESIA_RETURN_NOT_OK(table->AppendColumns(columns).status());
   oracle->Seal();
   return rows;
 }

@@ -167,6 +167,68 @@ TEST(UniformPolicyTest, EveryActiveTupleEquallyAtRisk) {
   }
 }
 
+// Victims resolved in one bitmap pass must equal a per-pick NthActiveRow
+// over the same draws, in pick order, on tables with holes of every shape.
+TEST(UniformPolicyTest, OnePassSelectionMatchesPerPickLookup) {
+  UniformPolicy uniform;
+  auto check = [&](const Table& t, size_t k, uint64_t seed) {
+    Rng rng(seed);
+    Rng twin(seed);
+    const std::vector<RowId> got = uniform.SelectVictims(t, k, &rng).value();
+    std::vector<RowId> want;
+    for (size_t p : twin.SampleWithoutReplacement(
+             static_cast<size_t>(t.num_active()), k)) {
+      want.push_back(t.NthActiveRow(p));
+    }
+    ASSERT_EQ(got, want) << "k " << k << " seed " << seed;
+    EXPECT_EQ(rng.NextU64(), twin.NextU64());  // same draws consumed
+  };
+  auto forget_if = [](Table* t, auto&& pred) {
+    for (RowId r = 0; r < t->num_rows(); ++r) {
+      if (pred(r)) {
+        ASSERT_TRUE(t->Forget(r).ok());
+      }
+    }
+  };
+
+  std::vector<Table> tables;
+  tables.push_back(MakeSequentialTable(1000));  // scattered forgotten rows
+  forget_if(&tables.back(),
+            [](RowId r) { return r % 7 == 3 || r % 11 == 0; });
+  tables.push_back(MakeSequentialTable(1000));  // whole empty words
+  forget_if(&tables.back(), [](RowId r) { return r >= 64 && r < 448; });
+  tables.push_back(MakeSequentialTable(1000));  // a forgotten half
+  forget_if(&tables.back(), [](RowId r) { return r < 500; });
+  tables.push_back(MakeSequentialTable(1000));  // nearly empty
+  forget_if(&tables.back(), [](RowId r) { return r != 5 && r != 999; });
+  for (const Table& t : tables) {
+    const size_t active = static_cast<size_t>(t.num_active());
+    for (size_t k : {size_t{0}, size_t{1}, active / 2, active, active + 5}) {
+      check(t, k, 7 + k);
+    }
+  }
+
+  // Randomized tables: random size, random forgotten rows (sometimes in
+  // runs that empty whole words), random k up to past the population.
+  Rng shape(20261017);
+  for (int round = 0; round < 200; ++round) {
+    Table t = MakeSequentialTable(
+        static_cast<size_t>(shape.UniformInt(1, 700)));
+    const double drop = shape.NextDouble();
+    const RowId run_begin = static_cast<RowId>(
+        shape.UniformInt(0, static_cast<int64_t>(t.num_rows())));
+    const RowId run_end =
+        run_begin + static_cast<RowId>(shape.UniformInt(0, 200));
+    forget_if(&t, [&](RowId r) {
+      return (r >= run_begin && r < run_end) || shape.NextDouble() < drop;
+    });
+    const int64_t active = static_cast<int64_t>(t.num_active());
+    check(t, static_cast<size_t>(shape.UniformInt(0, active + 5)),
+          shape.NextU64());
+    check(t, static_cast<size_t>(active), shape.NextU64());
+  }
+}
+
 // ------------------------------------------------------------ Anterograde
 
 TEST(AnterogradePolicyTest, PrefersRecentTuples) {

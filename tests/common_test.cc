@@ -182,6 +182,38 @@ TEST(BitmapTest, SelectSet) {
   EXPECT_EQ(b.SelectSet(3), b.size());  // out of population
 }
 
+TEST(BitmapTest, SelectSetManyMatchesSelectSetInInputOrder) {
+  // 300 bits: word 0 sparse, words 1 and 2 all zero, word 3 dense, and a
+  // partial last word (bits 256..299) holding the last set bit.
+  Bitmap b(300);
+  for (size_t i : {0u, 5u, 63u}) b.Set(i);
+  for (size_t i = 192; i < 256; i += 2) b.Set(i);
+  for (size_t i : {256u, 270u, 299u}) b.Set(i);
+  const size_t population = b.CountSet();
+  ASSERT_EQ(population, 38u);
+
+  // Unsorted, repeated, first (0) and last (population - 1) set bits, the
+  // first rank past the all-zero words (3), ranks inside the partial last
+  // word, and ranks past the end.
+  const std::vector<size_t> ranks = {37, 3,  0,  population, 36, 2, 3,
+                                     35, 1,  20, 1000,       34, 4};
+  const std::vector<size_t> got = b.SelectSetMany(ranks);
+  ASSERT_EQ(got.size(), ranks.size());
+  for (size_t i = 0; i < ranks.size(); ++i) {
+    EXPECT_EQ(got[i], b.SelectSet(ranks[i])) << "rank " << ranks[i];
+  }
+  EXPECT_EQ(got[0], 299u);      // last set bit
+  EXPECT_EQ(got[1], 192u);      // first set bit after the zero words
+  EXPECT_EQ(got[2], 0u);        // first set bit
+  EXPECT_EQ(got[3], b.size());  // one past the population
+  EXPECT_EQ(got[4], 270u);      // inside the partial last word
+  EXPECT_EQ(got[10], b.size());
+
+  EXPECT_TRUE(b.SelectSetMany({}).empty());
+  EXPECT_EQ(Bitmap(130).SelectSetMany({0, 5}),
+            (std::vector<size_t>{130, 130}));  // no set bits at all
+}
+
 TEST(BitmapTest, ResizeKeepsPrefixAndFillsNewBits) {
   Bitmap b(10);
   b.Set(5);

@@ -307,52 +307,71 @@ TEST(OracleTest, MergeOnSealMatchesAFullResortBitForBit) {
   // minimum or above its maximum, and values large enough that double
   // sums round, so any change in summation order shows in the bits. The
   // first seal lands on an empty history.
-  GroundTruthOracle oracle;
-  ResortedHistory reference;
-  Rng rng(20260417);
-  constexpr Value kHuge = Value{1} << 60;
-  for (int seal = 0; seal < 300; ++seal) {
-    const int shape = seal == 0 ? 0 : static_cast<int>(rng.UniformInt(0, 5));
-    const int n = static_cast<int>(rng.UniformInt(1, 40));
-    const Value equal = rng.UniformInt(-20, 20);
-    for (int i = 0; i < n; ++i) {
-      Value v = 0;
-      switch (shape) {
-        case 0: v = rng.UniformInt(-20, 20); break;   // duplicates, negatives
-        case 1: v = equal; break;                     // all equal
-        case 2: v = oracle.min_seen() - rng.UniformInt(1, 1000); break;
-        case 3: v = oracle.max_seen() + rng.UniformInt(1, 1000); break;
-        case 4: v = rng.UniformInt(-kHuge, kHuge); break;  // sums round
-        default: v = rng.UniformInt(-1000, 1000); break;
+  //
+  // Prefix sums are built only when an aggregate asks, from the lowest
+  // index any seal moved since the last build. The first pass aggregates
+  // after every seal; the second only after a random subset of seals,
+  // none in the first 20 and then gaps of 1-6 seals, so one build spans
+  // several merges. ValueAt and CountRange are checked after every seal.
+  for (const bool every_seal : {true, false}) {
+    GroundTruthOracle oracle;
+    ResortedHistory reference;
+    Rng rng(20260417);
+    Rng schedule(20261017);
+    int next_aggregate = every_seal ? 0 : 20;
+    constexpr Value kHuge = Value{1} << 60;
+    for (int seal = 0; seal < 300; ++seal) {
+      const int shape =
+          seal == 0 ? 0 : static_cast<int>(rng.UniformInt(0, 5));
+      const int n = static_cast<int>(rng.UniformInt(1, 40));
+      const Value equal = rng.UniformInt(-20, 20);
+      for (int i = 0; i < n; ++i) {
+        Value v = 0;
+        switch (shape) {
+          case 0: v = rng.UniformInt(-20, 20); break;  // duplicates, negatives
+          case 1: v = equal; break;                    // all equal
+          case 2: v = oracle.min_seen() - rng.UniformInt(1, 1000); break;
+          case 3: v = oracle.max_seen() + rng.UniformInt(1, 1000); break;
+          case 4: v = rng.UniformInt(-kHuge, kHuge); break;  // sums round
+          default: v = rng.UniformInt(-1000, 1000); break;
+        }
+        oracle.Append(v);
+        reference.Append(v);
       }
-      oracle.Append(v);
-      reference.Append(v);
-    }
-    oracle.Seal();
-    reference.Resort();
+      oracle.Seal();
+      reference.Resort();
+      const bool aggregate = seal == next_aggregate;
+      if (aggregate) {
+        next_aggregate += every_seal ? 1 : static_cast<int>(
+                                               schedule.UniformInt(1, 6));
+      }
 
-    const std::vector<Value>& values = reference.values();
-    ASSERT_EQ(oracle.size(), values.size());
-    for (uint64_t i = 0; i < values.size(); ++i) {
-      ASSERT_EQ(oracle.ValueAt(i).value(), values[i]) << "seal " << seal;
-    }
-    for (int q = 0; q < 20; ++q) {
-      Value lo = values[rng.UniformIndex(values.size())];
-      Value hi = values[rng.UniformIndex(values.size())];
-      if (q % 4 == 0) hi = lo + rng.UniformInt(-2, 3);  // narrow or empty
-      if (q == 0) {
-        lo = std::numeric_limits<Value>::min();
-        hi = std::numeric_limits<Value>::max();
+      const std::vector<Value>& values = reference.values();
+      ASSERT_EQ(oracle.size(), values.size());
+      for (uint64_t i = 0; i < values.size(); ++i) {
+        ASSERT_EQ(oracle.ValueAt(i).value(), values[i]) << "seal " << seal;
       }
-      const AggregateResult got = oracle.AggregateRange(lo, hi).value();
-      const AggregateResult want = reference.Aggregate(lo, hi);
-      ASSERT_EQ(got.count, want.count) << "seal " << seal << " q " << q;
-      EXPECT_EQ(Bits(got.sum), Bits(want.sum)) << "seal " << seal;
-      EXPECT_EQ(Bits(got.avg), Bits(want.avg)) << "seal " << seal;
-      EXPECT_EQ(Bits(got.min), Bits(want.min)) << "seal " << seal;
-      EXPECT_EQ(Bits(got.max), Bits(want.max)) << "seal " << seal;
-      EXPECT_EQ(Bits(got.variance), Bits(want.variance)) << "seal " << seal;
-      EXPECT_EQ(oracle.CountRange(lo, hi).value(), want.count);
+      for (int q = 0; q < 20; ++q) {
+        Value lo = values[rng.UniformIndex(values.size())];
+        Value hi = values[rng.UniformIndex(values.size())];
+        if (q % 4 == 0) hi = lo + rng.UniformInt(-2, 3);  // narrow or empty
+        if (q == 0) {
+          lo = std::numeric_limits<Value>::min();
+          hi = std::numeric_limits<Value>::max();
+        }
+        const AggregateResult want = reference.Aggregate(lo, hi);
+        EXPECT_EQ(oracle.CountRange(lo, hi).value(), want.count)
+            << "seal " << seal << " q " << q;
+        if (!aggregate) continue;
+        const AggregateResult got = oracle.AggregateRange(lo, hi).value();
+        ASSERT_EQ(got.count, want.count) << "seal " << seal << " q " << q;
+        EXPECT_EQ(Bits(got.sum), Bits(want.sum)) << "seal " << seal;
+        EXPECT_EQ(Bits(got.avg), Bits(want.avg)) << "seal " << seal;
+        EXPECT_EQ(Bits(got.min), Bits(want.min)) << "seal " << seal;
+        EXPECT_EQ(Bits(got.max), Bits(want.max)) << "seal " << seal;
+        EXPECT_EQ(Bits(got.variance), Bits(want.variance))
+            << "seal " << seal;
+      }
     }
   }
 }

@@ -169,6 +169,59 @@ TEST(RngTest, SampleWithoutReplacementOverask) {
   EXPECT_TRUE(rng.SampleWithoutReplacement(5, 0).empty());
 }
 
+// The sampler's exact output is part of every seeded experiment: uniform
+// victim choice, and with it the journal, the digests and the on-disk
+// files, follows from it. Any change to how the sampler tracks chosen
+// ranks must reproduce these samples and leave the generator in the same
+// state.
+TEST(RngTest, SampleWithoutReplacementSequenceIsPinned) {
+  // FNV-1a over the sampled indices, for the samples too long to list.
+  auto fnv = [](const std::vector<size_t>& sample) {
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (size_t s : sample) {
+      h ^= static_cast<uint64_t>(s);
+      h *= 0x100000001b3ull;
+    }
+    return h;
+  };
+  struct Pinned {
+    uint64_t seed;
+    size_t n, k;
+    std::vector<size_t> head;  // the first entries of the sample
+    size_t size;
+    uint64_t fnv;
+    uint64_t next;  // the generator's next output after sampling
+  };
+  const Pinned cases[] = {
+      {1, 10, 3, {5, 9, 4}, 3, 0xae1c451853a1399dull, 0x24c123126ffda722ull},
+      {7, 100, 20, {13, 99, 24, 35, 53, 49, 45, 5, 42, 93, 75, 69, 9, 56, 22,
+                    67, 84, 15, 87, 82},
+       20, 0xa8b5363ad9436afbull, 0xfbb791ae9afdb47aull},
+      {2026, 64, 63, {50, 5, 62, 9, 21, 49, 58, 39}, 63,
+       0xecb4bef00a53ab3eull, 0x5e709709136fcff7ull},
+      {42, 5000, 2500, {1931, 258, 4314, 263, 2001, 4996, 4916, 4733}, 2500,
+       0x8098712724e7ca60ull, 0x4b77d3ba01db1bb4ull},
+      {5, 1000000, 10,
+       {602077, 288408, 503888, 808659, 516711, 821545, 784520, 362536,
+        649542, 380942},
+       10, 0x2d2b38f8b559a0c1ull, 0xb850737f0583768full},
+      // k >= n: the whole population, shuffled.
+      {11, 6, 9, {2, 3, 5, 4, 0, 1}, 6, 0x9b0017b41e3d1a88ull,
+       0x4e820951419a2d8full},
+      {99, 5000, 5000, {3329, 1439, 773, 3229, 3797, 4701, 4484, 3648}, 5000,
+       0x6bc2c35f1683682bull, 0x8fc128d7c0132585ull},
+  };
+  for (const Pinned& c : cases) {
+    Rng rng(c.seed);
+    const std::vector<size_t> sample = rng.SampleWithoutReplacement(c.n, c.k);
+    ASSERT_EQ(sample.size(), c.size) << "seed " << c.seed;
+    EXPECT_TRUE(std::equal(c.head.begin(), c.head.end(), sample.begin()))
+        << "seed " << c.seed;
+    EXPECT_EQ(fnv(sample), c.fnv) << "seed " << c.seed;
+    EXPECT_EQ(rng.NextU64(), c.next) << "seed " << c.seed;
+  }
+}
+
 TEST(RngTest, SampleWithoutReplacementIsUnbiased) {
   Rng rng(31);
   std::vector<int> hits(10, 0);

@@ -195,27 +195,64 @@ TEST(ShardedTableTest, CompactForgottenIsShardLocal) {
 // ------------------------------------------------------- bulk ingest
 
 TEST(AppendColumnsTest, TableBulkMatchesRowAtATime) {
-  Table bulk = Table::Make(TestSchema()).value();
-  Table serial = Table::Make(TestSchema()).value();
-  Rng rng(11);
-  std::vector<Value> values;
-  for (int i = 0; i < 500; ++i) values.push_back(rng.UniformInt(0, 1000));
+  // Vector storage, then mapped storage with 64-row partitions. Batches
+  // start mid-partition, and the 500-, 150- and 200-row calls each cross
+  // at least two seal boundaries in one bulk append.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "amnesia_bulk_append_test";
+  for (const bool mapped : {false, true}) {
+    std::filesystem::remove_all(dir);
+    StorageOptions bulk_storage;
+    StorageOptions serial_storage;
+    if (mapped) {
+      for (StorageOptions* storage : {&bulk_storage, &serial_storage}) {
+        storage->backend = StorageBackend::kMapped;
+        storage->partition_rows = 64;
+      }
+      bulk_storage.dir = (dir / "bulk").string();
+      serial_storage.dir = (dir / "serial").string();
+      std::filesystem::create_directories(bulk_storage.dir);
+      std::filesystem::create_directories(serial_storage.dir);
+    }
+    Table bulk = Table::Make(TestSchema(), bulk_storage).value();
+    Table serial = Table::Make(TestSchema(), serial_storage).value();
+    Rng rng(11);
+    uint64_t appended = 0;
+    for (const size_t batch_rows : {500u, 150u, 3u, 64u, 200u, 1u, 129u}) {
+      std::vector<Value> values;
+      for (size_t i = 0; i < batch_rows; ++i) {
+        values.push_back(rng.UniformInt(0, 1000));
+      }
+      serial.BeginBatch();
+      bulk.BeginBatch();
+      for (Value v : values) ASSERT_TRUE(serial.AppendRow({v}).ok());
+      ASSERT_EQ(bulk.AppendColumns({values}).value(), batch_rows);
+      appended += batch_rows;
+    }
 
-  serial.BeginBatch();
-  bulk.BeginBatch();
-  for (Value v : values) ASSERT_TRUE(serial.AppendRow({v}).ok());
-  ASSERT_EQ(bulk.AppendColumns({values}).value(), 500u);
-
-  ASSERT_EQ(bulk.num_rows(), serial.num_rows());
-  EXPECT_EQ(bulk.num_active(), serial.num_active());
-  EXPECT_EQ(bulk.min_seen(0), serial.min_seen(0));
-  EXPECT_EQ(bulk.max_seen(0), serial.max_seen(0));
-  for (RowId r = 0; r < bulk.num_rows(); ++r) {
-    ASSERT_EQ(bulk.value(0, r), serial.value(0, r));
-    ASSERT_EQ(bulk.insert_tick(r), serial.insert_tick(r));
-    ASSERT_EQ(bulk.batch_of(r), serial.batch_of(r));
-    ASSERT_TRUE(bulk.IsActive(r));
+    ASSERT_EQ(bulk.num_rows(), appended);
+    ASSERT_EQ(bulk.num_rows(), serial.num_rows());
+    EXPECT_EQ(bulk.num_active(), serial.num_active());
+    EXPECT_EQ(bulk.version(), serial.version());  // the checkpoint epoch
+    EXPECT_EQ(bulk.min_seen(0), serial.min_seen(0));
+    EXPECT_EQ(bulk.max_seen(0), serial.max_seen(0));
+    for (RowId r = 0; r < bulk.num_rows(); ++r) {
+      ASSERT_EQ(bulk.value(0, r), serial.value(0, r));
+      ASSERT_EQ(bulk.insert_tick(r), serial.insert_tick(r));
+      ASSERT_EQ(bulk.batch_of(r), serial.batch_of(r));
+      ASSERT_TRUE(bulk.IsActive(r));
+    }
+    EXPECT_EQ(CheckpointTable(bulk), CheckpointTable(serial))
+        << (mapped ? "mapped" : "vector");
+    ASSERT_EQ(bulk.partitions().size(), serial.partitions().size());
+    EXPECT_EQ(bulk.partitions().size(), mapped ? appended / 64 : 0u);
+    for (size_t p = 0; p < bulk.partitions().size(); ++p) {
+      EXPECT_EQ(bulk.partitions()[p].epoch_lo, serial.partitions()[p].epoch_lo);
+      EXPECT_EQ(bulk.partitions()[p].epoch_hi, serial.partitions()[p].epoch_hi);
+      EXPECT_EQ(bulk.partitions()[p].dropped, serial.partitions()[p].dropped);
+    }
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(AppendColumnsTest, ValidatesArityAndRaggedness) {
