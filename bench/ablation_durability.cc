@@ -6,11 +6,11 @@
 //   none        no checkpoints (the loop's floor),
 //   foreground  CheckpointTable-style synchronous serialize+write on the
 //               loop thread (the pre-durability-subsystem behavior),
-//   async       snapshot-on-version capture on the loop thread, blob
-//               serialization + I/O on the background writer.
+//   async       capture on the loop thread (each shard's Table::ToParts
+//               image), blob encoding + I/O on the background writer.
 // The headline number is the caller stall: time the loop thread spends
-// blocked inside Checkpoint(). Async pays only the capture (a memcpy of
-// changed shards), so it stalls measurably less than the foreground
+// blocked inside Checkpoint(). Async pays only the capture (a flat copy
+// of every shard), so it stalls measurably less than the foreground
 // writer even on one hardware thread. After the async run the checkpoint
 // directory is recovered (manifest + event-log tail replay) and the
 // result is cross-checked bit-identical against the live table.
@@ -289,9 +289,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\nExpected shape: the foreground writer stalls the loop for the\n"
       "full serialize+write of every checkpoint; async pays only the\n"
-      "snapshot capture (a memcpy of changed shards, shrunk further by\n"
-      "copy-on-write tails and epoch-skipped shards), so the stall ratio\n"
-      "stays well above 1 even on one hardware thread. Recovery restores\n"
+      "capture (a flat copy of every shard's image), so the stall ratio\n"
+      "stays above 1 even on one hardware thread. Recovery restores\n"
       "the newest manifest and replays the event-log tail; the recovered\n"
       "table is cross-checked bit-identical against the live one on\n"
       "every run.\n");

@@ -288,7 +288,6 @@ BackgroundCheckpointer::~BackgroundCheckpointer() {
 BackgroundCheckpointer::BackgroundCheckpointer(
     BackgroundCheckpointer&& other) noexcept
     : shared_(std::move(other.shared_)),
-      snapshots_(std::move(other.snapshots_)),
       next_checkpoint_id_(other.next_checkpoint_id_),
       inflight_(std::move(other.inflight_)) {
   // Safe even mid-flight: the writer thread co-owns the Shared block and
@@ -503,8 +502,8 @@ Status BackgroundCheckpointer::WriteSnapshot(
   // entry, so nothing keeps the cached blob alive through retention GC.
   // Drop the cache: the next tiered checkpoint must write fresh bytes
   // rather than reference a file GC may have deleted.
-  if (snapshot.cold == nullptr) durable_cold = ManifestBlob{};
-  if (snapshot.summaries == nullptr) durable_summary = ManifestBlob{};
+  if (!snapshot.cold) durable_cold = ManifestBlob{};
+  if (!snapshot.summaries) durable_summary = ManifestBlob{};
 
   Manifest manifest;
   manifest.id = checkpoint_id;
@@ -514,13 +513,13 @@ Status BackgroundCheckpointer::WriteSnapshot(
 
   CheckpointerStats delta;
 
-  // Serialize the shards whose epoch advanced, concurrently on the pool
-  // when one is given. The writing thread is never a pool worker, so
-  // waiting on the futures is safe.
+  // Encode the shards whose epoch advanced, concurrently on the pool when
+  // one is given. The writing thread is never a pool worker, so waiting on
+  // the futures is safe.
   std::vector<size_t> to_write;
   for (size_t s = 0; s < num_shards; ++s) {
     if (!durable_shards[s].filename.empty() &&
-        durable_shards[s].epoch == snapshot.shards[s]->epoch) {
+        durable_shards[s].epoch == snapshot.shards[s].epoch) {
       manifest.shards[s] = durable_shards[s];
       ++delta.shards_skipped;
     } else {
@@ -529,19 +528,20 @@ Status BackgroundCheckpointer::WriteSnapshot(
   }
   const std::vector<std::vector<uint8_t>> blobs = SerializeBlobs(
       options.pool, num_shards, to_write, [&snapshot](size_t s) {
-        return SerializeShardSnapshot(*snapshot.shards[s]);
+        return EncodeTableParts(snapshot.shards[s].image);
       });
 
   for (size_t s : to_write) {
+    const Table::Parts& image = snapshot.shards[s].image;
     ManifestShard entry;
-    entry.epoch = snapshot.shards[s]->epoch;
+    entry.epoch = snapshot.shards[s].epoch;
     entry.filename = BlobName(checkpoint_id, s);
     entry.size = blobs[s].size();
     entry.crc32 = ckpt::Crc32(blobs[s]);
-    if (snapshot.shards[s]->mapped) {
-      entry.storage_dir = snapshot.shards[s]->storage_dir;
-      entry.partition_rows = snapshot.shards[s]->partition_rows;
-      for (const PartitionMeta& p : snapshot.shards[s]->partitions) {
+    if (image.storage.backend == StorageBackend::kMapped) {
+      entry.storage_dir = image.storage.dir;
+      entry.partition_rows = image.storage.partition_rows;
+      for (const PartitionMeta& p : image.partitions) {
         if (!p.dropped) {
           entry.partitions.push_back(PartitionDirName(p.epoch_lo, p.epoch_hi));
         }
@@ -560,14 +560,14 @@ Status BackgroundCheckpointer::WriteSnapshot(
 
   // Tier blobs, captured in the same pass as the shards and committed by
   // the same manifest, so table and tiers commit atomically.
-  if (snapshot.cold != nullptr) {
+  if (snapshot.cold) {
     AMNESIA_RETURN_NOT_OK(WriteTierBlob(
         options.dir, CheckpointColdStore(*snapshot.cold),
         TierBlobName(checkpoint_id, "cold"), &manifest.cold, &durable_cold,
         &delta.bytes_written, &delta.tier_blobs_written,
         &delta.tier_blobs_skipped));
   }
-  if (snapshot.summaries != nullptr) {
+  if (snapshot.summaries) {
     AMNESIA_RETURN_NOT_OK(WriteTierBlob(
         options.dir, CheckpointSummaryStore(*snapshot.summaries),
         TierBlobName(checkpoint_id, "summary"), &manifest.summary,
@@ -652,12 +652,23 @@ Status BackgroundCheckpointer::Checkpoint(const TableShards& table,
   // here keeps the Status chain unbroken in async mode.
   AMNESIA_RETURN_NOT_OK(WaitIdle());
 
-  TableSnapshot snapshot = [&] {
+  TableSnapshot snapshot;
+  {
     obs::TraceScope capture_trace(
         "checkpoint.capture",
         obs::EngineMetrics::Get().checkpoint_capture_ns);
-    return snapshots_.Capture(table, tiers);
-  }();
+    snapshot.ingest_cursor = table.ingest_cursor();
+    snapshot.shards.reserve(table.num_shards());
+    for (uint32_t s = 0; s < table.num_shards(); ++s) {
+      const Table& shard = table.shard(s);
+      snapshot.shards.push_back(TableSnapshot::Shard{
+          shard.version() + shard.access_epoch(), shard.ToParts()});
+    }
+    // Tier copies in the same pass: the caller holds mutations off for
+    // the whole capture, so table and tiers are one consistent cut.
+    if (tiers.cold != nullptr) snapshot.cold = *tiers.cold;
+    if (tiers.summaries != nullptr) snapshot.summaries = *tiers.summaries;
+  }
   const uint64_t id = next_checkpoint_id_++;
 
   if (!shared_->options.async) {

@@ -1,13 +1,14 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
 // Background checkpoint writer and crash recovery. A checkpoint is a set
-// of per-shard blobs (CheckpointTable format, produced from SnapshotManager
-// captures), optional cold/summary tier blobs captured in the same pass,
-// plus a manifest that names them all; the manifest commits atomically via
-// rename, and a CURRENT file points at the newest one. Incremental
-// checkpoints skip shards whose durability epoch has not advanced since
-// the last durable write (and tier blobs whose bytes did not change): the
-// new manifest references the existing blob file.
+// of per-shard blobs, optional cold/summary tier blobs and a manifest that
+// names them all. Checkpoint() captures on the caller: each shard's image
+// (Table::ToParts) and copies of the tiers, in one pass. The writer
+// encodes each image (EncodeTableParts) and commits the manifest
+// atomically via rename; a CURRENT file points at the newest one.
+// Incremental checkpoints skip writing shards whose durability epoch has
+// not advanced since the last durable write (and tier blobs whose bytes
+// did not change): the new manifest references the existing blob file.
 //
 // Directory layout:
 //   <dir>/ckpt-<id>-shard-<s>.blob  one shard at one epoch (immutable)
@@ -51,13 +52,21 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "durability/event_log.h"
-#include "durability/snapshot.h"
 #include "storage/cold_store.h"
 #include "storage/sharded_table.h"
 #include "storage/summary_store.h"
 #include "storage/table.h"
 
 namespace amnesia {
+
+/// \brief The forgetting tiers a checkpoint covers alongside the table.
+/// Null members are simply absent from the capture (and from the
+/// manifest): runs whose backend never routes tuples into a tier need not
+/// checkpoint one.
+struct TierSet {
+  const ColdStore* cold = nullptr;
+  const SummaryStore* summaries = nullptr;
+};
 
 /// \brief One shard entry of a checkpoint manifest.
 struct ManifestShard {
@@ -182,7 +191,7 @@ struct CheckpointerStats {
   double write_ms = 0.0;           ///< Serialize+write time (either thread).
 };
 
-/// \brief Writes versioned snapshots to disk, asynchronously by default.
+/// \brief Writes table checkpoints to disk, asynchronously by default.
 ///
 /// One checkpoint may be in flight at a time; a second Checkpoint() call
 /// first waits for the previous write to commit (counted as caller
@@ -207,10 +216,11 @@ class BackgroundCheckpointer {
   BackgroundCheckpointer(const BackgroundCheckpointer&) = delete;
   BackgroundCheckpointer& operator=(const BackgroundCheckpointer&) = delete;
 
-  /// Captures a snapshot of every shard of `table` plus `tiers` (cheap, on
-  /// the caller) and commits it covering the first `covered_lsn` events of
-  /// the log. One signature serves either table shape: a Table converts
-  /// implicitly as the one-shard case, a ShardedTable as its shard list.
+  /// Captures every shard of `table` (its Table::ToParts() image) plus
+  /// copies of `tiers` on the caller, and commits them covering the first
+  /// `covered_lsn` events of the log. One signature serves either table
+  /// shape: a Table converts implicitly as the one-shard case, a
+  /// ShardedTable as its shard list.
   /// In async mode the serialize+write happens in the background and this
   /// returns immediately; errors surface from the next
   /// Checkpoint()/WaitIdle().
@@ -235,11 +245,6 @@ class BackgroundCheckpointer {
   };
   Health health() const;
 
-  /// Returns the snapshot capture accounting of the last Checkpoint().
-  const CaptureStats& last_capture_stats() const {
-    return snapshots_.last_stats();
-  }
-
   /// Returns the options.
   const CheckpointerOptions& options() const { return shared_->options; }
 
@@ -263,20 +268,35 @@ class BackgroundCheckpointer {
     uint64_t last_durable_lsn = 0;
   };
 
+  /// One capture of a whole table plus its tiers, taken in one pass: the
+  /// atomic unit a manifest commits under one covered LSN. The writer owns
+  /// it; nothing of it is kept between checkpoints.
+  struct TableSnapshot {
+    /// One shard's image and its durability epoch at capture
+    /// (Table::version() + Table::access_epoch()).
+    struct Shard {
+      uint64_t epoch = 0;
+      Table::Parts image;
+    };
+    uint64_t ingest_cursor = 0;
+    std::vector<Shard> shards;
+    std::optional<ColdStore> cold;          ///< Set iff the tier was given.
+    std::optional<SummaryStore> summaries;  ///< Set iff the tier was given.
+  };
+
   explicit BackgroundCheckpointer(const CheckpointerOptions& options)
       : shared_(std::make_shared<Shared>()) {
     shared_->options = options;
   }
 
-  /// Serializes and writes one captured snapshot, commits the manifest,
-  /// then runs retention GC. Runs on the caller (sync) or the writer
-  /// thread (async); touches only `shared`, never the checkpointer.
+  /// Encodes and writes one capture, commits the manifest, then runs
+  /// retention GC. Runs on the caller (sync) or the writer thread (async);
+  /// touches only `shared`, never the checkpointer.
   static Status WriteSnapshot(const std::shared_ptr<Shared>& shared,
                               TableSnapshot snapshot, uint64_t covered_lsn,
                               uint64_t checkpoint_id);
 
   std::shared_ptr<Shared> shared_;
-  SnapshotManager snapshots_;        // caller thread only
   uint64_t next_checkpoint_id_ = 1;  // caller thread only
   std::thread inflight_;
 };

@@ -49,9 +49,11 @@ struct EngineMetrics {
 
   // --- event log --------------------------------------------------------
   Counter* log_appends;         // events appended (both formats)
-  Counter* log_fsyncs;          // flush+fsync calls actually issued
+  // Journal flushes to the page cache (fflush); only a segment seal also
+  // fsyncs. It keeps the name "log.fsyncs", which existing readers use.
+  Counter* log_fsyncs;
   Counter* log_truncations;     // TruncateBefore compactions
-  Histogram* log_batch_size;    // appends covered by each group-commit fsync
+  Histogram* log_batch_size;    // appends covered by each journal flush
 
   // --- mapped storage ---------------------------------------------------
   Counter* storage_partitions_created;  // partitions sealed to mapped files

@@ -3,36 +3,11 @@
 #include "query/oracle.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <limits>
 #include <vector>
 
-#include "common/thread_pool.h"
-
 namespace amnesia {
-
-namespace {
-
-/// Morsel size for parallel history scans; matches the table scan default.
-constexpr uint64_t kOracleMorselRows = uint64_t{1} << 16;
-
-uint64_t CountSlice(const std::vector<Value>& values, Value lo, Value hi,
-                    ThreadPool& pool, size_t max_workers) {
-  std::atomic<uint64_t> total{0};
-  pool.ParallelFor(0, values.size(), kOracleMorselRows, max_workers,
-                   [&](uint64_t begin, uint64_t end) {
-                     uint64_t local = 0;
-                     for (uint64_t i = begin; i < end; ++i) {
-                       const Value v = values[i];
-                       if (v >= lo && v < hi) ++local;
-                     }
-                     total.fetch_add(local, std::memory_order_relaxed);
-                   });
-  return total.load();
-}
-
-}  // namespace
 
 void GroundTruthOracle::Append(Value v) {
   if (values_.empty() && pending_.empty()) {
@@ -92,14 +67,6 @@ StatusOr<uint64_t> GroundTruthOracle::CountRange(Value lo, Value hi) const {
   const auto first = std::lower_bound(values_.begin(), values_.end(), lo);
   const auto last = std::lower_bound(values_.begin(), values_.end(), hi);
   return static_cast<uint64_t>(last - first);
-}
-
-uint64_t GroundTruthOracle::CountRangeParallel(Value lo, Value hi,
-                                               ThreadPool& pool,
-                                               size_t max_workers) const {
-  if (lo >= hi) return 0;
-  return CountSlice(values_, lo, hi, pool, max_workers) +
-         CountSlice(pending_, lo, hi, pool, max_workers);
 }
 
 StatusOr<Value> GroundTruthOracle::ValueAt(uint64_t i) const {

@@ -21,8 +21,6 @@
 
 namespace amnesia {
 
-class ThreadPool;  // common/thread_pool.h; kept out of this header
-
 /// \brief Immutable-history answer service for one column.
 ///
 /// Appends are buffered; Seal() (called once per update batch) sorts the
@@ -52,13 +50,6 @@ class GroundTruthOracle {
   /// Returns how many inserted values fall in [lo, hi).
   /// Precondition: Seal() since the last Append.
   StatusOr<uint64_t> CountRange(Value lo, Value hi) const;
-
-  /// Morsel-parallel CountRange over the raw (sealed + pending) history
-  /// on `pool` — no Seal() precondition, always exact. Use it to probe an
-  /// unsealed history mid-batch without paying Seal()'s merge; once
-  /// sealed, the O(log n) CountRange path is strictly faster.
-  uint64_t CountRangeParallel(Value lo, Value hi, ThreadPool& pool,
-                              size_t max_workers = 0) const;
 
   /// Returns the full aggregates over values in [lo, hi). Non-const: it
   /// first brings the prefix sums up to date with the last Seal().

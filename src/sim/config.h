@@ -72,16 +72,16 @@ struct SimulationConfig {
 
   /// Durability (src/durability): when > 0, the simulator journals every
   /// ingest and forget-pass outcome to an event log under
-  /// `checkpoint_dir` and commits a versioned snapshot checkpoint every N
-  /// rounds (plus one right after the initial load, so recovery always
-  /// has a manifest). 0 disables durability entirely.
+  /// `checkpoint_dir` and commits a checkpoint every N rounds (plus one
+  /// right after the initial load, so recovery always has a manifest). 0
+  /// disables durability entirely.
   uint32_t checkpoint_every_n_batches = 0;
   /// Directory for checkpoint blobs, manifests and the event log.
   /// Required when checkpoint_every_n_batches > 0.
   std::string checkpoint_dir;
-  /// true: snapshot-on-version capture on the simulation thread, blob
-  /// serialization and I/O on a background writer. false: the whole
-  /// checkpoint runs on the simulation thread (the foreground baseline).
+  /// true: capture on the simulation thread, blob encoding and I/O on a
+  /// background writer. false: the whole checkpoint runs on the
+  /// simulation thread (the foreground baseline).
   bool checkpoint_async = true;
   /// Retention count: after each checkpoint commit keep only the newest N
   /// manifests, garbage-collect older manifests and unreferenced blobs,

@@ -281,9 +281,7 @@ StatusOr<QueryPrecision> Simulator::RunOneRangeQuery() {
   opts.engine = config_.engine;
   AMNESIA_ASSIGN_OR_RETURN(ResultSet result,
                            executor_->ExecuteRange(pred, opts));
-  // The oracle is sealed after every batch, so its O(log n) sorted path
-  // beats any parallel rescan of the history; CountRangeParallel is for
-  // unsealed/cold histories only.
+  // The oracle is sealed after every batch: an O(log n) sorted count.
   AMNESIA_ASSIGN_OR_RETURN(uint64_t truth,
                            oracle_.CountRange(pred.lo, pred.hi));
   return MakeRangePrecision(result.size(), truth);
@@ -414,8 +412,8 @@ StatusOr<BatchMetrics> Simulator::StepBatch() {
   //    feeds access counts to query-based policies).
   AMNESIA_RETURN_NOT_OK(RunQueryBatch(&metrics));
 
-  // 4. Checkpoint cadence: capture a versioned snapshot covering the log
-  //    so far; the background writer makes it durable off this thread.
+  // 4. Checkpoint cadence: capture the table and tiers covering the log
+  //    so far; the background writer makes them durable off this thread.
   if (checkpointer_ &&
       rounds_run_ % config_.checkpoint_every_n_batches == 0) {
     AMNESIA_RETURN_NOT_OK(checkpointer_->Checkpoint(

@@ -2,6 +2,8 @@
 
 #include "storage/checkpoint.h"
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -27,69 +29,80 @@ constexpr uint32_t kTableBlobVersionMapped = 2;
 /// Writes the prefix every table blob opens with: magic, `version`, the
 /// schema, then the row count, next tick, lifetime forget total and
 /// current batch.
-void WriteTableBlobPrefix(Writer* w, uint32_t version, const Schema& schema,
-                          uint64_t rows, uint64_t next_tick,
-                          uint64_t lifetime_forgotten, BatchId current_batch) {
-  w->U32(kTableBlobMagic);
-  w->U32(version);
-  w->U64(schema.num_columns());
+void WriteTableBlobPrefix(std::vector<uint8_t>* out, uint32_t version,
+                          const Schema& schema, uint64_t rows,
+                          uint64_t next_tick, uint64_t lifetime_forgotten,
+                          BatchId current_batch) {
+  Writer w(out);
+  w.U32(kTableBlobMagic);
+  w.U32(version);
+  w.U64(schema.num_columns());
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     const ColumnDef& def = schema.column(c);
-    w->String(def.name);
-    w->I64(def.domain_lo);
-    w->I64(def.domain_hi);
+    w.String(def.name);
+    w.I64(def.domain_lo);
+    w.I64(def.domain_hi);
   }
-  w->U64(rows);
-  w->U64(next_tick);
-  w->U64(lifetime_forgotten);
-  w->U32(current_batch);
+  w.U64(rows);
+  w.U64(next_tick);
+  w.U64(lifetime_forgotten);
+  w.U32(current_batch);
 }
 
-/// Reserves the rest of a self-contained blob once its prefix is written.
-/// The body has a known size, so the buffer is never regrown (and never
-/// holds a doubled, half-empty copy).
-void ReserveSelfContainedBody(std::vector<uint8_t>* out, size_t cols,
-                              uint64_t rows) {
+/// Writes the version 1 (self-contained) body after the prefix: each
+/// column's extrema and whole payload, then the ticks, batches, access
+/// counts and active bits. `write_column(&w, c)` writes column c; every
+/// other array is written where it lies. The body has a known size, so it
+/// is reserved once and the buffer never regrows (and never holds a
+/// doubled, half-empty copy). The one writer of this layout, for a live
+/// table (CheckpointTable) and for a vector image (EncodeTableParts).
+template <typename WriteColumn>
+void WriteSelfContainedBody(std::vector<uint8_t>* out, size_t cols,
+                            const WriteColumn& write_column,
+                            const std::vector<Tick>& ticks,
+                            const std::vector<BatchId>& batches,
+                            const std::vector<uint64_t>& access_counts,
+                            const std::vector<bool>& active) {
+  const uint64_t rows = active.size();
   constexpr size_t kLen = sizeof(uint64_t);  // every array's length prefix
   out->reserve(out->size() +
                cols * (2 * sizeof(Value) + kLen + rows * sizeof(Value)) +
-               kLen + rows * sizeof(uint64_t) +  // ticks
-               kLen + rows * sizeof(uint32_t) +  // batches
+               kLen + rows * sizeof(Tick) +     // ticks
+               kLen + rows * sizeof(BatchId) +  // batches
                kLen + rows * sizeof(uint64_t) +  // access counts
                kLen + (rows + 7) / 8);           // active bits
+  Writer w(out);
+  for (size_t c = 0; c < cols; ++c) write_column(&w, c);
+  w.U64Array(ticks);
+  w.U32Array(batches);
+  w.U64Array(access_counts);
+  w.BitArray(active);
 }
 
-/// Serializes a mapped shard in the version 2 layout. The sealed payload
-/// never enters the blob — recovery re-maps the partition files — so blob
-/// size and restore time scale with the tail plus flat metadata, not with
-/// history. Ticks are omitted entirely: mapped shards never compact, so
-/// row r's tick is always next_tick - num_rows + r.
-std::vector<uint8_t> SerializeMappedSnapshot(const ShardSnapshot& snapshot) {
-  std::vector<uint8_t> out;
-  Writer w(&out);
-  WriteTableBlobPrefix(&w, kTableBlobVersionMapped, snapshot.schema,
-                       snapshot.num_rows, snapshot.next_tick,
-                       snapshot.lifetime_forgotten, snapshot.current_batch);
-  const size_t cols = snapshot.schema.num_columns();
-
-  w.U64(snapshot.partition_rows);
-  w.U64(snapshot.partitions.size());
-  for (const PartitionMeta& p : snapshot.partitions) {
+/// Writes the version 2 (mapped) body after the prefix. The sealed
+/// payload never enters the blob — recovery re-maps the partition files —
+/// so blob size and restore time scale with the tail plus flat metadata,
+/// not with history. Ticks are omitted: the image derives them.
+void WriteMappedBody(std::vector<uint8_t>* out, const Table::Parts& parts) {
+  Writer w(out);
+  w.U64(parts.storage.partition_rows);
+  w.U64(parts.partitions.size());
+  for (const PartitionMeta& p : parts.partitions) {
     w.U64(p.epoch_lo);
     w.U64(p.epoch_hi);
     w.U8(p.dropped ? 1 : 0);
   }
 
-  for (size_t c = 0; c < cols; ++c) {
-    w.I64(snapshot.min_seen[c]);
-    w.I64(snapshot.max_seen[c]);
-    w.I64Array(snapshot.tail_columns[c]);
+  for (size_t c = 0; c < parts.columns.size(); ++c) {
+    w.I64(parts.min_seen[c]);
+    w.I64(parts.max_seen[c]);
+    w.I64Array(parts.columns[c]);
   }
 
   // Batches are monotonic per row, so run-length encoding collapses them
   // to one entry per update batch.
   std::vector<std::pair<BatchId, uint64_t>> batch_runs;
-  for (const BatchId b : snapshot.batches) {
+  for (const BatchId b : parts.batches) {
     if (batch_runs.empty() || batch_runs.back().first != b) {
       batch_runs.emplace_back(b, 1);
     } else {
@@ -105,15 +118,14 @@ std::vector<uint8_t> SerializeMappedSnapshot(const ShardSnapshot& snapshot) {
   // Access counts cluster (cold history is all zeros); RLE when it wins,
   // raw otherwise.
   std::vector<std::pair<uint64_t, uint64_t>> access_runs;
-  for (const uint64_t a : snapshot.access_counts) {
+  for (const uint64_t a : parts.access_counts) {
     if (access_runs.empty() || access_runs.back().first != a) {
       access_runs.emplace_back(a, 1);
     } else {
       ++access_runs.back().second;
     }
   }
-  const bool rle_wins =
-      access_runs.size() * 2 < snapshot.access_counts.size();
+  const bool rle_wins = access_runs.size() * 2 < parts.access_counts.size();
   w.U8(rle_wins ? 1 : 0);
   if (rle_wins) {
     w.U64(access_runs.size());
@@ -122,80 +134,60 @@ std::vector<uint8_t> SerializeMappedSnapshot(const ShardSnapshot& snapshot) {
       w.U64(count);
     }
   } else {
-    w.U64Array(snapshot.access_counts);
+    w.U64Array(parts.access_counts);
   }
 
-  w.BitArray(snapshot.active);
-  return out;
+  w.BitArray(parts.active);
 }
 
 }  // namespace
 
 std::vector<uint8_t> CheckpointTable(const Table& table) {
   std::vector<uint8_t> out;
-  Writer w(&out);
-  const size_t cols = table.num_columns();
   const uint64_t rows = table.num_rows();
-  WriteTableBlobPrefix(&w, kTableBlobVersion, table.schema(), rows,
+  WriteTableBlobPrefix(&out, kTableBlobVersion, table.schema(), rows,
                        table.lifetime_inserted(), table.lifetime_forgotten(),
                        table.current_batch());
-  ReserveSelfContainedBody(&out, cols, rows);
-
-  for (size_t c = 0; c < cols; ++c) {
-    const Column& col = table.column(c);
-    w.I64(col.min_seen());
-    w.I64(col.max_seen());
-    // A mapped column's payload is spliced back into one contiguous array
-    // (dropped partitions read as the scrub value), so a mapped table's
-    // checkpoint blob is byte-identical to its vector-mode twin's.
-    if (col.mapped()) {
-      w.I64Array(col.CopyAll());
-    } else {
-      w.I64Array(col.data());
-    }
-  }
-
-  std::vector<uint64_t> ticks(rows);
-  std::vector<uint32_t> batches(rows);
-  std::vector<uint64_t> access(rows);
   std::vector<bool> active(rows);
-  for (RowId r = 0; r < rows; ++r) {
-    ticks[r] = table.insert_tick(r);
-    batches[r] = table.batch_of(r);
-    access[r] = table.access_count(r);
-    active[r] = table.IsActive(r);
-  }
-  w.U64Array(ticks);
-  w.U32Array(batches);
-  w.U64Array(access);
-  w.BitArray(active);
+  for (RowId r = 0; r < rows; ++r) active[r] = table.IsActive(r);
+  WriteSelfContainedBody(
+      &out, table.num_columns(),
+      [&table](Writer* w, size_t c) {
+        const Column& col = table.column(c);
+        w->I64(col.min_seen());
+        w->I64(col.max_seen());
+        // A mapped column's payload is spliced back into one contiguous
+        // array (dropped partitions read as the scrub value), so a mapped
+        // table's blob is byte-identical to its vector-mode twin's.
+        if (col.mapped()) {
+          w->I64Array(col.CopyAll());
+        } else {
+          w->I64Array(col.data());
+        }
+      },
+      table.insert_ticks(), table.batches(), table.access_counts(), active);
   return out;
 }
 
-std::vector<uint8_t> SerializeShardSnapshot(const ShardSnapshot& snapshot) {
-  if (snapshot.mapped) return SerializeMappedSnapshot(snapshot);
+std::vector<uint8_t> EncodeTableParts(const Table::Parts& parts) {
+  const bool mapped = parts.storage.backend == StorageBackend::kMapped;
   std::vector<uint8_t> out;
-  Writer w(&out);
-  const size_t cols = snapshot.schema.num_columns();
-  WriteTableBlobPrefix(&w, kTableBlobVersion, snapshot.schema,
-                       snapshot.num_rows, snapshot.next_tick,
-                       snapshot.lifetime_forgotten, snapshot.current_batch);
-  ReserveSelfContainedBody(&out, cols, snapshot.num_rows);
-
-  // One logical array per column, spliced from the copy-on-write chunks.
-  for (size_t c = 0; c < cols; ++c) {
-    w.I64(snapshot.min_seen[c]);
-    w.I64(snapshot.max_seen[c]);
-    w.U64(snapshot.num_rows);
-    for (const auto& chunk : snapshot.chunks) w.RawI64(chunk->columns[c]);
+  WriteTableBlobPrefix(
+      &out, mapped ? kTableBlobVersionMapped : kTableBlobVersion, parts.schema,
+      parts.active.size(), parts.next_tick, parts.lifetime_forgotten,
+      parts.current_batch);
+  if (mapped) {
+    WriteMappedBody(&out, parts);
+    return out;
   }
-
-  w.U64(snapshot.num_rows);
-  for (const auto& chunk : snapshot.chunks) w.RawU64(chunk->ticks);
-  w.U64(snapshot.num_rows);
-  for (const auto& chunk : snapshot.chunks) w.RawU32(chunk->batches);
-  w.U64Array(snapshot.access_counts);
-  w.BitArray(snapshot.active);
+  WriteSelfContainedBody(
+      &out, parts.columns.size(),
+      [&parts](Writer* w, size_t c) {
+        w->I64(parts.min_seen[c]);
+        w->I64(parts.max_seen[c]);
+        w->I64Array(parts.columns[c]);
+      },
+      parts.insert_ticks, parts.batches, parts.access_counts, parts.active);
   return out;
 }
 
@@ -320,16 +312,7 @@ Status DecodeMappedBody(Reader* r, uint64_t rows,
     return Status::InvalidArgument("checkpoint bitmap length mismatch");
   }
 
-  // Mapped tables never compact, so ticks are always the contiguous run
-  // ending at next_tick; the blob omits them.
-  if (parts->next_tick < rows) {
-    return Status::InvalidArgument("checkpoint next_tick below row count");
-  }
-  parts->insert_ticks.resize(static_cast<size_t>(rows));
-  for (uint64_t i = 0; i < rows; ++i) {
-    parts->insert_ticks[i] = parts->next_tick - rows + i;
-  }
-
+  // The blob omits ticks; Table::FromParts derives them.
   parts->storage.backend = StorageBackend::kMapped;
   parts->storage.dir = storage_dir;
   parts->storage.partition_rows = partition_rows;
@@ -629,14 +612,18 @@ StatusOr<std::vector<uint8_t>> ReadBytesFile(const std::string& path) {
   if (f == nullptr) {
     return Status::NotFound("cannot open '" + path + "'");
   }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (size < 0) {
+  // Size from fstat, not fseek/ftell: a directory opens fine, but its
+  // "end" offset is no file size, and allocating it would abort.
+  struct stat st {};
+  if (::fstat(fileno(f), &st) != 0) {
     std::fclose(f);
     return Status::Internal("cannot stat '" + path + "'");
   }
-  std::vector<uint8_t> buffer(static_cast<size_t>(size));
+  if (!S_ISREG(st.st_mode)) {
+    std::fclose(f);
+    return Status::InvalidArgument("'" + path + "' is not a regular file");
+  }
+  std::vector<uint8_t> buffer(static_cast<size_t>(st.st_size));
   const size_t read = std::fread(buffer.data(), 1, buffer.size(), f);
   std::fclose(f);
   if (read != buffer.size()) {

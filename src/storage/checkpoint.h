@@ -7,21 +7,22 @@
 // checkpoint serializes a table — payload, amnesia metadata and all — to
 // a byte buffer or file; restoring yields a bit-identical table state.
 //
-// This module owns the table-blob format and both of its layouts:
+// This module owns the table-blob format. A table's image is its
+// Table::Parts: Table::ToParts() captures it, EncodeTableParts writes it,
+// RestoreTable decodes a blob back into it and Table::FromParts rebuilds
+// the table. The format has two layouts, each with one writer:
 //  - version 1, self-contained: schema, payload, ticks, batches, access
-//    counts and the active bitmap. CheckpointTable writes it from a live
-//    table, SerializeShardSnapshot from a captured ShardSnapshot of a
-//    vector shard; the two emit the same bytes.
-//  - version 2, mapped: partition metadata plus the unsealed tail.
-//    SerializeShardSnapshot writes it for a mapped shard, and restore
-//    re-maps the sealed payload from the partition files.
-// RestoreTable decodes either layout into one Table::Parts.
+//    counts and the active bitmap. A vector image encodes to it, and
+//    CheckpointTable writes a live table's arrays in it directly; the two
+//    give the same bytes for the same table.
+//  - version 2, mapped: partition metadata plus the unsealed tail. A
+//    mapped image encodes to it, and restore re-maps the sealed payload
+//    from the partition files.
 
 #ifndef AMNESIA_STORAGE_CHECKPOINT_H_
 #define AMNESIA_STORAGE_CHECKPOINT_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,67 +35,16 @@
 
 namespace amnesia {
 
-/// \brief An immutable, contiguous run of captured rows. Chunks are
-/// shared between successive snapshots of an append-only shard.
-struct SnapshotChunk {
-  /// Column-major payload: columns[c][i] is row (base + i) of column c.
-  std::vector<std::vector<Value>> columns;
-  std::vector<Tick> ticks;
-  std::vector<BatchId> batches;
-
-  /// Returns the number of rows the chunk spans.
-  uint64_t size() const { return ticks.size(); }
-};
-
-/// \brief A consistent copy of one shard at a capture point: what one
-/// table blob holds (SnapshotManager in durability/snapshot.h captures it).
-struct ShardSnapshot {
-  /// Durability epoch at capture: Table::version() + Table::access_epoch().
-  uint64_t epoch = 0;
-  uint64_t num_rows = 0;
-  Schema schema;
-  std::vector<Value> min_seen;
-  std::vector<Value> max_seen;
-  Tick next_tick = 0;
-  uint64_t lifetime_forgotten = 0;
-  BatchId current_batch = 0;
-  /// Payload in capture order; chunk row ranges concatenate to
-  /// [0, num_rows). Empty for mapped shards (sealed payload lives in the
-  /// partition files; only `tail_columns` below travels in the blob).
-  std::vector<std::shared_ptr<const SnapshotChunk>> chunks;
-  /// Per-row access counts (fresh copy each capture).
-  std::vector<uint64_t> access_counts;
-  /// Active-row bitmap (fresh copy each capture).
-  std::vector<bool> active;
-
-  /// \name Mapped-shard capture (StorageBackend::kMapped only).
-  /// A mapped shard's blob records partition metadata plus the unsealed
-  /// tail; recovery re-maps the partition files instead of deserializing
-  /// the sealed payload. Ticks are not captured: mapped shards never
-  /// compact, so row r's tick is always next_tick - num_rows + r.
-  /// @{
-  bool mapped = false;
-  std::string storage_dir;      ///< The shard's partition directory.
-  uint64_t partition_rows = 0;  ///< Rows per sealed partition.
-  std::vector<PartitionMeta> partitions;
-  /// Per-column payload of rows [partitions.size() * partition_rows,
-  /// num_rows) — the unsealed tail.
-  std::vector<std::vector<Value>> tail_columns;
-  /// Per-row insertion batches, full length (fresh copy each capture).
-  std::vector<BatchId> batches;
-  /// @}
-};
-
 /// \brief Serializes `table` (schema, payload, ticks, batches, access
 /// counts, active bitmap, counters) into a self-contained (version 1)
 /// blob. A mapped table's payload is spliced into one array per column,
 /// so its blob is byte-identical to its vector-mode twin's.
 std::vector<uint8_t> CheckpointTable(const Table& table);
 
-/// \brief Serializes a captured shard: a vector shard in the version 1
-/// layout (exactly the bytes CheckpointTable gave at capture time), a
-/// mapped shard in the version 2 layout.
-std::vector<uint8_t> SerializeShardSnapshot(const ShardSnapshot& snapshot);
+/// \brief Serializes a table image as ToParts() returns it: a vector
+/// image in the version 1 layout (the bytes CheckpointTable gives for the
+/// table it was taken from), a mapped image in the version 2 layout.
+std::vector<uint8_t> EncodeTableParts(const Table::Parts& parts);
 
 /// \brief Reconstructs a table from a table blob of either layout. A
 /// version 2 (mapped) blob carries partition metadata and the unsealed
@@ -127,14 +77,16 @@ std::vector<uint8_t> CheckpointSummaryStore(const SummaryStore& store);
 /// buffer.
 StatusOr<SummaryStore> RestoreSummaryStore(const std::vector<uint8_t>& buffer);
 
-/// \brief Writes `bytes` to `path` atomically: a sibling ".tmp" file is
-/// written, flushed and renamed into place, so `path` either holds the
-/// complete buffer or its previous content — never a torn prefix.
+/// \brief Writes `bytes` to `path` through a sibling ".tmp" file that is
+/// written, closed and renamed into place, so a killed process leaves
+/// `path` holding the complete buffer or its previous content, never a
+/// torn prefix. Nothing is fsynced: after a power loss the file may be
+/// empty or torn.
 Status WriteBytesFileAtomic(const std::vector<uint8_t>& bytes,
                             const std::string& path);
 
 /// \brief Reads the whole of `path` into a byte buffer (NotFound when the
-/// file does not exist).
+/// file does not exist, InvalidArgument when it is not a regular file).
 StatusOr<std::vector<uint8_t>> ReadBytesFile(const std::string& path);
 
 }  // namespace amnesia

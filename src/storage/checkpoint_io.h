@@ -3,8 +3,8 @@
 // Shared little-endian byte codec for every on-disk artifact: table blobs
 // and the database and tier containers (storage/checkpoint.cc), partition
 // file headers (storage/mapped_file.cc), event-log records, audit records
-// and checkpoint manifests. The table-blob format itself, with both of its
-// writers and its one decoder, lives in storage/checkpoint.cc.
+// and checkpoint manifests. The table-blob format itself, with one writer
+// per layout and one decoder, lives in storage/checkpoint.cc.
 
 #ifndef AMNESIA_STORAGE_CHECKPOINT_IO_H_
 #define AMNESIA_STORAGE_CHECKPOINT_IO_H_
@@ -62,7 +62,7 @@ class Writer {
 
   void I64Array(const std::vector<int64_t>& values) {
     U64(values.size());
-    RawI64(values);
+    Raw(values.data(), values.size() * sizeof(int64_t));
   }
 
   void U64Array(const std::vector<uint64_t>& values) {
@@ -72,19 +72,6 @@ class Writer {
 
   void U32Array(const std::vector<uint32_t>& values) {
     U64(values.size());
-    Raw(values.data(), values.size() * sizeof(uint32_t));
-  }
-
-  /// Array payload without the length prefix — used by the snapshot
-  /// serializer to emit one logical array from several copy-on-write
-  /// chunks (write the total count with U64, then each chunk raw).
-  void RawI64(const std::vector<int64_t>& values) {
-    Raw(values.data(), values.size() * sizeof(int64_t));
-  }
-  void RawU64(const std::vector<uint64_t>& values) {
-    Raw(values.data(), values.size() * sizeof(uint64_t));
-  }
-  void RawU32(const std::vector<uint32_t>& values) {
     Raw(values.data(), values.size() * sizeof(uint32_t));
   }
 

@@ -131,9 +131,10 @@ class Column {
   /// Returns the largest value ever appended (min int64 when empty).
   Value max_seen() const { return max_seen_; }
 
-  /// Read-only access to the underlying storage. Vector mode only (a
-  /// mapped column has no single contiguous vector); use span(),
-  /// ForEachSpan() or CopyAll() instead.
+  /// Read-only access to the in-memory values: the whole payload of a
+  /// vector column, the unsealed tail (rows from sealed_rows() on) of a
+  /// mapped one. Row-addressed reads go through span(), ForEachSpan() or
+  /// CopyAll() instead.
   const std::vector<Value>& data() const { return values_; }
 
   /// Returns the contiguous slice [begin, end) — one scan morsel's worth

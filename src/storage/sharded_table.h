@@ -1,14 +1,14 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
 // A table partitioned across N independent shards behind the Table-style
-// API, plus TableShards, the one shape in which the scan, snapshot and
-// checkpoint layers take "a table". Rows are placed round-robin by
-// insertion order; global RowIds encode (shard, local row) — see
-// storage/shard.h — so RowId consumers keep working unchanged and a
-// single-shard table is bit-compatible with the unsharded Table (shard 0's
-// global ids equal its local ids). Each shard is a plain Table owning its
-// columns, amnesia metadata and active bitmap, so scans, forget passes,
-// compaction and checkpointing all proceed shard-locally.
+// API, plus TableShards, the one shape in which the scan and checkpoint
+// layers take "a table". Rows are placed round-robin by insertion order;
+// global RowIds encode (shard, local row) — see storage/shard.h — so
+// RowId consumers keep working unchanged and a single-shard table is
+// bit-compatible with the unsharded Table (shard 0's global ids equal its
+// local ids). Each shard is a plain Table owning its columns, amnesia
+// metadata and active bitmap, so scans, forget passes, compaction and
+// checkpointing all proceed shard-locally.
 
 #ifndef AMNESIA_STORAGE_SHARDED_TABLE_H_
 #define AMNESIA_STORAGE_SHARDED_TABLE_H_
@@ -153,8 +153,8 @@ class ShardedTable {
   uint64_t next_shard_ = 0;
 };
 
-/// \brief "A table" as the scan, snapshot and checkpoint layers read it: its
-/// shard Tables in shard order plus the round-robin ingest cursor.
+/// \brief "A table" as the scan and checkpoint layers read it: its shard
+/// Tables in shard order plus the round-robin ingest cursor.
 ///
 /// An unsharded Table is the one-shard case: shard 0, whose local RowIds
 /// already are its global ones (MakeGlobalRowId(0, r) == r), with cursor

@@ -93,10 +93,15 @@ StatusOr<Table> Table::FromParts(Parts parts) {
     if (payload >= pr) {
       return Status::InvalidArgument("table parts: tail spans a partition");
     }
+    if (!parts.insert_ticks.empty()) {
+      return Status::InvalidArgument("table parts: ticks on a mapped table");
+    }
     rows += parts.partitions.size() * pr;
+  } else if (parts.insert_ticks.size() != rows) {
+    return Status::InvalidArgument("table parts: tick length mismatch");
   }
-  if (parts.insert_ticks.size() != rows || parts.batches.size() != rows ||
-      parts.access_counts.size() != rows || parts.active.size() != rows) {
+  if (parts.batches.size() != rows || parts.access_counts.size() != rows ||
+      parts.active.size() != rows) {
     return Status::InvalidArgument("table parts: metadata length mismatch");
   }
   if (parts.next_tick < rows) {
@@ -105,6 +110,11 @@ StatusOr<Table> Table::FromParts(Parts parts) {
 
   Table table(std::move(parts.schema));
   if (mapped) {
+    // Mapped tables never compact, so the ticks are the contiguous run
+    // ending at next_tick.
+    parts.insert_ticks.resize(static_cast<size_t>(rows));
+    std::iota(parts.insert_ticks.begin(), parts.insert_ticks.end(),
+              parts.next_tick - rows);
     table.storage_ = std::move(parts.storage);
     for (auto& col : table.columns_) col.SetMapped(pr);
     for (const PartitionMeta& p : parts.partitions) {
@@ -154,6 +164,29 @@ StatusOr<Table> Table::FromParts(Parts parts) {
   table.current_batch_ = parts.current_batch;
   table.version_ = 1;  // restored tables start a fresh version history
   return table;
+}
+
+Table::Parts Table::ToParts() const {
+  Parts parts;
+  parts.schema = schema_;
+  parts.storage = storage_;
+  parts.partitions = partitions_;
+  parts.columns.reserve(columns_.size());
+  for (const Column& col : columns_) {
+    parts.columns.push_back(col.data());
+    parts.min_seen.push_back(col.min_seen());
+    parts.max_seen.push_back(col.max_seen());
+  }
+  // A mapped image derives its ticks (see Parts::insert_ticks).
+  if (!mapped()) parts.insert_ticks = insert_tick_;
+  parts.batches = batch_of_;
+  parts.access_counts = access_count_;
+  parts.active.resize(num_rows());
+  for (RowId r = 0; r < num_rows(); ++r) parts.active[r] = active_.Test(r);
+  parts.next_tick = next_tick_;
+  parts.lifetime_forgotten = lifetime_forgotten_;
+  parts.current_batch = current_batch_;
+  return parts;
 }
 
 StatusOr<RowId> Table::AppendRow(const std::vector<Value>& values) {
@@ -278,7 +311,6 @@ StatusOr<uint64_t> Table::DropPartition(size_t idx, bool defer_unlink) {
   for (auto& col : columns_) col.DropSegment(idx);
   p.dropped = true;
   ++version_;
-  ++scrub_epoch_;
   obs::EngineMetrics::Get().storage_partitions_dropped->Inc();
   if (!defer_unlink) {
     AMNESIA_RETURN_NOT_OK(RemoveDirRecursive(dropped));
@@ -350,7 +382,6 @@ Status Table::ScrubRow(RowId row, Value scrub_value) {
   }
   for (auto& col : columns_) col.Set(row, scrub_value);
   ++version_;
-  ++scrub_epoch_;
   return Status::OK();
 }
 

@@ -119,8 +119,8 @@ class Table {
   /// two (minimum 64) so scan morsels never straddle a seal boundary.
   static StatusOr<Table> Make(Schema schema, StorageOptions storage);
 
-  /// \brief Ingredients of a table, used by checkpoint restore. Metadata
-  /// vectors always cover the full row count.
+  /// \brief The table's image: what a checkpoint captures, writes and
+  /// restores. Metadata vectors cover the full row count.
   struct Parts {
     Schema schema;
     /// kVector (the default) or kMapped; for kMapped, `dir` and
@@ -136,6 +136,8 @@ class Table {
     /// compaction removed the extreme rows).
     std::vector<Value> min_seen;
     std::vector<Value> max_seen;
+    /// A vector table's ticks; empty for a mapped table, which never
+    /// compacts, so its row r was inserted at tick next_tick - rows + r.
     std::vector<Tick> insert_ticks;
     std::vector<BatchId> batches;
     std::vector<uint64_t> access_counts;
@@ -146,15 +148,20 @@ class Table {
     BatchId current_batch = 0;
   };
 
-  /// Reassembles a table from checkpointed parts. Validates lengths and
-  /// counter consistency (InvalidArgument on mismatch). A mapped table
-  /// re-maps every live partition's column files (falling back to the
-  /// `.dropped` name when a drop's rename was durable but its journal
-  /// record was lost — the rename preserves the bytes, so the partition
-  /// restores intact) and attaches zero-reading placeholders for dropped
-  /// partitions. Exposed for the checkpoint module; regular clients use
-  /// Make() + AppendRow().
+  /// Reassembles a table from its image. Validates lengths and counter
+  /// consistency (InvalidArgument on mismatch). A mapped table derives
+  /// its ticks and re-maps every live partition's column files (falling
+  /// back to the `.dropped` name when a drop's rename was durable but its
+  /// journal record was lost — the rename preserves the bytes, so the
+  /// partition restores intact) and attaches zero-reading placeholders
+  /// for dropped partitions. Exposed for the checkpoint module; regular
+  /// clients use Make() + AppendRow().
   static StatusOr<Table> FromParts(Parts parts);
+
+  /// Copies the table into its image, the inverse of FromParts: every
+  /// array whole, the payload as each column's data() (a mapped table's
+  /// sealed rows stay in their partition files).
+  Parts ToParts() const;
 
   /// Returns the schema.
   const Schema& schema() const { return schema_; }
@@ -249,6 +256,13 @@ class Table {
 
   /// Returns how many query results `row` appeared in.
   uint64_t access_count(RowId row) const { return access_count_[row]; }
+
+  /// Per-row insertion ticks, batches and access counts, index-aligned
+  /// with the rows (checkpoint writers read them in place).
+  const std::vector<Tick>& insert_ticks() const { return insert_tick_; }
+  const std::vector<BatchId>& batches() const { return batch_of_; }
+  const std::vector<uint64_t>& access_counts() const { return access_count_; }
+
   /// Records that `row` appeared in a query result (rot policy feedback).
   void BumpAccess(RowId row) {
     ++access_count_[row];
@@ -304,15 +318,9 @@ class Table {
 
   /// Monotonic count of BumpAccess calls — the one mutation version()
   /// does not cover (indexes must not look stale on reads). The
-  /// durability layer's snapshot epoch is version() + access_epoch(), so
+  /// durability layer's epoch is version() + access_epoch(), so
   /// checkpoints skip a shard only when it is truly byte-identical.
   uint64_t access_epoch() const { return access_epoch_; }
-
-  /// Monotonic count of ScrubRow calls — the only in-place payload
-  /// rewrite that leaves row count, ticks and lifetime counters
-  /// untouched. Snapshot capture uses it to decide whether previously
-  /// captured copy-on-write column chunks are still valid.
-  uint64_t scrub_epoch() const { return scrub_epoch_; }
 
   /// Approximate heap footprint of payload plus metadata, in bytes.
   size_t ApproxBytes() const;
@@ -341,7 +349,6 @@ class Table {
   BatchId current_batch_ = 0;
   uint64_t version_ = 0;
   uint64_t access_epoch_ = 0;
-  uint64_t scrub_epoch_ = 0;
 };
 
 }  // namespace amnesia

@@ -31,17 +31,6 @@ using BatchId = uint32_t;
 /// Sentinel for "no such row" (returned by compaction remappings).
 inline constexpr RowId kInvalidRow = std::numeric_limits<RowId>::max();
 
-/// \brief Lifecycle state of a tuple under amnesia.
-///
-/// The simulator marks tuples rather than destroying them so that query
-/// precision against the full history remains measurable (§2.1). What
-/// physically happens to forgotten tuples is decided by the
-/// ForgettingBackend (mark-only, delete, cold storage, summary).
-enum class TupleState : uint8_t {
-  kActive = 0,
-  kForgotten = 1,
-};
-
 /// \brief Physical representation of a table's column payloads.
 ///
 /// kVector keeps every column in a std::vector (the original in-memory

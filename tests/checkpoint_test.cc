@@ -12,7 +12,6 @@
 #include "amnesia/controller.h"
 #include "amnesia/fifo.h"
 #include "common/rng.h"
-#include "durability/snapshot.h"
 #include "storage/checkpoint.h"
 #include "storage/checkpoint_io.h"
 
@@ -77,21 +76,19 @@ TEST(CheckpointTest, RoundTripEmptyTable) {
 }
 
 TEST(CheckpointTest, BlobBodyIsReservedOnceAtItsExactSize) {
-  // Both self-contained writers reserve everything after the schema
-  // prefix in one step. Too small a reservation regrows the buffer
-  // (holding a doubled, half-empty copy at the peak); too large leaves
-  // capacity unused.
+  // Both callers of the self-contained writer reserve everything after
+  // the schema prefix in one step. Too small a reservation regrows the
+  // buffer (holding a doubled, half-empty copy at the peak); too large
+  // leaves capacity unused.
   Table single = Table::Make(Schema::SingleColumn("a", 0, 1000)).value();
   for (int i = 0; i < 1001; ++i) ASSERT_TRUE(single.AppendRow({i}).ok());
   const Table rich = MakeRichTable();
   for (const Table* table : std::vector<const Table*>{&single, &rich}) {
     const std::vector<uint8_t> blob = CheckpointTable(*table);
     EXPECT_EQ(blob.capacity(), blob.size());
-    SnapshotManager manager;
-    const std::vector<uint8_t> snap =
-        SerializeShardSnapshot(*manager.Capture(*table).shards[0]);
-    EXPECT_EQ(snap.capacity(), snap.size());
-    EXPECT_EQ(snap, blob);
+    const std::vector<uint8_t> image = EncodeTableParts(table->ToParts());
+    EXPECT_EQ(image.capacity(), image.size());
+    EXPECT_EQ(image, blob);
   }
 }
 
@@ -124,9 +121,10 @@ TEST(CheckpointTest, RejectsGarbage) {
 }
 
 TEST(CheckpointTest, RejectsTruncatedBuffer) {
+  // Every strict prefix fails: the layout ends with a required field.
   const Table t = MakeRichTable();
   std::vector<uint8_t> buffer = CheckpointTable(t);
-  for (size_t cut : {buffer.size() / 2, buffer.size() - 1, size_t{9}}) {
+  for (size_t cut = 0; cut < buffer.size(); ++cut) {
     std::vector<uint8_t> truncated(buffer.begin(),
                                    buffer.begin() + static_cast<ptrdiff_t>(cut));
     EXPECT_FALSE(RestoreTable(truncated).ok()) << "cut at " << cut;
@@ -159,6 +157,17 @@ TEST(CheckpointTest, MissingFileIsNotFound) {
                 .status()
                 .code(),
             StatusCode::kNotFound);
+}
+
+TEST(CheckpointTest, DirectoryIsNotReadAsAFile) {
+  // A directory opens for reading, but it has no byte size to allocate:
+  // reading one must fail with a Status, not abort the process.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "amnesia_read_dir_test")
+          .string();
+  std::filesystem::create_directories(dir);
+  EXPECT_EQ(ReadBytesFile(dir).status().code(), StatusCode::kInvalidArgument);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CheckpointTest, BlobLayoutsMatchHandEncodedBytes) {
@@ -212,10 +221,8 @@ TEST(CheckpointTest, BlobLayoutsMatchHandEncodedBytes) {
   vw.U64Array({2, 0, 0, 1, 0});  // access counts
   vw.BitArray({true, false, true, true, false});
 
-  SnapshotManager vec_manager;
   EXPECT_EQ(CheckpointTable(vec), vec_blob);
-  EXPECT_EQ(SerializeShardSnapshot(*vec_manager.Capture(vec).shards[0]),
-            vec_blob);
+  EXPECT_EQ(EncodeTableParts(vec.ToParts()), vec_blob);
 
   // A mapped table with 64-row partitions: rows 0-63 sealed and live,
   // rows 64-127 sealed and dropped, rows 128-139 the unsealed tail. Row r
@@ -274,7 +281,7 @@ TEST(CheckpointTest, BlobLayoutsMatchHandEncodedBytes) {
   sw.BitArray(active);
   EXPECT_EQ(CheckpointTable(mapped), spliced_blob);
 
-  // The snapshot writer records the partitions and the tail only.
+  // The table's image records the partitions and the tail only.
   std::vector<uint8_t> mapped_blob = mapped_head;
   ckpt::Writer mw(&mapped_blob);
   mw.U64(1);  // columns
@@ -310,9 +317,7 @@ TEST(CheckpointTest, BlobLayoutsMatchHandEncodedBytes) {
     mw.U64(rows);
   }
   mw.BitArray(active);
-  SnapshotManager mapped_manager;
-  EXPECT_EQ(SerializeShardSnapshot(*mapped_manager.Capture(mapped).shards[0]),
-            mapped_blob);
+  EXPECT_EQ(EncodeTableParts(mapped.ToParts()), mapped_blob);
   std::filesystem::remove_all(dir);
 }
 
@@ -360,14 +365,24 @@ TEST(PartsTest, ValidatesShapes) {
 
 TEST(PartsTest, ValidatesMappedShapes) {
   // No sealed partitions: the two rows are the tail, so nothing is mapped.
+  // A mapped image carries no ticks; the table derives them.
   Table::Parts parts = TwoRowParts();
   parts.storage.backend = StorageBackend::kMapped;
   parts.storage.dir =
       (std::filesystem::temp_directory_path() / "amnesia_parts_test").string();
   parts.storage.partition_rows = 64;
+  parts.insert_ticks.clear();
+  parts.next_tick = 5;
   const Table table = Table::FromParts(parts).value();
   EXPECT_TRUE(table.mapped());
   EXPECT_EQ(table.num_rows(), 2u);
+  EXPECT_EQ(table.insert_tick(0), 3u);
+  EXPECT_EQ(table.insert_tick(1), 4u);
+
+  // Ticks on a mapped image are rejected, as partitions on a vector one.
+  auto ticked = parts;
+  ticked.insert_ticks = {3, 4};
+  EXPECT_FALSE(Table::FromParts(ticked).ok());
 
   for (const uint64_t partition_rows : {uint64_t{0}, uint64_t{32},
                                         uint64_t{100}}) {
@@ -382,8 +397,6 @@ TEST(PartsTest, ValidatesMappedShapes) {
   // A tail as long as a partition would have been sealed.
   Table::Parts full = parts;
   full.columns = {std::vector<Value>(64, 1)};
-  full.insert_ticks.resize(64);
-  std::iota(full.insert_ticks.begin(), full.insert_ticks.end(), Tick{0});
   full.batches.assign(64, 0);
   full.access_counts.assign(64, 0);
   full.active.assign(64, true);
@@ -391,6 +404,57 @@ TEST(PartsTest, ValidatesMappedShapes) {
   EXPECT_FALSE(Table::FromParts(full).ok());
   full.storage.partition_rows = 128;
   EXPECT_TRUE(Table::FromParts(full).ok());
+}
+
+TEST(PartsTest, ToPartsRoundTripsVectorAndMappedTables) {
+  // Each table went through appends across batches, forgets, access bumps
+  // and scrubs. Its image must rebuild the same table, directly and
+  // through the encoded blob.
+  Table vec = MakeRichTable();  // rows r % 3 == 0 are forgotten
+  ASSERT_TRUE(vec.ScrubRow(0).ok());
+  ASSERT_TRUE(vec.ScrubRow(42).ok());
+  vec.CompactForgotten();  // ticks become non-dense
+  vec.BeginBatch();
+  ASSERT_TRUE(vec.AppendRow({5, 5}).ok());
+  ASSERT_TRUE(vec.Forget(0).ok());
+  vec.BumpAccess(1);
+
+  // 64-row partitions: rows 0-255 sealed (partition 1 dropped), rows
+  // 256-299 the unsealed tail.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "amnesia_to_parts_test")
+          .string();
+  std::filesystem::remove_all(dir);
+  StorageOptions storage;
+  storage.backend = StorageBackend::kMapped;
+  storage.dir = dir;
+  storage.partition_rows = 64;
+  Table mapped =
+      Table::Make(Schema::SingleColumn("v", 0, 1000), storage).value();
+  for (Value v = 0; v < 300; ++v) {
+    if (v % 70 == 69) mapped.BeginBatch();
+    ASSERT_TRUE(mapped.AppendRow({v}).ok());
+  }
+  ASSERT_EQ(mapped.DropPartition(1).value(), 64u);
+  for (RowId r : {RowId{3}, RowId{150}, RowId{290}}) {
+    ASSERT_TRUE(mapped.Forget(r).ok());
+    ASSERT_TRUE(mapped.ScrubRow(r, 7).ok());
+  }
+  mapped.BumpAccess(4);
+  mapped.BumpAccess(280);
+  EXPECT_TRUE(mapped.ToParts().insert_ticks.empty());
+
+  for (const Table* table : std::vector<const Table*>{&vec, &mapped}) {
+    SCOPED_TRACE(table->mapped() ? "mapped" : "vector");
+    const std::vector<uint8_t> expected = CheckpointTable(*table);
+    EXPECT_EQ(CheckpointTable(Table::FromParts(table->ToParts()).value()),
+              expected);
+    EXPECT_EQ(CheckpointTable(
+                  RestoreTable(EncodeTableParts(table->ToParts()), dir)
+                      .value()),
+              expected);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------ database level
@@ -441,10 +505,37 @@ TEST(DatabaseCheckpointTest, RejectsTableMagicAsDatabase) {
 }
 
 TEST(DatabaseCheckpointTest, RejectsTruncation) {
+  // Every strict prefix of the container (and so of the table blobs it
+  // nests) fails.
   const Database db = MakeRichDatabase();
-  std::vector<uint8_t> buffer = CheckpointDatabase(db);
-  buffer.resize(buffer.size() / 2);
-  EXPECT_FALSE(RestoreDatabase(buffer).ok());
+  const std::vector<uint8_t> buffer = CheckpointDatabase(db);
+  for (size_t cut = 0; cut < buffer.size(); ++cut) {
+    const std::vector<uint8_t> truncated(
+        buffer.begin(), buffer.begin() + static_cast<ptrdiff_t>(cut));
+    EXPECT_FALSE(RestoreDatabase(truncated).ok()) << "cut at " << cut;
+  }
+}
+
+TEST(DatabaseCheckpointTest, ByteFlipsFailOrRestore) {
+  // Every single-byte flip either fails with a Status or restores a
+  // consistent database; none may crash.
+  const std::vector<uint8_t> buffer = CheckpointDatabase(MakeRichDatabase());
+  Rng rng(29);
+  uint64_t restored = 0;
+  for (size_t pos = 0; pos < buffer.size(); ++pos) {
+    std::vector<uint8_t> mutated = buffer;
+    mutated[pos] ^= static_cast<uint8_t>(1 + rng.UniformIndex(255));
+    const StatusOr<Database> result = RestoreDatabase(mutated);
+    if (!result.ok()) continue;
+    ++restored;
+    for (const std::string& name : result->TableNames()) {
+      const Table* table = result->GetTable(name).value();
+      EXPECT_LE(table->num_active(), table->num_rows()) << "byte " << pos;
+    }
+    (void)result->CheckReferentialIntegrity();
+  }
+  // Flips inside payload values and counters still decode.
+  EXPECT_GT(restored, 0u);
 }
 
 

@@ -1,16 +1,17 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
 // Tests for the async durability subsystem: thread-pool task futures,
-// versioned snapshots (epoch skip + copy-on-write tails), the event log
-// (framing, torn tails, replay), the background checkpointer (manifest
-// commit, incremental shard skip, recovery fallback) and end-to-end
-// simulator crash recovery.
+// table images (what a checkpoint captures), the event log (framing, torn
+// tails, replay), the background checkpointer (manifest commit,
+// incremental shard skip, recovery fallback) and end-to-end simulator
+// crash recovery.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -24,7 +25,6 @@
 #include "common/thread_pool.h"
 #include "durability/checkpointer.h"
 #include "durability/event_log.h"
-#include "durability/snapshot.h"
 #include "sim/simulator.h"
 #include "storage/checkpoint.h"
 #include "storage/checkpoint_io.h"
@@ -107,124 +107,79 @@ TEST(SubmitTaskTest, MovesResultType) {
   EXPECT_EQ(future.get().size(), 100u);
 }
 
-// -------------------------------------------------------------- snapshots
+// ----------------------------------------------------------- table images
 
-TEST(SnapshotTest, SerializesToCheckpointBytes) {
-  Table t = MakeLoadedTable(500);
-  t.BeginBatch();
-  for (int i = 0; i < 50; ++i) ASSERT_TRUE(t.AppendRow({i}).ok());
-  for (RowId r = 0; r < 100; r += 3) ASSERT_TRUE(t.Forget(r).ok());
-  for (RowId r = 1; r < 100; r += 7) t.BumpAccess(r);
+TEST(TableImageTest, EncodesToCheckpointBytesAfterEachMutation) {
+  // A checkpoint captures each shard's image and the writer encodes it.
+  // After every kind of mutation, that must be exactly the bytes
+  // CheckpointTable gives for the live shard.
+  struct Case {
+    const char* mutation;
+    uint32_t shards;
+    uint64_t rows;
+    std::function<void(ShardedTable*)> mutate;
+  };
+  const std::vector<Case> cases = {
+      {"none (empty table)", 1, 0, [](ShardedTable*) {}},
+      {"appends in a new batch", 1, 1000,
+       [](ShardedTable* t) {
+         t->BeginBatch();
+         for (int i = 0; i < 100; ++i) ASSERT_TRUE(t->AppendRow({i}).ok());
+       }},
+      {"forgets", 1, 1000,
+       [](ShardedTable* t) {
+         for (RowId r = 0; r < 500; r += 2) ASSERT_TRUE(t->Forget(r).ok());
+       }},
+      {"an access bump", 1, 300, [](ShardedTable* t) { t->BumpAccess(7); }},
+      {"a scrub", 1, 300,
+       [](ShardedTable* t) {
+         ASSERT_TRUE(t->Forget(5).ok());
+         ASSERT_TRUE(t->ScrubRow(5).ok());
+       }},
+      {"compaction", 1, 300,
+       [](ShardedTable* t) {
+         for (RowId r = 0; r < 100; ++r) ASSERT_TRUE(t->Forget(r).ok());
+         (void)t->CompactForgotten();
+         for (int i = 0; i < 10; ++i) ASSERT_TRUE(t->AppendRow({i}).ok());
+       }},
+      {"a forget on one shard of four", 4, 400,
+       [](ShardedTable* t) {
+         ASSERT_TRUE(t->Forget(MakeGlobalRowId(2, 0)).ok());
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.mutation);
+    ShardedTable table =
+        ShardedTable::Make(Schema::SingleColumn("v", 0, 1'000'000), c.shards)
+            .value();
+    Rng rng(11);
+    for (uint64_t i = 0; i < c.rows; ++i) {
+      ASSERT_TRUE(table.AppendRow({rng.UniformInt(0, 999'999)}).ok());
+    }
+    c.mutate(&table);
+    for (uint32_t s = 0; s < table.num_shards(); ++s) {
+      EXPECT_EQ(EncodeTableParts(table.shard(s).ToParts()),
+                CheckpointTable(table.shard(s)))
+          << "shard " << s;
+    }
 
-  SnapshotManager manager;
-  const TableSnapshot snap = manager.Capture(t);
-  ASSERT_EQ(snap.shards.size(), 1u);
-  EXPECT_EQ(SerializeShardSnapshot(*snap.shards[0]), CheckpointTable(t));
-  EXPECT_EQ(snap.ingest_cursor, t.lifetime_inserted());
-}
-
-TEST(SnapshotTest, EmptyTable) {
-  const Table t = Table::Make(Schema::SingleColumn("v", 0, 10)).value();
-  SnapshotManager manager;
-  const TableSnapshot snap = manager.Capture(t);
-  EXPECT_EQ(SerializeShardSnapshot(*snap.shards[0]), CheckpointTable(t));
-}
-
-TEST(SnapshotTest, UnchangedShardIsReusedWholesale) {
-  Table t = MakeLoadedTable(200);
-  SnapshotManager manager;
-  const TableSnapshot first = manager.Capture(t);
-  EXPECT_EQ(manager.last_stats().shards_recaptured, 1u);
-  const TableSnapshot second = manager.Capture(t);
-  EXPECT_EQ(manager.last_stats().shards_reused, 1u);
-  EXPECT_EQ(manager.last_stats().rows_copied, 0u);
-  // Same object, not merely equal bytes.
-  EXPECT_EQ(first.shards[0].get(), second.shards[0].get());
-}
-
-TEST(SnapshotTest, AppendOnlyDeltaCopiesOnlyTheTail) {
-  Table t = MakeLoadedTable(1000);
-  SnapshotManager manager;
-  (void)manager.Capture(t);
-
-  t.BeginBatch();
-  for (int i = 0; i < 100; ++i) ASSERT_TRUE(t.AppendRow({i}).ok());
-  const TableSnapshot snap = manager.Capture(t);
-  EXPECT_EQ(manager.last_stats().chunks_reused, 1u);
-  EXPECT_EQ(manager.last_stats().rows_copied, 100u);
-  EXPECT_EQ(SerializeShardSnapshot(*snap.shards[0]), CheckpointTable(t));
-}
-
-TEST(SnapshotTest, ForgetsKeepChunksButRefreshBitmap) {
-  Table t = MakeLoadedTable(1000);
-  SnapshotManager manager;
-  (void)manager.Capture(t);
-
-  for (RowId r = 0; r < 500; r += 2) ASSERT_TRUE(t.Forget(r).ok());
-  const TableSnapshot snap = manager.Capture(t);
-  // Payload untouched: the chunk is shared; only flat state was recopied.
-  EXPECT_EQ(manager.last_stats().chunks_reused, 1u);
-  EXPECT_EQ(manager.last_stats().rows_copied, 0u);
-  EXPECT_EQ(SerializeShardSnapshot(*snap.shards[0]), CheckpointTable(t));
-}
-
-TEST(SnapshotTest, ScrubForcesFullRecapture) {
-  Table t = MakeLoadedTable(300);
-  SnapshotManager manager;
-  (void)manager.Capture(t);
-
-  ASSERT_TRUE(t.Forget(5).ok());
-  ASSERT_TRUE(t.ScrubRow(5).ok());
-  const TableSnapshot snap = manager.Capture(t);
-  EXPECT_EQ(manager.last_stats().chunks_reused, 0u);
-  EXPECT_EQ(manager.last_stats().rows_copied, 300u);
-  EXPECT_EQ(SerializeShardSnapshot(*snap.shards[0]), CheckpointTable(t));
-}
-
-TEST(SnapshotTest, CompactionForcesFullRecapture) {
-  Table t = MakeLoadedTable(300);
-  SnapshotManager manager;
-  (void)manager.Capture(t);
-
-  for (RowId r = 0; r < 100; ++r) ASSERT_TRUE(t.Forget(r).ok());
-  t.CompactForgotten();
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(t.AppendRow({i}).ok());
-  const TableSnapshot snap = manager.Capture(t);
-  EXPECT_EQ(manager.last_stats().chunks_reused, 0u);
-  EXPECT_EQ(SerializeShardSnapshot(*snap.shards[0]), CheckpointTable(t));
-}
-
-TEST(SnapshotTest, AccessBumpInvalidatesEpochButReusesChunks) {
-  Table t = MakeLoadedTable(300);
-  SnapshotManager manager;
-  const TableSnapshot first = manager.Capture(t);
-
-  t.BumpAccess(7);
-  const TableSnapshot second = manager.Capture(t);
-  // Not reused wholesale (the access counts changed)...
-  EXPECT_NE(first.shards[0].get(), second.shards[0].get());
-  EXPECT_EQ(manager.last_stats().shards_recaptured, 1u);
-  // ...but the payload chunk is shared and the bytes stay faithful.
-  EXPECT_EQ(manager.last_stats().chunks_reused, 1u);
-  EXPECT_EQ(SerializeShardSnapshot(*second.shards[0]), CheckpointTable(t));
-}
-
-TEST(SnapshotTest, ShardedCaptureSkipsUntouchedShards) {
-  ShardedTable table =
-      ShardedTable::Make(Schema::SingleColumn("v", 0, 1000), 4).value();
-  for (int i = 0; i < 400; ++i) ASSERT_TRUE(table.AppendRow({i}).ok());
-  SnapshotManager manager;
-  (void)manager.Capture(table);
-
-  // Touch only shard 2 (global id = shard 2, local row 0).
-  ASSERT_TRUE(table.Forget(MakeGlobalRowId(2, 0)).ok());
-  const TableSnapshot snap = manager.Capture(table);
-  EXPECT_EQ(manager.last_stats().shards_reused, 3u);
-  EXPECT_EQ(manager.last_stats().shards_recaptured, 1u);
-  for (uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(SerializeShardSnapshot(*snap.shards[s]),
-              CheckpointTable(table.shard(s)))
-        << "shard " << s;
+    // The checkpointer's own capture writes those bytes and the ingest
+    // cursor.
+    ScratchDir dir("amnesia_table_image_test");
+    CheckpointerOptions opts;
+    opts.dir = dir.path();
+    opts.async = false;
+    BackgroundCheckpointer ckpt = BackgroundCheckpointer::Make(opts).value();
+    ASSERT_TRUE(ckpt.Checkpoint(table, /*covered_lsn=*/0).ok());
+    const Manifest manifest =
+        DecodeManifest(ReadBytesFile(dir.file("MANIFEST-1")).value()).value();
+    EXPECT_EQ(manifest.ingest_cursor, table.ingest_cursor());
+    ASSERT_EQ(manifest.shards.size(), table.num_shards());
+    for (uint32_t s = 0; s < table.num_shards(); ++s) {
+      EXPECT_EQ(ReadBytesFile(dir.file(manifest.shards[s].filename)).value(),
+                CheckpointTable(table.shard(s)))
+          << "shard " << s;
+    }
   }
 }
 
@@ -761,6 +716,46 @@ TEST(CheckpointerTest, EmptyDirIsNotFound) {
   EXPECT_EQ(Recover(dir.path(), "").status().code(), StatusCode::kNotFound);
 }
 
+/// Writes checkpoints 1 and 2 of `table` (one forget in between) into
+/// `dir`, synchronously.
+void WriteTwoCheckpoints(const std::string& dir, Table* table) {
+  CheckpointerOptions opts;
+  opts.dir = dir;
+  opts.async = false;
+  BackgroundCheckpointer ckpt = BackgroundCheckpointer::Make(opts).value();
+  ASSERT_TRUE(ckpt.Checkpoint(*table, 0).ok());
+  ASSERT_TRUE(table->Forget(0).ok());
+  ASSERT_TRUE(ckpt.Checkpoint(*table, 0).ok());
+}
+
+TEST(CheckpointerTest, DirectoryAtNewestManifestNameFallsBack) {
+  // A directory where the newest manifest should be, with no CURRENT to
+  // point past it, is an unreadable manifest: recovery falls back to the
+  // older one instead of aborting on the read.
+  ScratchDir dir("amnesia_ckpt_manifest_dir_test");
+  Table table = MakeLoadedTable(50, 45);
+  WriteTwoCheckpoints(dir.path(), &table);
+  fs::remove(dir.file("MANIFEST-2"));
+  fs::remove(dir.file("CURRENT"));
+  fs::create_directory(dir.file("MANIFEST-2"));
+  const RecoveredState state = Recover(dir.path(), "").value();
+  EXPECT_EQ(state.checkpoint_id, 1u);
+  EXPECT_EQ(state.shards[0].num_active(), table.num_active() + 1);
+}
+
+TEST(CheckpointerTest, DirectoryAtCurrentIsIgnored) {
+  // CURRENT is only a hint; a directory in its place is skipped and the
+  // newest manifest still wins.
+  ScratchDir dir("amnesia_ckpt_current_dir_test");
+  Table table = MakeLoadedTable(50, 47);
+  WriteTwoCheckpoints(dir.path(), &table);
+  fs::remove(dir.file("CURRENT"));
+  fs::create_directory(dir.file("CURRENT"));
+  const RecoveredState state = Recover(dir.path(), "").value();
+  EXPECT_EQ(state.checkpoint_id, 2u);
+  EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(table));
+}
+
 TEST(CheckpointerTest, MissingLogRestoresSnapshotOnly) {
   // A manifest covering N events plus no log file at all is a complete
   // state: the snapshot already contains those N events' effects.
@@ -1089,7 +1084,7 @@ TEST(ManifestTest, V2DirectoryStillRecovers) {
   v2.id = 2;
   v2.covered_lsn = 0;
   v2.ingest_cursor = table.lifetime_inserted();
-  v2.shards.push_back(VectorShard(SnapshotManager::EpochOf(table),
+  v2.shards.push_back(VectorShard(table.version() + table.access_epoch(),
                                   "ckpt-1-shard-0.blob", blob.size(),
                                   ckpt::Crc32(blob)));
   ASSERT_TRUE(
@@ -1358,6 +1353,25 @@ TEST(RetentionTest, FallbackManifestSurvivesGcWindow) {
   EXPECT_GT(state.events_replayed, 0u);
   EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(table));
   EXPECT_EQ(CheckpointColdStore(*state.cold), CheckpointColdStore(cold));
+}
+
+TEST(RetentionTest, GcBacksOffWhenARetainedManifestIsADirectory) {
+  // A retained manifest name that holds a directory cannot be read, so
+  // GC backs off as for an undecodable manifest: nothing is deleted.
+  ScratchDir dir("amnesia_retention_manifest_dir_test");
+  Table table = MakeLoadedTable(60, 79);
+  WriteTwoCheckpoints(dir.path(), &table);
+  fs::create_directory(dir.file("MANIFEST-3"));
+  auto listing = [&dir] {
+    std::set<std::string> names;
+    for (const auto& entry : fs::directory_iterator(dir.path())) {
+      names.insert(entry.path().filename().string());
+    }
+    return names;
+  };
+  const std::set<std::string> before = listing();
+  EXPECT_TRUE(CollectCheckpointGarbage(dir.path(), /*retain=*/1).ok());
+  EXPECT_EQ(listing(), before);
 }
 
 TEST(RetentionTest, CrashPointMatrixRecoversBitIdentically) {

@@ -295,7 +295,7 @@ TEST(MappedRecoveryTest, RecoveryRemapsPartitionsBitIdentically) {
 TEST(MappedRecoveryTest, V2BlobWithoutStorageDirFailsClosed) {
   ScratchDir dir("amnesia_mapped_nodir_test");
   Table table = MakeLoadedMappedTable(dir.file("storage"), 100, 43);
-  // SerializeShardSnapshot writes the v2 mapped layout; restoring it
+  // The checkpointer writes a mapped image in the v2 layout; restoring it
   // without a storage_dir cannot map anything and must not half-restore.
   CheckpointerOptions opts;
   opts.dir = dir.file("ckpt");

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "index/index_manager.h"
 #include "query/executor.h"
 #include "query/oracle.h"
@@ -181,25 +180,6 @@ TEST(OracleTest, CountRangeAfterSeal) {
   EXPECT_EQ(oracle.CountRange(5, 6).value(), 2u);
   EXPECT_EQ(oracle.CountRange(10, 20).value(), 0u);
   EXPECT_EQ(oracle.CountRange(6, 1).value(), 0u);
-}
-
-TEST(OracleTest, CountRangeParallelMatchesSerialSealedOrNot) {
-  GroundTruthOracle oracle;
-  Rng rng(4);
-  ThreadPool pool(3);
-  for (int i = 0; i < 1000; ++i) oracle.Append(rng.UniformInt(0, 500));
-  oracle.Seal();
-  // Unsealed tail on top of the sorted history.
-  for (int i = 0; i < 333; ++i) oracle.Append(rng.UniformInt(0, 500));
-
-  // The parallel scan needs no Seal(): it covers sealed + pending.
-  EXPECT_EQ(oracle.CountRangeParallel(0, 501, pool), oracle.size());
-  EXPECT_EQ(oracle.CountRangeParallel(100, 100, pool), 0u);
-  const uint64_t unsealed = oracle.CountRangeParallel(50, 300, pool);
-  oracle.Seal();
-  EXPECT_EQ(oracle.CountRange(50, 300).value(), unsealed);
-  EXPECT_EQ(oracle.CountRangeParallel(50, 300, pool),
-            oracle.CountRange(50, 300).value());
 }
 
 TEST(OracleTest, UnsealedQueriesFail) {

@@ -24,7 +24,6 @@
 #include "common/rng.h"
 #include "durability/checkpointer.h"
 #include "durability/log_segments.h"
-#include "durability/snapshot.h"
 #include "query/scan.h"
 #include "sim/simulator.h"
 #include "storage/checkpoint.h"
@@ -176,9 +175,7 @@ TEST(RobustnessTest, CorruptedMappedCheckpointsNeverCrash) {
   }
   t.BumpAccess(3);
   t.BumpAccess(270);
-  SnapshotManager manager;
-  const std::vector<uint8_t> blob =
-      SerializeShardSnapshot(*manager.Capture(t).shards[0]);
+  const std::vector<uint8_t> blob = EncodeTableParts(t.ToParts());
   ASSERT_EQ(CheckpointTable(RestoreTable(blob, dir).value()),
             CheckpointTable(t));
 
