@@ -5,15 +5,18 @@
 // over the kVector oracle and the kMapped backend at several table sizes
 // and measures what the partition files buy:
 //   ingest      bulk-append throughput (mapped pays the seal: one write +
-//               fsync + rename per partition_rows rows),
+//               rename per partition_rows rows; the checkpoint writer
+//               fsyncs the files before a manifest names them),
 //   recover     cold-start recovery latency (vector deserializes every
 //               payload byte out of the blob; mapped re-maps the sealed
 //               files and only decodes the tail + metadata),
 //   vacuum      mandatory age-based forgetting of ~half the table
 //               (vector sweeps row-wise, forget + scrub per tuple; mapped
-//               drops whole partitions with one fsync'd rename each, so
-//               its latency scales with the partition COUNT, not the row
-//               count — the paper's O(1) forgetting).
+//               drops whole partitions with one rename, unlink and
+//               directory fsync each — nothing journals these drops, so
+//               each is made durable at once — and its latency scales with
+//               the partition COUNT, not the row count: the paper's O(1)
+//               forgetting).
 // Every recovery is cross-checked bit-identical against the live table
 // before any number is reported.
 //

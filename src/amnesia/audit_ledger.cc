@@ -197,6 +197,9 @@ Status AuditLedger::Append(AuditRecord* record) {
   chain_crc_ = ckpt::Crc32(payload);
   tail_.push_back(*record);
   while (tail_.size() > kTailCapacity) tail_.pop_front();
+  // No checkpoint writer syncs the ledger: a segment this append sealed
+  // is fsynced before Append returns.
+  if (barriers.seal) return chain_.SyncSealed().status();
   return Status::OK();
 }
 

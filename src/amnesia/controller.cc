@@ -234,12 +234,13 @@ StatusOr<uint64_t> AmnesiaController::VacuumExpired(uint32_t max_age_batches) {
 
   // Partition fast path (mapped storage): batches are monotonic in row
   // order, so a sealed partition whose NEWEST row expired contains only
-  // expired rows and drops whole — an fsync'd directory rename instead of
-  // a per-row sweep, O(1) in the partition's size. Only backends that do
-  // not preserve the payload qualify (cold/summary/index backends must
-  // still visit every tuple). The drop is physical even under kMarkOnly:
-  // mandatory vacuuming is the paper's privacy path, where the bytes must
-  // actually go away.
+  // expired rows and drops whole — one directory rename instead of a
+  // per-row sweep, O(1) in the partition's size (the checkpoint writer
+  // fsyncs the storage directory before a manifest reflects the drop).
+  // Only backends that do not preserve the payload qualify (cold/summary/
+  // index backends must still visit every tuple). The drop is physical
+  // even under kMarkOnly: mandatory vacuuming is the paper's privacy
+  // path, where the bytes must actually go away.
   if (table_->mapped() && (options_.backend == BackendKind::kMarkOnly ||
                            options_.backend == BackendKind::kDelete)) {
     const uint64_t pr = table_->partition_rows();

@@ -446,6 +446,33 @@ Status RunRetentionGc(const CheckpointerOptions& options, GcResult* out) {
   return Status::OK();
 }
 
+/// fsyncs one partition's column files, then its directory, under its
+/// live name or, when the batch thread dropped it since the capture, its
+/// `.dropped` name (the two names Table::FromParts maps). A partition gone
+/// under both names was dropped and unlinked since: nothing to sync.
+Status SyncPartition(const Table::Parts& image, const PartitionMeta& p,
+                     uint64_t* files, uint64_t* dirs) {
+  for (const std::string& name : {PartitionDirName(p.epoch_lo, p.epoch_hi),
+                                  DroppedPartitionDirName(p.epoch_lo,
+                                                          p.epoch_hi)}) {
+    const std::string dir = image.storage.dir + "/" + name;
+    Status status = Status::OK();
+    uint64_t synced = 0;
+    for (size_t c = 0; c < image.schema.num_columns() && status.ok(); ++c) {
+      status = FsyncPath(dir + "/" +
+                         PartitionColumnFileName(image.schema.column(c).name));
+      if (status.ok()) ++synced;
+    }
+    if (status.ok()) status = FsyncPath(dir);
+    if (status.code() == StatusCode::kNotFound) continue;  // renamed away
+    AMNESIA_RETURN_NOT_OK(status);
+    *files += synced;
+    ++*dirs;
+    return Status::OK();
+  }
+  return Status::OK();
+}
+
 /// Serializes a tier blob, reusing the previous durable blob when the
 /// bytes are unchanged (size + CRC match). Updates `entry` (the manifest
 /// slot), `durable` (the skip cache) and the counters.
@@ -531,6 +558,11 @@ Status BackgroundCheckpointer::WriteSnapshot(
         return EncodeTableParts(snapshot.shards[s].image);
       });
 
+  // What the manifest depends on that the last durable one did not: the
+  // partitions it lists for the first time, as (shard, partition index),
+  // and the storage directories whose live-partition list changed.
+  std::vector<std::pair<size_t, size_t>> new_partitions;
+  std::set<std::string> changed_dirs;
   for (size_t s : to_write) {
     const Table::Parts& image = snapshot.shards[s].image;
     ManifestShard entry;
@@ -541,10 +573,19 @@ Status BackgroundCheckpointer::WriteSnapshot(
     if (image.storage.backend == StorageBackend::kMapped) {
       entry.storage_dir = image.storage.dir;
       entry.partition_rows = image.storage.partition_rows;
-      for (const PartitionMeta& p : image.partitions) {
-        if (!p.dropped) {
-          entry.partitions.push_back(PartitionDirName(p.epoch_lo, p.epoch_hi));
+      const std::set<std::string> durable(
+          durable_shards[s].partitions.begin(),
+          durable_shards[s].partitions.end());
+      for (size_t i = 0; i < image.partitions.size(); ++i) {
+        const PartitionMeta& p = image.partitions[i];
+        if (p.dropped) continue;
+        entry.partitions.push_back(PartitionDirName(p.epoch_lo, p.epoch_hi));
+        if (durable.count(entry.partitions.back()) == 0) {
+          new_partitions.emplace_back(s, i);
         }
+      }
+      if (entry.partitions != durable_shards[s].partitions) {
+        changed_dirs.insert(entry.storage_dir);
       }
     }
     AMNESIA_RETURN_NOT_OK(
@@ -576,6 +617,31 @@ Status BackgroundCheckpointer::WriteSnapshot(
   }
   if (crash("tier-blobs")) {
     return Status::FailedPrecondition("injected crash after tier blobs");
+  }
+
+  // Make durable what the manifest depends on, here rather than on the
+  // batch thread that sealed, dropped or rolled it: the journal segments
+  // sealed so far, each newly listed partition's files and directory, then
+  // each storage directory whose listing changed (new partition
+  // directories and drop renames).
+  {
+    obs::TraceScope sync_trace("checkpoint.sync", metrics.checkpoint_sync_ns);
+    uint64_t files = 0;
+    uint64_t dirs = 0;
+    if (options.log != nullptr) {
+      AMNESIA_ASSIGN_OR_RETURN(files, options.log->SyncSealed());
+    }
+    for (const auto& [s, i] : new_partitions) {
+      const Table::Parts& image = snapshot.shards[s].image;
+      AMNESIA_RETURN_NOT_OK(
+          SyncPartition(image, image.partitions[i], &files, &dirs));
+    }
+    for (const std::string& dir : changed_dirs) {
+      AMNESIA_RETURN_NOT_OK(FsyncPath(dir));
+      ++dirs;
+    }
+    sync_trace.Annotate("files_synced", static_cast<int64_t>(files));
+    sync_trace.Annotate("dirs_synced", static_cast<int64_t>(dirs));
   }
 
   // Commit point: the manifest (then CURRENT) renames into place.

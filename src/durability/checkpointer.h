@@ -10,6 +10,16 @@
 // not advanced since the last durable write (and tier blobs whose bytes
 // did not change): the new manifest references the existing blob file.
 //
+// Before writing a manifest the writer fsyncs what it depends on and the
+// batch thread left unsynced: the event-log segments sealed so far
+// (EventLogBase::SyncSealed), then each mapped partition the manifest
+// lists and the last durable manifest did not (column files, then the
+// partition directory), then each storage directory whose live-partition
+// list changed (new partition directories, drop renames). Seals, drops
+// and journal rolls therefore never wait on the disk. The manifest,
+// CURRENT and the blobs themselves are not fsynced: a commit survives
+// kill -9, not yet a power loss.
+//
 // Directory layout:
 //   <dir>/ckpt-<id>-shard-<s>.blob  one shard at one epoch (immutable)
 //   <dir>/ckpt-<id>-cold.blob       cold tier at checkpoint <id>

@@ -55,8 +55,8 @@ enum class EventKind : uint8_t {
   // writer ever emitted them, and DecodeEvent rejects them.
   /// One shard dropped a whole sealed partition (mapped storage's O(1)
   /// forget): `row` is the partition index, `value` the partition's row
-  /// count. Journaled after the partition directory's fsync'd rename to
-  /// its `.dropped` name, so whichever of {rename, this record} a crash
+  /// count. Journaled after the partition directory's rename to its
+  /// `.dropped` name, so whichever of {rename, this record} a crash
   /// keeps, recovery is consistent.
   kDropPartition = 8,
   /// One forget sweep of a shard: the rows in `runs`, in victim order,
@@ -217,6 +217,12 @@ class EventLogBase : public EventSink {
   /// Pushes every appended frame to the page cache. Called at batch and
   /// checkpoint boundaries under group commit; a no-op under every-append.
   virtual Status Flush() = 0;
+  /// fsyncs every sealed segment not yet fsynced and returns how many it
+  /// fsynced. The checkpoint writer calls it before each manifest, so the
+  /// sealed part of the log a manifest's coverage spans is durable before
+  /// the manifest is written, without the appending thread waiting on
+  /// the disk.
+  virtual StatusOr<uint64_t> SyncSealed() = 0;
   /// Discards every event with LSN < `lsn` (how is format-specific; both
   /// are crash-atomic, LSN-stable and safe against concurrent Append).
   virtual Status TruncateBefore(uint64_t lsn) = 0;
@@ -274,6 +280,10 @@ class EventLog : public EventLogBase {
 
   /// Flushes any pending group-commit frames to the page cache.
   Status Flush() override;
+
+  /// A single file has no sealed segments (its rewrite fsyncs itself):
+  /// always 0.
+  StatusOr<uint64_t> SyncSealed() override { return uint64_t{0}; }
 
   /// Discards every event with LSN < `lsn` (a no-op when `lsn` is at or
   /// below the current base). File-backed logs rewrite atomically: the

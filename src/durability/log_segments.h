@@ -76,6 +76,10 @@ class SegmentedEventLog : public EventLogBase {
   /// Flushes pending frames of the active segment to the page cache.
   Status Flush() override;
 
+  /// fsyncs the segments sealed since the last call (appends roll without
+  /// an fsync); see SegmentChain::SyncSealed.
+  StatusOr<uint64_t> SyncSealed() override { return chain_.SyncSealed(); }
+
   /// Unlinks every sealed segment wholly below `lsn`. O(1) per segment,
   /// concurrent with Append (appenders only wait for the index splice,
   /// never for the unlinks; truncations serialize among themselves so

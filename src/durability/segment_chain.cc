@@ -18,6 +18,7 @@
 #include "durability/event_log.h"     // SyncPolicy, log_internal
 #include "durability/frame_io.h"
 #include "storage/checkpoint_io.h"
+#include "storage/mapped_file.h"  // FsyncPath
 
 namespace amnesia {
 
@@ -250,6 +251,8 @@ struct SegmentChain::State {
   uint64_t active_bytes = 0;  ///< Bytes written to the active segment.
   std::string active_path;
   std::FILE* active = nullptr;
+  /// Sealed segments not yet fsynced, oldest first (SyncSealed drains it).
+  std::vector<std::string> unsynced;
   uint64_t unlinked_total = 0;
   uint32_t pending_flush = 0;
   std::chrono::steady_clock::time_point oldest_pending;
@@ -277,12 +280,10 @@ Status SegmentChain::State::OpenSegmentLocked(uint64_t base, uint32_t seed) {
 
 Status SegmentChain::State::RollLocked(uint32_t seed,
                                        SegmentBarriers* barriers) {
-  // Seal: the segment becomes immutable, so make it durable now — the
-  // point of sealed segments is that truncation and recovery can treat
-  // them as settled. fclose runs unconditionally so a failed flush or
-  // fsync cannot leak the stream.
-  const bool flush_failed =
-      std::fflush(active) != 0 || fsync(fileno(active)) != 0;
+  // Seal: the segment becomes immutable. Its fsync waits for SyncSealed(),
+  // off the appending thread. fclose runs unconditionally so a failed
+  // flush cannot leak the stream.
+  const bool flush_failed = std::fflush(active) != 0;
   const bool close_failed = std::fclose(active) != 0;
   active = nullptr;
   if (flush_failed || close_failed) {
@@ -292,6 +293,7 @@ Status SegmentChain::State::RollLocked(uint32_t seed,
   barriers->seal = pending_flush;
   pending_flush = 0;
   sealed.push_back(Sealed{active_base, active_count, active_path});
+  unsynced.push_back(active_path);
   return OpenSegmentLocked(active_base + active_count, seed);
 }
 
@@ -403,6 +405,30 @@ Status SegmentChain::Flush(SegmentBarriers* barriers) {
   barriers->flush = s.pending_flush;
   s.pending_flush = 0;
   return Status::OK();
+}
+
+StatusOr<uint64_t> SegmentChain::SyncSealed() {
+  State& s = *state_;
+  std::vector<std::string> paths;
+  {
+    std::lock_guard<std::mutex> lock(s.mu);
+    paths.swap(s.unsynced);
+  }
+  // Sealed files are closed and immutable, so they sync outside the lock.
+  uint64_t synced = 0;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    const Status status = FsyncPath(paths[i]);
+    if (status.ok()) {
+      ++synced;
+    } else if (status.code() != StatusCode::kNotFound) {
+      // Keep this segment and the rest for the next call. (NotFound is a
+      // segment truncation already unlinked: nothing left to sync.)
+      std::lock_guard<std::mutex> lock(s.mu);
+      s.unsynced.insert(s.unsynced.begin(), paths.begin() + i, paths.end());
+      return status;
+    }
+  }
+  return synced;
 }
 
 StatusOr<uint64_t> SegmentChain::TruncateBefore(uint64_t index) {

@@ -20,7 +20,11 @@
 //
 // Appends go to the newest ("active") segment. Once that segment has
 // reached the size threshold and holds a record, the next append seals it
-// (fflush + fsync + fclose) and opens a fresh one at the next index.
+// (fflush + fclose) and opens a fresh one at the next index. A seal does
+// not fsync: SyncSealed() fsyncs every segment sealed since its last call,
+// so the thread that needs a seal durable pays for it (the event log's
+// checkpoint writer before each manifest, the audit ledger right after
+// the append that sealed).
 // TruncateBefore(index) splices sealed segments wholly below `index` out
 // of the index under the append lock and unlinks the files outside it,
 // oldest first: each unlink is crash-atomic, and a crash mid-pass leaves
@@ -91,8 +95,9 @@ StatusOr<uint64_t> ReadSegmentChain(const std::string& dir,
 Status RemoveSegmentFiles(const std::string& dir,
                           const SegmentFormat& format);
 
-/// \brief An open segment chain. Append, Flush and TruncateBefore are
-/// thread-safe; truncations never hold the append lock while unlinking.
+/// \brief An open segment chain. Append, Flush, SyncSealed and
+/// TruncateBefore are thread-safe; truncations and syncs never hold the
+/// append lock while unlinking or fsyncing.
 class SegmentChain {
  public:
   /// Starts a fresh chain in `dir` (created if missing): removes any
@@ -126,6 +131,12 @@ class SegmentChain {
 
   /// Flushes the active segment's pending frames to the page cache.
   Status Flush(SegmentBarriers* barriers);
+
+  /// fsyncs every segment sealed since the last call, skipping any that
+  /// a truncation has unlinked since, and returns how many it fsynced.
+  /// On a failed fsync that segment and the later ones stay pending for
+  /// the next call.
+  StatusOr<uint64_t> SyncSealed();
 
   /// Unlinks every sealed segment wholly below `index` and returns how
   /// many it unlinked. Rejects `index` beyond next_index(). When an

@@ -32,6 +32,7 @@ EngineMetrics& EngineMetrics::Get() {
     m->checkpoint_shards_skipped = r.GetCounter("checkpoint.shards_skipped");
     m->checkpoint_capture_ns = r.GetHistogram("checkpoint.capture_ns");
     m->checkpoint_write_ns = r.GetHistogram("checkpoint.write_ns");
+    m->checkpoint_sync_ns = r.GetHistogram("checkpoint.sync_ns");
     m->checkpoint_gc_ns = r.GetHistogram("checkpoint.gc_ns");
 
     m->log_appends = r.GetCounter("log.appends");

@@ -45,12 +45,14 @@ struct EngineMetrics {
   Counter* checkpoint_shards_skipped;  // shard blobs reused (epoch unchanged)
   Histogram* checkpoint_capture_ns;    // snapshot capture (caller stall)
   Histogram* checkpoint_write_ns;      // background write+commit phase
+  Histogram* checkpoint_sync_ns;       // fsyncs of what the manifest names
   Histogram* checkpoint_gc_ns;         // retention GC phase
 
   // --- event log --------------------------------------------------------
   Counter* log_appends;         // events appended (both formats)
-  // Journal flushes to the page cache (fflush); only a segment seal also
-  // fsyncs. It keeps the name "log.fsyncs", which existing readers use.
+  // Journal flushes to the page cache (fflush); none of them fsyncs (the
+  // checkpoint writer fsyncs sealed segments, checkpoint.sync_ns). It
+  // keeps the name "log.fsyncs", which existing readers use.
   Counter* log_fsyncs;
   Counter* log_truncations;     // TruncateBefore compactions
   Histogram* log_batch_size;    // appends covered by each journal flush

@@ -43,13 +43,6 @@ uint64_t GetU64(const uint8_t* p) {
   return v;
 }
 
-std::string ParentDirOf(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
-}
-
 Status ErrnoStatus(const std::string& what, const std::string& path) {
   return Status::Internal(what + " '" + path + "': " + std::strerror(errno));
 }
@@ -100,12 +93,15 @@ bool ParsePartitionDirName(const std::string& name, Tick* epoch_lo,
   return true;
 }
 
-Status FsyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return ErrnoStatus("open dir", dir);
+Status FsyncPath(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (errno == ENOENT) return Status::NotFound("no such path '" + path + "'");
+    return ErrnoStatus("open", path);
+  }
   const int rc = ::fsync(fd);
   ::close(fd);
-  if (rc != 0) return ErrnoStatus("fsync dir", dir);
+  if (rc != 0) return ErrnoStatus("fsync", path);
   return Status::OK();
 }
 
@@ -219,7 +215,6 @@ Status MappedColumnFile::WriteSealed(const std::string& path,
   if (status.ok()) {
     write_all(reinterpret_cast<const uint8_t*>(values), rows * sizeof(Value));
   }
-  if (status.ok() && ::fsync(fd) != 0) status = ErrnoStatus("fsync", tmp);
   ::close(fd);
   if (!status.ok()) {
     ::unlink(tmp.c_str());
@@ -229,7 +224,7 @@ Status MappedColumnFile::WriteSealed(const std::string& path,
     ::unlink(tmp.c_str());
     return ErrnoStatus("rename", path);
   }
-  return FsyncDir(ParentDirOf(path));
+  return Status::OK();
 }
 
 StatusOr<MappedColumnFile> MappedColumnFile::Map(const std::string& path,

@@ -7,15 +7,22 @@
 //
 // holding one file per column. A file is a 64-byte checksummed
 // self-describing header followed by `rows` little-endian int64 values.
-// Files are written once (tmp + fsync + rename + parent-dir fsync, so a
-// partition is either fully sealed or absent) and then mapped MAP_SHARED
+// Files are written once (tmp + rename, so a killed process leaves a
+// partition either fully sealed or absent) and then mapped MAP_SHARED
 // with PROT_READ|PROT_WRITE: scans read the mapped words directly and
 // delete-backend scrubbing writes through to the file. Dropping a
-// partition renames its directory to `part-<lo>-<hi>.dropped` (one fsync'd
+// partition renames its directory to `part-<lo>-<hi>.dropped` (one
 // rename, O(1) in the partition size) before the physical unlink, so a
-// crash at any point recovers to a consistent state: either the rename is
-// durable (partition droppable/dropped) or it is not (partition intact,
+// crash at any point recovers to a consistent state: either the rename
+// survived (partition droppable/dropped) or it did not (partition intact,
 // bytes untouched).
+//
+// Sealing and dropping do not fsync. The checkpoint writer fsyncs (with
+// FsyncPath) every partition file, partition directory and storage
+// directory a manifest depends on before it writes that manifest; a
+// partition no manifest names yet is rebuilt by recovery, which replays
+// its rows from the journal and re-seals it over whatever a power cut
+// left behind.
 
 #ifndef AMNESIA_STORAGE_MAPPED_FILE_H_
 #define AMNESIA_STORAGE_MAPPED_FILE_H_
@@ -53,8 +60,10 @@ std::string PartitionColumnFileName(const std::string& col);
 bool ParsePartitionDirName(const std::string& name, Tick* epoch_lo,
                            Tick* epoch_hi, bool* dropped);
 
-/// fsyncs a directory so a just-created/renamed/unlinked entry is durable.
-Status FsyncDir(const std::string& dir);
+/// fsyncs the file or directory at `path` (a directory's fsync makes its
+/// created, renamed and unlinked entries durable). NotFound when nothing
+/// is at `path`.
+Status FsyncPath(const std::string& path);
 
 /// Creates `dir` if missing (single level) and returns OK if it exists.
 Status EnsureDirExists(const std::string& dir);
@@ -83,8 +92,10 @@ class MappedColumnFile {
   MappedColumnFile(const MappedColumnFile&) = delete;
   MappedColumnFile& operator=(const MappedColumnFile&) = delete;
 
-  /// Writes a sealed partition file at `path` crash-atomically: tmp file,
-  /// write header + values, fsync, rename over `path`, fsync parent dir.
+  /// Writes a sealed partition file at `path` atomically against a
+  /// process crash: tmp file, write header + values, rename over `path`.
+  /// No fsync: the checkpoint writer syncs the file before a manifest
+  /// names it.
   static Status WriteSealed(const std::string& path, const Value* values,
                             uint64_t rows, Tick epoch_lo, Tick epoch_hi);
 

@@ -258,9 +258,6 @@ Status Table::SealTailPartition() {
     AMNESIA_RETURN_NOT_OK(columns_[c].SealTail(
         dir + "/" + PartitionColumnFileName(schema_.column(c).name), lo, hi));
   }
-  // Make the partition directory entry itself durable before recording
-  // the partition as sealed.
-  AMNESIA_RETURN_NOT_OK(FsyncDir(storage_.dir));
   partitions_.push_back(PartitionMeta{lo, hi, false});
   ++version_;
   obs::EngineMetrics::Get().storage_partitions_created->Inc();
@@ -292,15 +289,22 @@ StatusOr<uint64_t> Table::DropPartition(size_t idx, bool defer_unlink) {
   // its live name; journal record lost: partition restores intact from
   // the .dropped name and its rows come back active.
   if (::rename(live.c_str(), dropped.c_str()) != 0) {
-    // Re-drop after a crash between rename and journal flush: the source
-    // is gone but the target exists (or, when the unlink also completed
-    // and the drop record survived, both are gone) — proceed either way.
-    if (errno != ENOENT || DirExists(live)) {
+    const int err = errno;
+    if ((err == ENOTEMPTY || err == EEXIST) && DirExists(dropped)) {
+      // Replay re-sealed the partition under its live name while the
+      // original drop's `.dropped` copy still waits for retention GC. Both
+      // hold this partition's rows; keep the copy a retained manifest may
+      // still map and remove the re-sealed one.
+      AMNESIA_RETURN_NOT_OK(RemoveDirRecursive(live));
+    } else if (err != ENOENT || DirExists(live)) {
+      // ENOENT without a live directory is a re-drop after a crash between
+      // rename and journal flush: the source is gone but the target exists
+      // (or, when the unlink also completed and the drop record survived,
+      // both are gone) — proceed either way.
       return Status::Internal("rename '" + live + "' -> '" + dropped +
-                              "': " + std::strerror(errno));
+                              "': " + std::strerror(err));
     }
   }
-  AMNESIA_RETURN_NOT_OK(FsyncDir(storage_.dir));
 
   const RowId row_begin = static_cast<RowId>(idx) * storage_.partition_rows;
   const RowId row_end = row_begin + storage_.partition_rows;
@@ -313,8 +317,9 @@ StatusOr<uint64_t> Table::DropPartition(size_t idx, bool defer_unlink) {
   ++version_;
   obs::EngineMetrics::Get().storage_partitions_dropped->Inc();
   if (!defer_unlink) {
+    // Nothing journals this drop, so only this fsync makes it durable.
     AMNESIA_RETURN_NOT_OK(RemoveDirRecursive(dropped));
-    AMNESIA_RETURN_NOT_OK(FsyncDir(storage_.dir));
+    AMNESIA_RETURN_NOT_OK(FsyncPath(storage_.dir));
   }
   return newly;
 }

@@ -187,15 +187,17 @@ class Table {
   /// Total bytes currently mmap'd across all columns' live segments.
   uint64_t MappedBytes() const;
 
-  /// Drops sealed partition `idx` whole: fsync'd rename of its directory
-  /// to `part-<lo>-<hi>.dropped`, then every covered row is marked
-  /// forgotten and reads as the scrub value 0 — O(1) in the partition
-  /// size (plus one bitmap range-clear). With `defer_unlink` the renamed
-  /// directory is left for retention GC / recovery cleanup (callers that
-  /// journal a drop event defer, so a crash before the event is flushed
-  /// recovers the partition from its `.dropped` name); otherwise it is
-  /// unlinked immediately. Idempotent. Returns the number of rows newly
-  /// forgotten.
+  /// Drops sealed partition `idx` whole: renames its directory to
+  /// `part-<lo>-<hi>.dropped`, then every covered row is marked forgotten
+  /// and reads as the scrub value 0 — O(1) in the partition size (plus
+  /// one bitmap range-clear). With `defer_unlink` the renamed directory is
+  /// left for retention GC / recovery cleanup (callers that journal a drop
+  /// event defer, so a crash before the event is flushed recovers the
+  /// partition from its `.dropped` name) and nothing is fsynced: the
+  /// checkpoint writer syncs the storage directory before a manifest that
+  /// reflects the drop. Otherwise the directory is unlinked and the
+  /// storage directory fsynced at once. Idempotent. Returns the number of
+  /// rows newly forgotten.
   StatusOr<uint64_t> DropPartition(size_t idx, bool defer_unlink = false);
 
   /// Returns the number of rows physically present (active + forgotten,

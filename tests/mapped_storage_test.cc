@@ -600,6 +600,103 @@ TEST(MappedRecoveryTest, TornPartitionFileFailsRecovery) {
   EXPECT_FALSE(Recover(dir.file("ckpt"), "").ok());
 }
 
+TEST(MappedRecoveryTest, TornPartitionNoManifestNamesReSealsOnRecovery) {
+  // A partition sealed after the last checkpoint is named by no manifest:
+  // its seal is not fsynced, so a power cut may leave its column file
+  // empty, half written or missing. Recovery must not care: replaying the
+  // journaled rows re-seals the partition through tmp + rename over
+  // whatever is left.
+  enum class Damage { kEmpty, kHalf, kDeleted };
+  for (const Damage damage :
+       {Damage::kEmpty, Damage::kHalf, Damage::kDeleted}) {
+    SCOPED_TRACE(static_cast<int>(damage));
+    ScratchDir dir("amnesia_mapped_unlisted_torn_test");
+    EventLog log = EventLog::Open(dir.file("events.log")).value();
+    Table table = MakeLoadedMappedTable(dir.file("storage"), 200, 83);
+    CheckpointerOptions opts;
+    opts.dir = dir.file("ckpt");
+    opts.async = false;
+    opts.log = &log;
+    BackgroundCheckpointer ckpt = BackgroundCheckpointer::Make(opts).value();
+    ASSERT_TRUE(ckpt.Checkpoint(table, log.next_lsn()).ok());
+
+    // 8 tail rows + 64 journaled rows seal partition [192, 255].
+    Event append;
+    append.kind = EventKind::kAppendRows;
+    append.columns.resize(1);
+    Rng rng(89);
+    for (int i = 0; i < 64; ++i) {
+      append.columns[0].push_back(rng.UniformInt(0, 999'999));
+    }
+    ASSERT_TRUE(log.Append(append).ok());
+    ASSERT_TRUE(table.AppendColumns(append.columns).ok());
+    ASSERT_TRUE(log.Flush().ok());
+    ASSERT_EQ(table.partitions().size(), 4u);
+    // Taken before the damage: the live table maps the file it tears.
+    const std::vector<uint8_t> expected = CheckpointTable(table);
+
+    const std::string file = dir.file("storage/part-192-255/col-v.dat");
+    const auto size = fs::file_size(file);
+    if (damage == Damage::kDeleted) {
+      ASSERT_TRUE(fs::remove(file));
+    } else {
+      fs::resize_file(file, damage == Damage::kEmpty ? 0 : size / 2);
+    }
+
+    auto state = Recover(dir.file("ckpt"), dir.file("events.log"));
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    ASSERT_EQ(state->shards.size(), 1u);
+    EXPECT_EQ(state->events_replayed, 1u);
+    EXPECT_EQ(CheckpointTable(state->shards[0]), expected);
+    EXPECT_EQ(fs::file_size(file), size);
+  }
+}
+
+/// privacy_vacuum's shape, small: FIFO kDelete on 256-row mapped
+/// partitions, every partition dropped one batch after its newest row.
+SimulationConfig ReDropConfig(const std::string& dir, uint32_t cadence) {
+  SimulationConfig config;
+  config.seed = 23;
+  config.dbsize = 2000;
+  config.upd_perc = 0.3;
+  config.policy.kind = PolicyKind::kFifo;
+  config.backend = BackendKind::kDelete;
+  config.storage_backend = StorageBackend::kMapped;
+  config.storage_dir = dir + "/storage";
+  config.partition_rows = 256;
+  config.vacuum_max_age_batches = 1;
+  config.log_format = LogFormat::kSegmented;
+  config.checkpoint_dir = dir + "/ckpt";
+  config.checkpoint_every_n_batches = cadence;
+  config.queries_per_batch = 5;
+  config.record_access = false;  // access counts are not journaled
+  return config;
+}
+
+TEST(MappedRecoveryTest, ReplayReSealsAndReDropsBesideTheDroppedCopy) {
+  // The tail past the newest manifest seals a partition and drops it. The
+  // drop's `.dropped` copy waits for retention GC, so replay re-seals the
+  // partition under its live name beside that copy and must still be able
+  // to drop it again: a cleanly shut down database has to open.
+  for (const auto& [cadence, batches] :
+       std::vector<std::pair<uint32_t, uint32_t>>{{5, 9}, {10, 9}, {10, 20}}) {
+    SCOPED_TRACE("cadence " + std::to_string(cadence) + ", " +
+                 std::to_string(batches) + " batches");
+    ScratchDir dir("amnesia_mapped_redrop_test");
+    auto sim = Simulator::Make(ReDropConfig(dir.path(), cadence)).value();
+    ASSERT_TRUE(sim->Initialize().ok());
+    for (uint32_t b = 0; b < batches; ++b) ASSERT_TRUE(sim->StepBatch().ok());
+    ASSERT_TRUE(sim->FlushCheckpoints().ok());
+    ASSERT_GT(sim->controller().stats().partitions_dropped, 0u);
+
+    auto state = Recover(dir.file("ckpt"), sim->event_log_path());
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    ASSERT_EQ(state->shards.size(), 1u);
+    EXPECT_EQ(CheckpointTable(state->shards[0]),
+              CheckpointTable(sim->table()));
+  }
+}
+
 TEST(MappedRecoveryTest, RetentionGcUnlinksDroppedPartitions) {
   // Once no retained manifest lists a partition as live, the retention GC
   // removes its `.dropped` directory — the deferred half of the drop.
