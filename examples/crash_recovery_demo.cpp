@@ -73,6 +73,7 @@
 #include <vector>
 
 #include "amnesia/audit_ledger.h"
+#include "common/fs.h"
 #include "durability/checkpointer.h"
 #include "durability/event_log.h"
 #include "durability/log_segments.h"

@@ -2,9 +2,6 @@
 
 #include "durability/checkpointer.h"
 
-#include <dirent.h>
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -15,6 +12,7 @@
 #include <set>
 #include <utility>
 
+#include "common/fs.h"
 #include "common/logging.h"
 #include "durability/log_segments.h"
 #include "obs/engine_metrics.h"
@@ -90,13 +88,12 @@ bool IsBlobName(const std::string& name) {
 }
 
 /// Returns the ids of every MANIFEST-<id> file in `dir`, unsorted.
-std::vector<uint64_t> ListManifestIds(const std::string& dir) {
+StatusOr<std::vector<uint64_t>> ListManifestIds(const std::string& dir) {
+  AMNESIA_ASSIGN_OR_RETURN(const std::vector<std::string> names,
+                           ListDirEntries(dir));
   std::vector<uint64_t> ids;
-  DIR* d = opendir(dir.c_str());
-  if (d == nullptr) return ids;
   const size_t prefix_len = std::strlen(kManifestPrefix);
-  while (dirent* entry = readdir(d)) {
-    const std::string name = entry->d_name;
+  for (const std::string& name : names) {
     if (name.rfind(kManifestPrefix, 0) != 0) continue;
     const std::string suffix = name.substr(prefix_len);
     if (suffix.empty() ||
@@ -105,7 +102,6 @@ std::vector<uint64_t> ListManifestIds(const std::string& dir) {
     }
     ids.push_back(std::strtoull(suffix.c_str(), nullptr, 10));
   }
-  closedir(d);
   return ids;
 }
 
@@ -219,38 +215,18 @@ StatusOr<Manifest> DecodeManifest(const std::vector<uint8_t>& buffer) {
 }
 
 Status ClearCheckpointArtifacts(const std::string& dir) {
-  DIR* d = opendir(dir.c_str());
-  if (d == nullptr) return Status::OK();  // nothing to clear
-  std::vector<std::string> doomed;
-  while (dirent* entry = readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name.rfind(kManifestPrefix, 0) == 0 || name == kCurrentName ||
-        IsBlobName(name)) {
-      doomed.push_back(dir + "/" + name);
+  AMNESIA_ASSIGN_OR_RETURN(const std::vector<std::string> names,
+                           ListDirEntries(dir));
+  for (const std::string& name : names) {
+    if (name.rfind(kManifestPrefix, 0) != 0 && name != kCurrentName &&
+        !IsBlobName(name)) {
+      continue;
     }
-  }
-  closedir(d);
-  for (const std::string& path : doomed) {
+    const std::string path = dir + "/" + name;
     if (std::remove(path.c_str()) != 0) {
       return Status::Internal("cannot remove stale checkpoint artifact '" +
                               path + "'");
     }
-  }
-  return Status::OK();
-}
-
-Status EnsureDir(const std::string& dir) {
-  struct stat st;
-  if (stat(dir.c_str(), &st) == 0) {
-    if (!S_ISDIR(st.st_mode)) {
-      return Status::InvalidArgument("'" + dir + "' exists but is not a "
-                                     "directory");
-    }
-    return Status::OK();
-  }
-  if (mkdir(dir.c_str(), 0755) != 0) {
-    return Status::Internal("cannot create checkpoint directory '" + dir +
-                            "'");
   }
   return Status::OK();
 }
@@ -274,7 +250,8 @@ StatusOr<BackgroundCheckpointer> BackgroundCheckpointer::Make(
   BackgroundCheckpointer out(options);
   // Resume the id sequence past manifests from a previous incarnation so
   // blob names never collide across a crash.
-  const std::vector<uint64_t> ids = ListManifestIds(options.dir);
+  AMNESIA_ASSIGN_OR_RETURN(const std::vector<uint64_t> ids,
+                           ListManifestIds(options.dir));
   for (uint64_t id : ids) {
     out.next_checkpoint_id_ = std::max(out.next_checkpoint_id_, id + 1);
   }
@@ -334,7 +311,8 @@ struct GcResult {
 /// pass backs off without deleting anything: GC must never turn a
 /// readable directory into an unreadable one.
 Status RunRetentionGc(const CheckpointerOptions& options, GcResult* out) {
-  std::vector<uint64_t> ids = ListManifestIds(options.dir);
+  AMNESIA_ASSIGN_OR_RETURN(std::vector<uint64_t> ids,
+                           ListManifestIds(options.dir));
   std::sort(ids.begin(), ids.end(), std::greater<uint64_t>());
   if (ids.empty()) return Status::OK();
   const size_t keep = std::min<size_t>(options.retain, ids.size());
@@ -390,18 +368,10 @@ Status RunRetentionGc(const CheckpointerOptions& options, GcResult* out) {
     ++out->manifests_deleted;
   }
 
-  std::vector<std::string> orphans;
-  DIR* d = opendir(options.dir.c_str());
-  if (d != nullptr) {
-    while (dirent* entry = readdir(d)) {
-      const std::string name = entry->d_name;
-      if (IsBlobName(name) && referenced.count(name) == 0) {
-        orphans.push_back(name);
-      }
-    }
-    closedir(d);
-  }
-  for (const std::string& name : orphans) {
+  AMNESIA_ASSIGN_OR_RETURN(const std::vector<std::string> names,
+                           ListDirEntries(options.dir));
+  for (const std::string& name : names) {
+    if (!IsBlobName(name) || referenced.count(name) > 0) continue;
     const std::string path = options.dir + "/" + name;
     if (std::remove(path.c_str()) != 0) {
       return Status::Internal("retention GC cannot remove '" + path + "'");
@@ -827,7 +797,7 @@ StatusOr<RecoveredState> Recover(const std::string& dir,
                                  const ReplaySinks& sinks) {
   // Candidate manifests, newest first; the CURRENT pointer is a hint that
   // goes first when it parses.
-  std::vector<uint64_t> ids = ListManifestIds(dir);
+  AMNESIA_ASSIGN_OR_RETURN(std::vector<uint64_t> ids, ListManifestIds(dir));
   std::sort(ids.begin(), ids.end(), std::greater<uint64_t>());
   {
     auto current = ReadBytesFile(dir + "/" + kCurrentName);

@@ -5,7 +5,8 @@
 // names them all. Checkpoint() captures on the caller: each shard's image
 // (Table::ToParts) and copies of the tiers, in one pass. The writer
 // encodes each image (EncodeTableParts) and commits the manifest
-// atomically via rename; a CURRENT file points at the newest one.
+// atomically via rename (common/fs.h); a CURRENT file points at the
+// newest one.
 // Incremental checkpoints skip writing shards whose durability epoch has
 // not advanced since the last durable write (and tier blobs whose bytes
 // did not change): the new manifest references the existing blob file.
@@ -59,6 +60,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fs.h"  // for callers that prepare and read checkpoint dirs
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "durability/event_log.h"
@@ -128,9 +130,6 @@ std::vector<uint8_t> EncodeManifest(const Manifest& manifest);
 /// has no mapped-storage fields). InvalidArgument on a truncated or corrupt
 /// manifest, FailedPrecondition on any other version.
 StatusOr<Manifest> DecodeManifest(const std::vector<uint8_t>& buffer);
-
-/// \brief Creates `dir` if it does not exist (single level).
-Status EnsureDir(const std::string& dir);
 
 /// \brief Deletes every checkpoint artifact (manifests, CURRENT, shard and
 /// tier blobs) in `dir`, leaving other files alone. A process starting a

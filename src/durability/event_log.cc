@@ -3,12 +3,12 @@
 #include "durability/event_log.h"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <utility>
 
 #include "amnesia/controller.h"
+#include "common/fs.h"
 #include "durability/frame_io.h"
 #include "obs/engine_metrics.h"
 #include "storage/checkpoint_io.h"
@@ -53,45 +53,22 @@ bool DecodeTruncationMarker(const std::vector<uint8_t>& payload,
 using wal::WriteFrame;
 
 /// Rewrites the log at `path` to hold a base-LSN marker (when base_lsn >
-/// 0) plus events[begin..], atomically: everything goes to a ".tmp"
-/// sibling that renames over the log, so a crash at any point leaves
-/// either the old or the new file complete — never a torn rewrite. The
-/// orphan ".tmp" of a crashed rewrite is simply overwritten next time.
+/// 0) plus events[begin..] through ReplaceFile, so a crash at any point
+/// leaves either the old or the new file complete, never a torn rewrite.
+/// The tmp file is fsynced before the rename: unlike a torn blob or
+/// manifest, a lost log suffix has no older artifact to fall back to.
 Status RewriteLogFileAtomic(const std::string& path, uint64_t base_lsn,
                             const std::vector<Event>& events, size_t begin) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot open '" + tmp + "' for log rewrite");
-  }
-  Status written = Status::OK();
-  if (base_lsn > 0) {
-    written = WriteFrame(f, EncodeTruncationMarker(base_lsn), tmp);
-  }
-  for (size_t i = begin; written.ok() && i < events.size(); ++i) {
-    written = WriteFrame(f, EncodeEvent(events[i]), tmp);
-  }
-  // fflush drains stdio to the page cache; fsync orders the data blocks
-  // before the rename's metadata. Without it a power loss after the
-  // rename could surface an empty rewritten log — and unlike a torn blob
-  // or manifest, a lost log suffix has no older artifact to fall back to.
-  if (!written.ok() || std::fflush(f) != 0 || fsync(fileno(f)) != 0) {
-    std::fclose(f);
-    std::remove(tmp.c_str());
-    return written.ok()
-               ? Status::Internal("cannot flush rewritten log '" + tmp + "'")
-               : written;
-  }
-  if (std::fclose(f) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot close rewritten log '" + tmp + "'");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename rewritten log over '" + path +
-                            "'");
-  }
-  return Status::OK();
+  return ReplaceFile(path, /*sync=*/true, [&](std::FILE* f) {
+    if (base_lsn > 0) {
+      AMNESIA_RETURN_NOT_OK(
+          WriteFrame(f, EncodeTruncationMarker(base_lsn), path));
+    }
+    for (size_t i = begin; i < events.size(); ++i) {
+      AMNESIA_RETURN_NOT_OK(WriteFrame(f, EncodeEvent(events[i]), path));
+    }
+    return Status::OK();
+  });
 }
 
 /// True for the kinds this code reads; false for every other byte,

@@ -2,13 +2,11 @@
 
 #include "durability/log_segments.h"
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <cstdio>
 #include <utility>
 #include <vector>
 
+#include "common/fs.h"
 #include "obs/engine_metrics.h"
 
 namespace amnesia {
@@ -106,10 +104,7 @@ StatusOr<EventLogContents> ReadSegmentedLogContents(const std::string& dir) {
 }
 
 StatusOr<EventLogContents> ReadAnyEventLogContents(const std::string& path) {
-  struct stat st;
-  if (stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
-    return ReadSegmentedLogContents(path);
-  }
+  if (StatPath(path).is_dir) return ReadSegmentedLogContents(path);
   return ReadEventLogContents(path);
 }
 
@@ -120,9 +115,9 @@ std::string EventLogPathFor(const std::string& checkpoint_dir,
 }
 
 Status RemoveEventLog(const std::string& path) {
-  struct stat st;
-  if (stat(path.c_str(), &st) != 0) return Status::OK();  // nothing there
-  if (!S_ISDIR(st.st_mode)) {
+  const PathInfo info = StatPath(path);
+  if (!info.exists) return Status::OK();  // nothing there
+  if (!info.is_dir) {
     if (std::remove(path.c_str()) != 0) {
       return Status::Internal("cannot remove event log '" + path + "'");
     }
@@ -131,7 +126,7 @@ Status RemoveEventLog(const std::string& path) {
   AMNESIA_RETURN_NOT_OK(RemoveSegmentFiles(path, kLogFormat));
   // Foreign files would make the rmdir fail; the segments are gone, which
   // is what correctness needs, so an undeletable directory is not fatal.
-  rmdir(path.c_str());
+  (void)RemoveDir(path);
   return Status::OK();
 }
 

@@ -105,7 +105,9 @@ class SegmentedEventLog : public EventLogBase {
 
 /// \brief Reads the valid prefix of a segmented log directory (see the
 /// file comment for what ends the prefix). NotFound when `dir` does not
-/// exist or holds no segment with a valid header.
+/// exist or holds no segment with a valid header; any other failure to
+/// list `dir` (a regular file, no permission) is returned as is, so
+/// recovery never reads an unreadable journal as an absent one.
 StatusOr<EventLogContents> ReadSegmentedLogContents(const std::string& dir);
 
 /// \brief Format-agnostic read: a directory at `path` is read as a

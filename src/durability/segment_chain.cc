@@ -2,8 +2,6 @@
 
 #include "durability/segment_chain.h"
 
-#include <dirent.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,11 +12,10 @@
 #include <mutex>
 #include <utility>
 
-#include "durability/checkpointer.h"  // EnsureDir
-#include "durability/event_log.h"     // SyncPolicy, log_internal
+#include "common/fs.h"
+#include "durability/event_log.h"  // SyncPolicy, log_internal
 #include "durability/frame_io.h"
 #include "storage/checkpoint_io.h"
-#include "storage/mapped_file.h"  // FsyncPath
 
 namespace amnesia {
 
@@ -44,19 +41,6 @@ bool IsSegmentName(const std::string& name, const SegmentFormat& format) {
   return name.size() > prefix + suffix &&
          name.compare(0, prefix, format.prefix) == 0 &&
          name.compare(name.size() - suffix, suffix, kSuffix) == 0;
-}
-
-/// Lists the segment file names in `dir` (names only, no validation).
-/// Returns false when the directory cannot be opened.
-bool ListSegmentNames(const std::string& dir, const SegmentFormat& format,
-                      std::vector<std::string>* out) {
-  DIR* d = opendir(dir.c_str());
-  if (d == nullptr) return false;
-  while (dirent* entry = readdir(d)) {
-    if (IsSegmentName(entry->d_name, format)) out->push_back(entry->d_name);
-  }
-  closedir(d);
-  return true;
 }
 
 std::vector<uint8_t> EncodeHeader(const SegmentFormat& format, uint64_t base,
@@ -93,12 +77,6 @@ bool ReadHeader(std::FILE* f, const SegmentFormat& format, uint64_t* base,
   return true;
 }
 
-uint64_t FileSize(const std::string& path) {
-  struct stat st;
-  return stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size)
-                                      : 0;
-}
-
 /// One segment file with a valid header, scanned.
 struct ScannedSegment {
   uint64_t base = 0;
@@ -121,14 +99,12 @@ struct ChainScan {
 StatusOr<ChainScan> ScanChain(const std::string& dir,
                               const SegmentFormat& format,
                               const SegmentVisitor& visit) {
-  std::vector<std::string> names;
-  if (!ListSegmentNames(dir, format, &names)) {
-    return Status::NotFound("cannot open segment directory '" + dir + "'");
-  }
-
+  AMNESIA_ASSIGN_OR_RETURN(const std::vector<std::string> names,
+                           ListDirEntries(dir));
   ChainScan scan;
   std::vector<ScannedSegment> candidates;
   for (const std::string& name : names) {
+    if (!IsSegmentName(name, format)) continue;
     ScannedSegment seg;
     seg.path = dir + "/" + name;
     std::FILE* f = std::fopen(seg.path.c_str(), "rb");
@@ -166,7 +142,7 @@ StatusOr<ChainScan> ScanChain(const std::string& dir,
       continue;
     }
     seg.valid_bytes = header_size;
-    const uint64_t file_size = FileSize(seg.path);
+    const uint64_t file_size = StatPath(seg.path).size;
     uint64_t remaining = file_size > header_size ? file_size - header_size : 0;
     while (wal::ReadFrame(f, &remaining, &payload) &&
            (!visit.frame || visit.frame(payload))) {
@@ -197,9 +173,10 @@ StatusOr<uint64_t> ReadSegmentChain(const std::string& dir,
 
 Status RemoveSegmentFiles(const std::string& dir,
                           const SegmentFormat& format) {
-  std::vector<std::string> names;
-  ListSegmentNames(dir, format, &names);
+  AMNESIA_ASSIGN_OR_RETURN(const std::vector<std::string> names,
+                           ListDirEntries(dir));
   for (const std::string& name : names) {
+    if (!IsSegmentName(name, format)) continue;
     const std::string path = dir + "/" + name;
     if (std::remove(path.c_str()) != 0) {
       return Status::Internal("cannot remove segment '" + path + "'");

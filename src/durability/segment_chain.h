@@ -85,13 +85,14 @@ struct SegmentBarriers {
 
 /// \brief Reads the chain in `dir`, handing every segment and frame to
 /// `visit`. Returns the base index of the chain's first segment; NotFound
-/// when `dir` is missing or holds no segment with a valid header.
+/// when `dir` is missing or holds no segment with a valid header, and the
+/// listing's error when `dir` cannot be read.
 StatusOr<uint64_t> ReadSegmentChain(const std::string& dir,
                                     const SegmentFormat& format,
                                     const SegmentVisitor& visit);
 
 /// \brief Unlinks every `<prefix>*.seg` file in `dir`. A missing
-/// directory is fine.
+/// directory is fine; one that cannot be read is an error.
 Status RemoveSegmentFiles(const std::string& dir,
                           const SegmentFormat& format);
 

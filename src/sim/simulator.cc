@@ -4,10 +4,10 @@
 
 #include <utility>
 
+#include "common/fs.h"
 #include "common/logging.h"
 #include "metrics/amnesia_map.h"
 #include "query/scan.h"
-#include "storage/mapped_file.h"
 #include "workload/update_gen.h"
 
 namespace amnesia {

@@ -2,9 +2,6 @@
 
 #include "storage/checkpoint.h"
 
-#include <sys/stat.h>
-
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -583,53 +580,6 @@ StatusOr<SummaryStore> RestoreSummaryStore(
     cells.emplace(key, s);
   }
   return SummaryStore::FromCells(std::move(cells));
-}
-
-// ------------------------------------------------------------ file layer
-
-Status WriteBytesFileAtomic(const std::vector<uint8_t>& bytes,
-                            const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot open '" + tmp + "' for writing");
-  }
-  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != bytes.size() || !close_ok) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write to '" + tmp + "'");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename '" + tmp + "' into place");
-  }
-  return Status::OK();
-}
-
-StatusOr<std::vector<uint8_t>> ReadBytesFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open '" + path + "'");
-  }
-  // Size from fstat, not fseek/ftell: a directory opens fine, but its
-  // "end" offset is no file size, and allocating it would abort.
-  struct stat st {};
-  if (::fstat(fileno(f), &st) != 0) {
-    std::fclose(f);
-    return Status::Internal("cannot stat '" + path + "'");
-  }
-  if (!S_ISREG(st.st_mode)) {
-    std::fclose(f);
-    return Status::InvalidArgument("'" + path + "' is not a regular file");
-  }
-  std::vector<uint8_t> buffer(static_cast<size_t>(st.st_size));
-  const size_t read = std::fread(buffer.data(), 1, buffer.size(), f);
-  std::fclose(f);
-  if (read != buffer.size()) {
-    return Status::Internal("short read from '" + path + "'");
-  }
-  return buffer;
 }
 
 }  // namespace amnesia

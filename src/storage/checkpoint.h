@@ -5,7 +5,8 @@
 // results, unless the user takes the action and recover[s] a backup
 // version of the database from cold storage explicitly" (§5). A
 // checkpoint serializes a table — payload, amnesia metadata and all — to
-// a byte buffer or file; restoring yields a bit-identical table state.
+// a byte buffer (common/fs.h writes it to a file); restoring yields a
+// bit-identical table state.
 //
 // This module owns the table-blob format. A table's image is its
 // Table::Parts: Table::ToParts() captures it, EncodeTableParts writes it,
@@ -76,18 +77,6 @@ std::vector<uint8_t> CheckpointSummaryStore(const SummaryStore& store);
 /// \brief Reconstructs a summary tier from a CheckpointSummaryStore()
 /// buffer.
 StatusOr<SummaryStore> RestoreSummaryStore(const std::vector<uint8_t>& buffer);
-
-/// \brief Writes `bytes` to `path` through a sibling ".tmp" file that is
-/// written, closed and renamed into place, so a killed process leaves
-/// `path` holding the complete buffer or its previous content, never a
-/// torn prefix. Nothing is fsynced: after a power loss the file may be
-/// empty or torn.
-Status WriteBytesFileAtomic(const std::vector<uint8_t>& bytes,
-                            const std::string& path);
-
-/// \brief Reads the whole of `path` into a byte buffer (NotFound when the
-/// file does not exist, InvalidArgument when it is not a regular file).
-StatusOr<std::vector<uint8_t>> ReadBytesFile(const std::string& path);
 
 }  // namespace amnesia
 

@@ -2,17 +2,16 @@
 
 #include "storage/mapped_file.h"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
-#include <sys/types.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 
+#include "common/fs.h"
 #include "obs/engine_metrics.h"
 #include "storage/checkpoint_io.h"
 
@@ -41,10 +40,6 @@ uint64_t GetU64(const uint8_t* p) {
   uint64_t v;
   std::memcpy(&v, p, sizeof(v));
   return v;
-}
-
-Status ErrnoStatus(const std::string& what, const std::string& path) {
-  return Status::Internal(what + " '" + path + "': " + std::strerror(errno));
 }
 
 }  // namespace
@@ -93,67 +88,6 @@ bool ParsePartitionDirName(const std::string& name, Tick* epoch_lo,
   return true;
 }
 
-Status FsyncPath(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return Status::NotFound("no such path '" + path + "'");
-    return ErrnoStatus("open", path);
-  }
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) return ErrnoStatus("fsync", path);
-  return Status::OK();
-}
-
-Status EnsureDirExists(const std::string& dir) {
-  if (::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST) return Status::OK();
-  return ErrnoStatus("mkdir", dir);
-}
-
-StatusOr<std::vector<std::string>> ListDirEntries(const std::string& dir) {
-  std::vector<std::string> names;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    if (errno == ENOENT) return names;
-    return ErrnoStatus("opendir", dir);
-  }
-  while (struct dirent* e = ::readdir(d)) {
-    const std::string name = e->d_name;
-    if (name == "." || name == "..") continue;
-    names.push_back(name);
-  }
-  ::closedir(d);
-  return names;
-}
-
-Status RemoveDirRecursive(const std::string& dir) {
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    if (errno == ENOENT) return Status::OK();
-    return ErrnoStatus("opendir", dir);
-  }
-  Status status = Status::OK();
-  while (struct dirent* e = ::readdir(d)) {
-    const std::string name = e->d_name;
-    if (name == "." || name == "..") continue;
-    const std::string path = dir + "/" + name;
-    struct stat st;
-    if (::lstat(path.c_str(), &st) != 0) continue;
-    if (S_ISDIR(st.st_mode)) {
-      status = RemoveDirRecursive(path);
-    } else if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
-      status = ErrnoStatus("unlink", path);
-    }
-    if (!status.ok()) break;
-  }
-  ::closedir(d);
-  if (!status.ok()) return status;
-  if (::rmdir(dir.c_str()) != 0 && errno != ENOENT) {
-    return ErrnoStatus("rmdir", dir);
-  }
-  return Status::OK();
-}
-
 MappedColumnFile& MappedColumnFile::operator=(MappedColumnFile&& other) noexcept {
   if (this != &other) {
     Reset();
@@ -195,36 +129,17 @@ Status MappedColumnFile::WriteSealed(const std::string& path,
   PutU64(header + 32, sizeof(Value));
   PutU32(header + kCrcOffset, ckpt::Crc32(header, kCrcOffset));
 
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return ErrnoStatus("create", tmp);
-  Status status = Status::OK();
-  auto write_all = [&](const uint8_t* p, size_t n) {
-    while (n > 0) {
-      const ssize_t w = ::write(fd, p, n);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        status = ErrnoStatus("write", tmp);
-        return;
-      }
-      p += w;
-      n -= static_cast<size_t>(w);
+  return ReplaceFile(path, /*sync=*/false, [&](std::FILE* f) {
+    // Unbuffered: the header and the values each go to the file in one
+    // write, the values straight from the column, without a stdio copy.
+    std::setvbuf(f, nullptr, _IONBF, 0);
+    const size_t bytes = rows * sizeof(Value);
+    if (std::fwrite(header, 1, sizeof(header), f) != sizeof(header) ||
+        std::fwrite(values, 1, bytes, f) != bytes) {
+      return ErrnoStatus("write", path);
     }
-  };
-  write_all(header, sizeof(header));
-  if (status.ok()) {
-    write_all(reinterpret_cast<const uint8_t*>(values), rows * sizeof(Value));
-  }
-  ::close(fd);
-  if (!status.ok()) {
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return ErrnoStatus("rename", path);
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 StatusOr<MappedColumnFile> MappedColumnFile::Map(const std::string& path,

@@ -17,8 +17,8 @@
 // survived (partition droppable/dropped) or it did not (partition intact,
 // bytes untouched).
 //
-// Sealing and dropping do not fsync. The checkpoint writer fsyncs (with
-// FsyncPath) every partition file, partition directory and storage
+// Sealing and dropping do not fsync. The checkpoint writer fsyncs
+// (common/fs.h) every partition file, partition directory and storage
 // directory a manifest depends on before it writes that manifest; a
 // partition no manifest names yet is rebuilt by recovery, which replays
 // its rows from the journal and re-seals it over whatever a power cut
@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "storage/types.h"
@@ -60,22 +59,6 @@ std::string PartitionColumnFileName(const std::string& col);
 bool ParsePartitionDirName(const std::string& name, Tick* epoch_lo,
                            Tick* epoch_hi, bool* dropped);
 
-/// fsyncs the file or directory at `path` (a directory's fsync makes its
-/// created, renamed and unlinked entries durable). NotFound when nothing
-/// is at `path`.
-Status FsyncPath(const std::string& path);
-
-/// Creates `dir` if missing (single level) and returns OK if it exists.
-Status EnsureDirExists(const std::string& dir);
-
-/// Removes a directory and the regular files directly inside it.
-/// Missing directory is OK (idempotent cleanup).
-Status RemoveDirRecursive(const std::string& dir);
-
-/// Lists the entry names (not paths) directly inside `dir`, excluding
-/// "." and "..". Missing directory yields an empty list.
-StatusOr<std::vector<std::string>> ListDirEntries(const std::string& dir);
-
 /// \brief One column's sealed partition file, mapped into memory.
 ///
 /// Move-only owner of the mapping; the destructor unmaps. The mapping is
@@ -93,9 +76,9 @@ class MappedColumnFile {
   MappedColumnFile& operator=(const MappedColumnFile&) = delete;
 
   /// Writes a sealed partition file at `path` atomically against a
-  /// process crash: tmp file, write header + values, rename over `path`.
-  /// No fsync: the checkpoint writer syncs the file before a manifest
-  /// names it.
+  /// process crash (ReplaceFile: tmp file, header + values, rename over
+  /// `path`). No fsync: the checkpoint writer syncs the file before a
+  /// manifest names it.
   static Status WriteSealed(const std::string& path, const Value* values,
                             uint64_t rows, Tick epoch_lo, Tick epoch_hi);
 

@@ -6,7 +6,7 @@
 #include <string>
 #include <utility>
 
-#include "storage/mapped_file.h"
+#include "common/fs.h"
 
 namespace amnesia {
 
@@ -36,7 +36,7 @@ StatusOr<ShardedTable> ShardedTable::Make(Schema schema, uint32_t num_shards,
   if (storage.dir.empty()) {
     return Status::InvalidArgument("mapped storage needs a directory");
   }
-  AMNESIA_RETURN_NOT_OK(EnsureDirExists(storage.dir));
+  AMNESIA_RETURN_NOT_OK(EnsureDir(storage.dir));
   std::vector<Table> shards;
   shards.reserve(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {

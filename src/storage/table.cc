@@ -7,9 +7,9 @@
 #include <cstring>
 #include <numeric>
 #include <string>
-#include <sys/stat.h>
 #include <utility>
 
+#include "common/fs.h"
 #include "obs/engine_metrics.h"
 #include "storage/mapped_file.h"
 
@@ -21,11 +21,6 @@ uint64_t NormalizePartitionRows(uint64_t rows) {
   uint64_t p = 64;
   while (p < rows && p < (uint64_t{1} << 62)) p <<= 1;
   return p;
-}
-
-bool DirExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
 }
 
 }  // namespace
@@ -52,7 +47,7 @@ StatusOr<Table> Table::Make(Schema schema, StorageOptions storage) {
     return Status::InvalidArgument("mapped storage needs a directory");
   }
   storage.partition_rows = NormalizePartitionRows(storage.partition_rows);
-  AMNESIA_RETURN_NOT_OK(EnsureDirExists(storage.dir));
+  AMNESIA_RETURN_NOT_OK(EnsureDir(storage.dir));
   Table table(std::move(schema));
   table.storage_ = std::move(storage);
   for (auto& col : table.columns_) {
@@ -126,7 +121,7 @@ StatusOr<Table> Table::FromParts(Parts parts) {
         const std::string renamed =
             table.storage_.dir + "/" +
             DroppedPartitionDirName(p.epoch_lo, p.epoch_hi);
-        const std::string dir = DirExists(live) ? live : renamed;
+        const std::string dir = StatPath(live).is_dir ? live : renamed;
         for (size_t c = 0; c < table.columns_.size(); ++c) {
           const std::string path =
               dir + "/" + PartitionColumnFileName(table.schema_.column(c).name);
@@ -253,7 +248,7 @@ Status Table::SealTailPartition() {
   const Tick lo = insert_tick_[begin];
   const Tick hi = insert_tick_[begin + storage_.partition_rows - 1];
   const std::string dir = storage_.dir + "/" + PartitionDirName(lo, hi);
-  AMNESIA_RETURN_NOT_OK(EnsureDirExists(dir));
+  AMNESIA_RETURN_NOT_OK(EnsureDir(dir));
   for (size_t c = 0; c < columns_.size(); ++c) {
     AMNESIA_RETURN_NOT_OK(columns_[c].SealTail(
         dir + "/" + PartitionColumnFileName(schema_.column(c).name), lo, hi));
@@ -290,13 +285,13 @@ StatusOr<uint64_t> Table::DropPartition(size_t idx, bool defer_unlink) {
   // the .dropped name and its rows come back active.
   if (::rename(live.c_str(), dropped.c_str()) != 0) {
     const int err = errno;
-    if ((err == ENOTEMPTY || err == EEXIST) && DirExists(dropped)) {
+    if ((err == ENOTEMPTY || err == EEXIST) && StatPath(dropped).is_dir) {
       // Replay re-sealed the partition under its live name while the
       // original drop's `.dropped` copy still waits for retention GC. Both
       // hold this partition's rows; keep the copy a retained manifest may
       // still map and remove the re-sealed one.
       AMNESIA_RETURN_NOT_OK(RemoveDirRecursive(live));
-    } else if (err != ENOENT || DirExists(live)) {
+    } else if (err != ENOENT || StatPath(live).is_dir) {
       // ENOENT without a live directory is a re-drop after a crash between
       // rename and journal flush: the source is gone but the target exists
       // (or, when the unlink also completed and the drop record survived,

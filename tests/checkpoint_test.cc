@@ -11,6 +11,7 @@
 
 #include "amnesia/controller.h"
 #include "amnesia/fifo.h"
+#include "common/fs.h"
 #include "common/rng.h"
 #include "storage/checkpoint.h"
 #include "storage/checkpoint_io.h"

@@ -1,9 +1,10 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
 // Unit tests for the common substrate: Status/StatusOr, Bitmap, Histogram,
-// RunningStats, CsvWriter, ascii charts, logging.
+// RunningStats, CsvWriter, ascii charts, logging, the file-system module.
 
 #include <cmath>
+#include <filesystem>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "common/ascii_chart.h"
 #include "common/bitmap.h"
 #include "common/csv.h"
+#include "common/fs.h"
 #include "common/histogram.h"
 #include "common/logging.h"
 #include "common/stats.h"
@@ -479,6 +481,35 @@ TEST(LoggingTest, SuppressedMessageDoesNotCrash) {
   SetLogLevel(LogLevel::kError);
   AMNESIA_LOG(kDebug) << "invisible " << 42;
   SetLogLevel(before);
+}
+
+// ------------------------------------------------------------ File system
+
+TEST(FsTest, ReplaceFileKeepsOldContentWhenTheWriteFails) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "amnesia_fs_replace_test")
+          .string();
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(EnsureDir(dir).ok());
+  const std::string path = dir + "/file";
+  ASSERT_TRUE(WriteBytesFileAtomic({1, 2, 3}, path).ok());
+
+  const Status failed = ReplaceFile(path, /*sync=*/true, [](std::FILE* f) {
+    std::fputc(9, f);
+    return Status::Internal("body failed");
+  });
+  EXPECT_EQ(failed.message(), "body failed");
+  EXPECT_EQ(ReadBytesFile(path).value(), (std::vector<uint8_t>{1, 2, 3}));
+  EXPECT_EQ(ListDirEntries(dir).value(), std::vector<std::string>{"file"});
+
+  ASSERT_TRUE(ReplaceFile(path, /*sync=*/true, [](std::FILE* f) {
+                std::fputc(9, f);
+                return Status::OK();
+              }).ok());
+  EXPECT_EQ(ReadBytesFile(path).value(), std::vector<uint8_t>{9});
+  EXPECT_EQ(ListDirEntries(dir).value(), std::vector<std::string>{"file"});
+  ASSERT_TRUE(RemoveDirRecursive(dir).ok());
+  EXPECT_FALSE(StatPath(dir).exists);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "amnesia/fifo.h"
 #include "amnesia/sharded_controller.h"
 #include "amnesia/uniform.h"
+#include "common/fs.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "durability/checkpointer.h"
@@ -716,6 +717,19 @@ TEST(CheckpointerTest, EmptyDirIsNotFound) {
   EXPECT_EQ(Recover(dir.path(), "").status().code(), StatusCode::kNotFound);
 }
 
+TEST(CheckpointerTest, UnreadableDirIsNotMistakenForEmpty) {
+  // Only a missing directory holds no checkpoint. One that cannot be
+  // listed surfaces its error rather than reading as "no manifest".
+  ScratchDir dir("amnesia_ckpt_file_as_dir_test");
+  const std::string file = dir.file("not-a-dir");
+  std::ofstream(file) << "x";
+  const Status status = Recover(file, "").status();
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.code(), StatusCode::kNotFound) << status.ToString();
+  EXPECT_EQ(Recover(dir.file("missing"), "").status().code(),
+            StatusCode::kNotFound);
+}
+
 /// Writes checkpoints 1 and 2 of `table` (one forget in between) into
 /// `dir`, synchronously.
 void WriteTwoCheckpoints(const std::string& dir, Table* table) {
@@ -836,31 +850,56 @@ TEST(CheckpointerTest, AsyncWriteFailureSurfacesOnWait) {
   EXPECT_FALSE(ckpt.WaitIdle().ok());
 }
 
+/// Every truncation and every single-byte flip of an encoded manifest is
+/// refused as corrupt.
+void ExpectEveryCutAndFlipRejected(const std::vector<uint8_t>& bytes) {
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    const std::vector<uint8_t> truncated(
+        bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(cut));
+    ASSERT_EQ(DecodeManifest(truncated).status().code(),
+              StatusCode::kInvalidArgument)
+        << "cut at " << cut;
+  }
+  for (size_t pos = 0; pos < bytes.size(); ++pos) {
+    for (int mask = 1; mask < 256; ++mask) {
+      std::vector<uint8_t> corrupt = bytes;
+      corrupt[pos] ^= static_cast<uint8_t>(mask);
+      ASSERT_EQ(DecodeManifest(corrupt).status().code(),
+                StatusCode::kInvalidArgument)
+          << "byte " << pos << " ^ " << mask;
+    }
+  }
+}
+
 TEST(ManifestTest, CodecRejectsTruncation) {
+  // A version 3 manifest with a vector shard, a mapped shard and both
+  // tier entries.
   Manifest manifest;
   manifest.id = 7;
   manifest.covered_lsn = 123;
   manifest.ingest_cursor = 456;
   manifest.shards.push_back(VectorShard(9, "ckpt-7-shard-0.blob", 100, 42));
+  ManifestShard mapped = VectorShard(4, "ckpt-6-shard-1.blob", 80, 17);
+  mapped.storage_dir = "/data/storage/shard-1";
+  mapped.partition_rows = 64;
+  mapped.partitions = {"part-0-63", "part-128-191"};
+  manifest.shards.push_back(mapped);
+  manifest.cold = ManifestBlob{"ckpt-7-cold.blob", 128, 77};
+  manifest.summary = ManifestBlob{"ckpt-5-summary.blob", 32, 5};
   const std::vector<uint8_t> bytes = EncodeManifest(manifest);
 
   const Manifest decoded = DecodeManifest(bytes).value();
   EXPECT_EQ(decoded.id, 7u);
   EXPECT_EQ(decoded.covered_lsn, 123u);
   EXPECT_EQ(decoded.ingest_cursor, 456u);
-  ASSERT_EQ(decoded.shards.size(), 1u);
+  ASSERT_EQ(decoded.shards.size(), 2u);
   EXPECT_EQ(decoded.shards[0].filename, "ckpt-7-shard-0.blob");
+  EXPECT_FALSE(decoded.shards[0].mapped());
+  EXPECT_EQ(decoded.shards[1].storage_dir, mapped.storage_dir);
+  EXPECT_EQ(decoded.shards[1].partitions, mapped.partitions);
+  EXPECT_EQ(decoded.summary.filename, "ckpt-5-summary.blob");
 
-  for (size_t cut : {bytes.size() - 1, bytes.size() / 2, size_t{3}}) {
-    std::vector<uint8_t> truncated(bytes.begin(),
-                                   bytes.begin() + static_cast<ptrdiff_t>(cut));
-    EXPECT_EQ(DecodeManifest(truncated).status().code(),
-              StatusCode::kInvalidArgument)
-        << "cut at " << cut;
-  }
-  std::vector<uint8_t> corrupt = bytes;
-  corrupt[10] ^= 0x55;
-  EXPECT_FALSE(DecodeManifest(corrupt).ok());
+  ExpectEveryCutAndFlipRejected(bytes);
 }
 
 // ----------------------------------------------- event-log truncation (v2)
@@ -1100,6 +1139,8 @@ TEST(ManifestTest, V2DirectoryStillRecovers) {
   EXPECT_FALSE(state.cold.has_value());
   EXPECT_FALSE(state.summaries.has_value());
   EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(table));
+
+  ExpectEveryCutAndFlipRejected(EncodeManifestV2(v2));
 
   // Any version other than 2 and 3 is refused by name, not misparsed.
   for (uint32_t version : {1u, 4u}) {

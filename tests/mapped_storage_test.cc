@@ -23,6 +23,7 @@
 #include "amnesia/controller.h"
 #include "amnesia/registry.h"
 #include "amnesia/sharded_controller.h"
+#include "common/fs.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "durability/checkpointer.h"
@@ -123,21 +124,37 @@ TEST(PartitionFileTest, WriteSealedThenMapRoundtrips) {
   }
 }
 
+/// Overwrites the byte at `pos` of the file at `path`.
+void PokeByte(const std::string& path, size_t pos, uint8_t byte) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(static_cast<std::streamoff>(pos));
+  f.put(static_cast<char>(byte));
+}
+
 TEST(PartitionFileTest, TornHeaderIsRejected) {
   ScratchDir dir("amnesia_partition_torn_test");
   std::vector<Value> values = {1, 2, 3, 4};
   const std::string path = dir.file("col-a.dat");
   ASSERT_TRUE(
       MappedColumnFile::WriteSealed(path, values.data(), 4, 0, 3).ok());
-
-  // Flip one header byte (inside the CRC-covered range).
+  std::vector<uint8_t> header(kPartitionHeaderBytes);
   {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(9);
-    char byte = 0x5A;
-    f.write(&byte, 1);
+    std::ifstream in(path, std::ios::binary);
+    in.read(reinterpret_cast<char*>(header.data()),
+            static_cast<std::streamsize>(header.size()));
   }
-  EXPECT_FALSE(MappedColumnFile::Map(path, 4).ok());
+
+  // Every single-byte flip of the CRC-covered header [0, 40) and of the
+  // CRC itself [40, 44).
+  for (size_t pos = 0; pos < 44; ++pos) {
+    for (int mask = 1; mask < 256; ++mask) {
+      PokeByte(path, pos, static_cast<uint8_t>(header[pos] ^ mask));
+      ASSERT_FALSE(MappedColumnFile::Map(path, 4).ok())
+          << "byte " << pos << " ^ " << mask;
+    }
+    PokeByte(path, pos, header[pos]);
+  }
+  EXPECT_TRUE(MappedColumnFile::Map(path, 4).ok());
 }
 
 TEST(PartitionFileTest, TruncatedFileIsRejected) {
@@ -146,10 +163,13 @@ TEST(PartitionFileTest, TruncatedFileIsRejected) {
   const std::string path = dir.file("col-a.dat");
   ASSERT_TRUE(
       MappedColumnFile::WriteSealed(path, values.data(), 4, 0, 3).ok());
-  fs::resize_file(path, fs::file_size(path) - 8);
-  EXPECT_FALSE(MappedColumnFile::Map(path, 4).ok());
-  // Row-count mismatch against the caller's expectation also fails.
+  // Row-count mismatch against the caller's expectation fails.
   EXPECT_FALSE(MappedColumnFile::Map(path, 99).ok());
+  // So does every truncated length, inside the header and past it.
+  for (uintmax_t len = fs::file_size(path); len-- > 0;) {
+    fs::resize_file(path, len);
+    ASSERT_FALSE(MappedColumnFile::Map(path, 4).ok()) << "length " << len;
+  }
 }
 
 // ----------------------------------------------------- sealing lifecycle
@@ -177,6 +197,19 @@ TEST(MappedTableTest, SealsFullPartitionsAndReadsBack) {
   // The v1 checkpoint blob splices mapped segments back into one payload:
   // byte equality against the vector twin is the bit-identity statement.
   EXPECT_EQ(CheckpointTable(mapped), CheckpointTable(vec));
+}
+
+TEST(MappedTableTest, RegularFileAsStorageDirFailsAtMake) {
+  // A storage directory that names a regular file is refused up front,
+  // not by the first seal in the middle of an ingest.
+  ScratchDir dir("amnesia_mapped_file_as_dir_test");
+  const std::string file = dir.file("not-a-dir");
+  std::ofstream(file) << "x";
+  const Schema schema = Schema::SingleColumn("a", 0, 1000);
+  EXPECT_EQ(Table::Make(schema, Mapped(file)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ShardedTable::Make(schema, 2, Mapped(file)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(MappedTableTest, PartitionRowsRoundUpToPowerOfTwo) {

@@ -354,6 +354,20 @@ TEST(SegmentedLogTest, CorruptMiddleSegmentStopsAtLastValidFrame) {
             valid + 1);
 }
 
+TEST(SegmentedLogTest, UnreadableDirIsNotMistakenForMissing) {
+  // Only a missing directory reads as "no journal" (NotFound, which
+  // recovery takes for a snapshot without a tail). One that cannot be
+  // listed surfaces its error.
+  ScratchDir dir("amnesia_seglog_file_as_dir_test");
+  const std::string file = dir.file("not-a-dir");
+  std::ofstream(file) << "x";
+  const Status status = ReadSegmentedLogContents(file).status();
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.code(), StatusCode::kNotFound) << status.ToString();
+  EXPECT_EQ(ReadSegmentedLogContents(dir.file("missing")).status().code(),
+            StatusCode::kNotFound);
+}
+
 TEST(SegmentedLogTest, GroupCommitBatchesFlushes) {
   ScratchDir dir("amnesia_seglog_group_commit_test");
   SegmentedLogOptions options;
