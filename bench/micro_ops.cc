@@ -305,7 +305,7 @@ void BM_ProfiledMorselScope(benchmark::State& state) {
   }
   for (auto _ : state) {
     ProfiledMorselScope scope(t, Visibility::kActiveOnly, Engine::kVectorized,
-                              morsel, /*shard=*/0);
+                              morsel, /*shard=*/0, /*live_only=*/true);
     benchmark::DoNotOptimize(&scope);
   }
   if (pq) pq->Finish(0);

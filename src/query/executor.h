@@ -53,7 +53,7 @@ struct ExecOptions {
   int parallelism = 1;
   /// Execution engine for full-scan plans and the aggregate fold. The
   /// default, kVectorized, routes scans through the batch-at-a-time
-  /// selection-bitmap kernels and folds index-plan aggregates with the
+  /// fused kernels and folds index-plan aggregates with the
   /// dense lane kernel. kScalar (row loops, Welford fold) is the reference
   /// the equivalence tests name: same rows/COUNT/MIN/MAX, SUM/AVG/variance
   /// up to FP reassociation. Index lookups themselves are unaffected.

@@ -201,7 +201,8 @@ void ProfiledMorselScope::Report() const {
                        SkipsWholesale(visibility_, live, rows);
   const uint64_t forgotten =
       visibility_ == Visibility::kActiveOnly ? rows - live : 0;
-  collector_->NoteMorsel(shard_, rows, forgotten, skipped, busy_ns);
+  collector_->NoteMorsel(shard_, live_only_ && !skipped ? live : rows,
+                         forgotten, skipped, busy_ns);
 }
 
 void ProfileCollector::Drain(QueryProfile* out) const {

@@ -133,11 +133,15 @@ ProfileCollector* ActiveProfileCollector();
 /// is, times the kernel and reports the morsel to the collector. It decides
 /// skipped vs scanned with the kernels' own SkipsWholesale rule over the
 /// same MorselLiveCount input, so skip counts match scan.morsels_skipped
-/// for the bracketed operator; scalar kernels never skip.
+/// for the bracketed operator; scalar kernels never skip. `live_only`
+/// marks a kernel that reads the morsel's slice of the live candidate
+/// list: a scanned morsel then counts its live rows as the rows scanned,
+/// as the kernel's scan.rows_scanned does.
 class ProfiledMorselScope {
  public:
   ProfiledMorselScope(const Table& table, Visibility visibility,
-                      Engine engine, Morsel morsel, uint32_t shard)
+                      Engine engine, Morsel morsel, uint32_t shard,
+                      bool live_only)
       : collector_(ActiveProfileCollector()) {
     if (collector_ == nullptr) return;
     table_ = &table;
@@ -145,6 +149,7 @@ class ProfiledMorselScope {
     engine_ = engine;
     morsel_ = morsel;
     shard_ = shard;
+    live_only_ = live_only;
     start_ns_ = obs::NowNs();
   }
 
@@ -164,6 +169,7 @@ class ProfiledMorselScope {
   Engine engine_ = Engine::kVectorized;
   Morsel morsel_{0, 0};
   uint32_t shard_ = 0;
+  bool live_only_ = false;
   uint64_t start_ns_ = 0;
 };
 
@@ -253,7 +259,8 @@ inline ProfileCollector* ActiveProfileCollector() { return nullptr; }
 
 class ProfiledMorselScope {
  public:
-  ProfiledMorselScope(const Table&, Visibility, Engine, Morsel, uint32_t) {}
+  ProfiledMorselScope(const Table&, Visibility, Engine, Morsel, uint32_t,
+                      bool) {}
 };
 
 class ProfiledQuery {

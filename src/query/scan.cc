@@ -110,18 +110,24 @@ inline bool Visible(const Table& table, RowId row, Visibility visibility) {
 
 // ---------------------------------------------------- operator policies
 //
-// Each operator tells the driver four things: its partial result, how one
-// morsel of either engine folds into a partial, how partials fold in
-// morsel order, and how the folded partial becomes the public result.
+// Each operator tells RunScan five things: whether its vectorized
+// kActiveOnly kernel reads the live candidate list, its partial result,
+// how one morsel folds into a partial (from the morsel's slice of `live`
+// when RunScan passes a list, else through either engine's morsel
+// kernel), how partials fold in morsel order, and how the folded partial
+// becomes the public result.
 
 struct ScanOp {
   using Partial = ResultSet;
   using Result = ResultSet;
+  static constexpr bool kReadsLiveCandidates = true;
 
-  static void Run(const Table& table, const RangePredicate& pred,
-                  Visibility visibility, Morsel morsel, Engine engine,
-                  ResultSet* out) {
-    if (engine == Engine::kVectorized) {
+  static void Run(const Table& table, const LiveCandidates* live,
+                  const RangePredicate& pred, Visibility visibility,
+                  Morsel morsel, Engine engine, ResultSet* out) {
+    if (live != nullptr) {
+      ScanLiveVectorized(*live, pred, morsel, out);
+    } else if (engine == Engine::kVectorized) {
       ScanMorselVectorized(table, pred, visibility, morsel,
                            &ThreadLocalScanContext(), out);
     } else {
@@ -152,14 +158,19 @@ struct ScanOp {
 struct CountOp {
   using Partial = uint64_t;
   using Result = uint64_t;
+  static constexpr bool kReadsLiveCandidates = true;
 
-  static void Run(const Table& table, const RangePredicate& pred,
-                  Visibility visibility, Morsel morsel, Engine engine,
-                  uint64_t* count) {
-    *count += engine == Engine::kVectorized
-                  ? CountMorselVectorized(table, pred, visibility, morsel,
-                                          &ThreadLocalScanContext())
-                  : CountMorsel(table, pred, visibility, morsel);
+  static void Run(const Table& table, const LiveCandidates* live,
+                  const RangePredicate& pred, Visibility visibility,
+                  Morsel morsel, Engine engine, uint64_t* count) {
+    if (live != nullptr) {
+      *count += CountLiveVectorized(*live, pred, morsel);
+    } else if (engine == Engine::kVectorized) {
+      *count += CountMorselVectorized(table, pred, visibility, morsel,
+                                      &ThreadLocalScanContext());
+    } else {
+      *count += CountMorsel(table, pred, visibility, morsel);
+    }
   }
 
   static uint64_t Fold(const std::vector<uint64_t>& parts) {
@@ -182,10 +193,13 @@ struct AggPartial {
 struct AggregateOp {
   using Partial = AggPartial;
   using Result = AggregateResult;
+  // The AVX-512 sum groups lanes by storage position; fed the live list
+  // instead, AVG's last bits would change.
+  static constexpr bool kReadsLiveCandidates = false;
 
-  static void Run(const Table& table, const RangePredicate& pred,
-                  Visibility visibility, Morsel morsel, Engine engine,
-                  AggPartial* agg) {
+  static void Run(const Table& table, const LiveCandidates* /*live*/,
+                  const RangePredicate& pred, Visibility visibility,
+                  Morsel morsel, Engine engine, AggPartial* agg) {
     if (engine == Engine::kVectorized) {
       agg->vectorized.Merge(AggregateMorselVectorized(
           table, pred, visibility, morsel, &ThreadLocalScanContext()));
@@ -238,6 +252,11 @@ void ToGlobal(uint32_t, Partial*) {}
 // parallel plan keeps one partial per pool morsel, every shard's own
 // Morsels(morsel_rows) in shard-major order, and falls back to the serial
 // plan when the pool is one wide or there is at most one morsel.
+//
+// A vectorized kActiveOnly scan or count reads each morsel's slice of its
+// shard's live candidate list. RunScan brings every shard's list up to
+// date on the calling thread before any kernel runs and hands the kernels
+// the built lists, so pool workers only read them.
 template <typename Op>
 StatusOr<typename Op::Result> RunScan(const TableShards& table,
                                       const RangePredicate& pred,
@@ -249,11 +268,22 @@ StatusOr<typename Op::Result> RunScan(const TableShards& table,
     morsels.emplace(table.Morsels(parallel->morsel_rows));
   }
   NoteOp(engine);
+  // Per shard: its live candidate list, or null when the kernels read
+  // the morsels' column spans.
+  std::vector<const LiveCandidates*> lists(table.num_shards(), nullptr);
+  if (Op::kReadsLiveCandidates && engine == Engine::kVectorized &&
+      visibility == Visibility::kActiveOnly) {
+    for (uint32_t s = 0; s < table.num_shards(); ++s) {
+      lists[s] = &table.shard(s).live_candidates();
+    }
+  }
 
   auto run = [&](ShardMorsel sm, typename Op::Partial* part) {
     const Table& shard = table.shard(sm.shard);
-    ProfiledMorselScope prof(shard, visibility, engine, sm.morsel, sm.shard);
-    Op::Run(shard, pred, visibility, sm.morsel, engine, part);
+    const LiveCandidates* live = lists[sm.shard];
+    ProfiledMorselScope prof(shard, visibility, engine, sm.morsel, sm.shard,
+                             /*live_only=*/live != nullptr);
+    Op::Run(shard, live, pred, visibility, sm.morsel, engine, part);
   };
 
   std::vector<typename Op::Partial> parts;

@@ -23,13 +23,19 @@
 // plans and shard counts, SUM/AVG/variance differ by FP reassociation only.
 //
 // Every operator defaults to kVectorized, the batch-at-a-time kernels of
-// query/vector_kernels.h (branch-free selection bitmaps ANDed against the
-// visibility bitmap, with fully-forgotten morsels skipped wholesale).
-// kScalar runs tuple-at-a-time row loops and is kept only as the reference
-// the equivalence tests name. Both engines return the same rows in the
-// same order; COUNT/MIN/MAX are bit-identical across engines,
-// SUM/AVG/variance agree up to FP reassociation (scalar folds through
-// Welford, vectorized sums directly).
+// query/vector_kernels.h (a branch-free range compare masked by the
+// visibility words, fused with the count, accumulation or emit, with
+// fully-forgotten morsels skipped wholesale). Under kActiveOnly, the
+// vectorized ScanRange and CountRange read each morsel's slice of the
+// shard's live candidate list (Table::live_candidates()) rather than the
+// morsel's whole history: the morsel loop rebuilds a stale list on the
+// calling thread before any kernel runs, and the morsel's live rows are
+// its rows scanned. AggregateRange keeps the morsel kernel, whose AVX-512 sum
+// groups lanes by storage position. kScalar runs tuple-at-a-time row
+// loops and is kept only as the reference the equivalence tests name.
+// Both engines return the same rows in the same order; COUNT/MIN/MAX are
+// bit-identical across engines, SUM/AVG/variance agree up to FP
+// reassociation (scalar folds through Welford, vectorized sums directly).
 
 #ifndef AMNESIA_QUERY_SCAN_H_
 #define AMNESIA_QUERY_SCAN_H_
@@ -54,7 +60,7 @@ enum class Visibility : int {
 /// \brief Which execution engine a scan operator runs.
 enum class Engine : int {
   kScalar = 0,      ///< Tuple-at-a-time row loops (the tests' reference).
-  kVectorized = 1,  ///< Batch-at-a-time selection-bitmap kernels; default.
+  kVectorized = 1,  ///< Batch-at-a-time fused kernels; default.
 };
 
 /// \brief Returns InvalidArgument unless `pred` names one of a table's

@@ -35,9 +35,9 @@ inline void NoteMorselSkipped() {
 #endif
 }
 
-// The skip check each vectorized kernel runs before touching a column: counts the
-// morsel's live rows (kAll never skips, so it needs no count) and notes a
-// wholesale skip.
+// The skip check each morsel kernel runs before touching a column: counts
+// the morsel's live rows (kAll never skips, so it needs no count) and notes
+// a wholesale skip.
 bool SkipMorsel(const Table& table, Visibility visibility, Morsel morsel) {
   if (visibility == Visibility::kAll ||
       !SkipsWholesale(visibility, MorselLiveCount(table, morsel),
@@ -50,7 +50,7 @@ bool SkipMorsel(const Table& table, Visibility visibility, Morsel morsel) {
 
 constexpr uint64_t kAllOnes = ~uint64_t{0};
 
-// Lanes packed per selection word; the dense/sparse dispatch unit.
+// Lanes per match word; the dense/sparse dispatch unit.
 constexpr uint64_t kLanesPerWord = 64;
 
 inline uint64_t PopCount(uint64_t word) {
@@ -58,7 +58,7 @@ inline uint64_t PopCount(uint64_t word) {
 }
 
 // Evaluates the one-compare range test over 64 lanes and packs the results
-// into one selection word. Two stages keep it branch-free AND fast: the
+// into one match word. Two stages keep it branch-free AND fast: the
 // compare loop stores 0/1 bytes (auto-vectorizable, no cross-lane
 // dependency), then each 8-byte chunk collapses to 8 bits with the
 // multiply-pack trick ((chunk * 0x0102040810204080) >> 56 places byte g's
@@ -118,8 +118,54 @@ inline void AccumulateSparse(const Value* lanes, uint64_t word,
   }
 }
 
+// The visibility mask of word w of a fused kernel: all ones under kAll
+// (`vis` null), else the morsel's active word, complemented under
+// kForgottenOnly (`invert`).
+inline uint64_t VisibilityWord(const uint64_t* vis, bool invert, uint64_t w) {
+  if (vis == nullptr) return kAllOnes;
+  return invert ? ~vis[w] : vis[w];
+}
+
+// The one-compare range test over one word's 64 lanes, masked by `visw`:
+// bit b is set iff lanes[b] matches and bit b of `visw` is set. lo <= v <
+// hi iff uint64(v) - ulo < span (RangePredicate::UnsignedSpan): the
+// subtraction wraps in the unsigned domain, so the test is exact across
+// the full signed domain, extremes included.
+inline uint64_t MatchWord(const Value* lanes, uint64_t ulo, uint64_t span,
+                          uint64_t visw) {
+#if defined(__AVX512F__) && defined(__AVX512DQ__)
+  // The visibility byte of each 8-lane group is the compare's write mask.
+  const __m512i vlo = _mm512_set1_epi64(static_cast<long long>(ulo));
+  const __m512i vspan = _mm512_set1_epi64(static_cast<long long>(span));
+  uint64_t word = 0;
+  for (uint64_t g = 0; g < 8; ++g) {
+    const __mmask8 kvis = static_cast<__mmask8>(visw >> (g * 8));
+    const __m512i v = _mm512_loadu_si512(lanes + g * 8);
+    const __mmask8 k =
+        _mm512_mask_cmplt_epu64_mask(kvis, _mm512_sub_epi64(v, vlo), vspan);
+    word |= static_cast<uint64_t>(k) << (g * 8);
+  }
+  return word;
+#else
+  return PackSelectWord(lanes, ulo, span) & visw;
+#endif
+}
+
+// The range test over the `rem` < 64 lanes of a tail word. Only bits below
+// rem can be set, so an inverted visibility word's stray tail ones cannot
+// leak in when it is ANDed on.
+inline uint64_t TailMatchWord(const Value* lanes, uint64_t rem, uint64_t ulo,
+                              uint64_t span) {
+  uint64_t word = 0;
+  for (uint64_t b = 0; b < rem; ++b) {
+    word |= static_cast<uint64_t>(static_cast<uint64_t>(lanes[b]) - ulo < span)
+            << b;
+  }
+  return word;
+}
+
 // Fused select+accumulate over [data, data+n): evaluates the range test
-// word-at-a-time, ANDs the pre-extracted visibility words (`vis` null for
+// word-at-a-time, masks it with the visibility words (`vis` null for
 // kAll, `invert` for kForgottenOnly) and accumulates the surviving lanes
 // while they are still hot in registers/L1 — the aggregate never
 // materializes a selection bitmap or re-reads the column slice.
@@ -147,8 +193,7 @@ void FusedAggregateRange(const Value* data, uint64_t n, uint64_t ulo,
   uint64_t count = 0;
   const uint64_t full = n / kLanesPerWord;
   for (uint64_t w = 0; w < full; ++w) {
-    uint64_t visw = kAllOnes;
-    if (vis != nullptr) visw = invert ? ~vis[w] : vis[w];
+    const uint64_t visw = VisibilityWord(vis, invert, w);
     if (visw == 0) continue;
     const Value* lanes = data + w * kLanesPerWord;
     for (uint64_t g = 0; g < 8; ++g) {
@@ -178,16 +223,10 @@ void FusedAggregateRange(const Value* data, uint64_t n, uint64_t ulo,
   const uint64_t rem = n - full * kLanesPerWord;
   if (rem != 0) {
     const Value* lanes = data + full * kLanesPerWord;
-    uint64_t word = 0;
-    for (uint64_t b = 0; b < rem; ++b) {
-      word |= static_cast<uint64_t>(
-                  static_cast<uint64_t>(lanes[b]) - ulo < span)
-              << b;
-    }
-    // Only bits below rem are set, so the inverted visibility word's
-    // stray tail ones cannot leak in.
-    if (vis != nullptr) word &= invert ? ~vis[full] : vis[full];
-    AccumulateSparse(lanes, word, agg);
+    AccumulateSparse(lanes,
+                     TailMatchWord(lanes, rem, ulo, span) &
+                         VisibilityWord(vis, invert, full),
+                     agg);
   }
 }
 #pragma GCC diagnostic pop
@@ -198,8 +237,8 @@ void FusedAggregateRange(const Value* data, uint64_t n, uint64_t ulo,
   const uint64_t full = n / kLanesPerWord;
   for (uint64_t w = 0; w < full; ++w) {
     const Value* lanes = data + w * kLanesPerWord;
-    uint64_t word = PackSelectWord(lanes, ulo, span);
-    if (vis != nullptr) word &= invert ? ~vis[w] : vis[w];
+    const uint64_t word = PackSelectWord(lanes, ulo, span) &
+                          VisibilityWord(vis, invert, w);
     if (word == 0) continue;
     if (word == kAllOnes) {
       AccumulateDense64(lanes, agg);
@@ -210,109 +249,72 @@ void FusedAggregateRange(const Value* data, uint64_t n, uint64_t ulo,
   const uint64_t rem = n - full * kLanesPerWord;
   if (rem != 0) {
     const Value* lanes = data + full * kLanesPerWord;
-    uint64_t word = 0;
-    for (uint64_t b = 0; b < rem; ++b) {
-      word |= static_cast<uint64_t>(
-                  static_cast<uint64_t>(lanes[b]) - ulo < span)
-              << b;
-    }
-    // Only bits below rem are set, so the inverted visibility word's
-    // stray tail ones cannot leak in.
-    if (vis != nullptr) word &= invert ? ~vis[full] : vis[full];
-    AccumulateSparse(lanes, word, agg);
+    AccumulateSparse(lanes,
+                     TailMatchWord(lanes, rem, ulo, span) &
+                         VisibilityWord(vis, invert, full),
+                     agg);
   }
 }
 #endif
 
 // Fused select+popcount over [data, data+n): same structure as
-// FusedAggregateRange but the only accumulator is the match count, so no
-// selection bitmap is ever written back to memory.
+// FusedAggregateRange but the only accumulator is the match count.
 uint64_t FusedCountRange(const Value* data, uint64_t n, uint64_t ulo,
                          uint64_t span, const uint64_t* vis, bool invert) {
   uint64_t count = 0;
   const uint64_t full = n / kLanesPerWord;
   for (uint64_t w = 0; w < full; ++w) {
-    uint64_t visw = kAllOnes;
-    if (vis != nullptr) visw = invert ? ~vis[w] : vis[w];
+    const uint64_t visw = VisibilityWord(vis, invert, w);
     if (visw == 0) continue;
-    const Value* lanes = data + w * kLanesPerWord;
-#if defined(__AVX512F__) && defined(__AVX512DQ__)
-    const __m512i vlo = _mm512_set1_epi64(static_cast<long long>(ulo));
-    const __m512i vspan = _mm512_set1_epi64(static_cast<long long>(span));
-    uint64_t word = 0;
-    for (uint64_t g = 0; g < 8; ++g) {
-      const __mmask8 kvis = static_cast<__mmask8>(visw >> (g * 8));
-      const __m512i v = _mm512_loadu_si512(lanes + g * 8);
-      const __mmask8 k = _mm512_mask_cmplt_epu64_mask(
-          kvis, _mm512_sub_epi64(v, vlo), vspan);
-      word |= static_cast<uint64_t>(k) << (g * 8);
-    }
-    count += PopCount(word);
-#else
-    count += PopCount(PackSelectWord(lanes, ulo, span) & visw);
-#endif
+    count += PopCount(MatchWord(data + w * kLanesPerWord, ulo, span, visw));
   }
   const uint64_t rem = n - full * kLanesPerWord;
   if (rem != 0) {
-    const Value* lanes = data + full * kLanesPerWord;
-    uint64_t word = 0;
-    for (uint64_t b = 0; b < rem; ++b) {
-      word |= static_cast<uint64_t>(
-                  static_cast<uint64_t>(lanes[b]) - ulo < span)
-              << b;
-    }
-    if (vis != nullptr) word &= invert ? ~vis[full] : vis[full];
-    count += PopCount(word);
+    count += PopCount(TailMatchWord(data + full * kLanesPerWord, rem, ulo,
+                                    span) &
+                      VisibilityWord(vis, invert, full));
   }
   return count;
+}
+
+// Appends the set lanes of `word` (lanes first_lane.. of `data`) to `out`
+// in ascending lane order: row_of(lane) as the row id, data[lane] as the
+// value.
+template <typename RowOf>
+inline void EmitWord(uint64_t word, const Value* data, uint64_t first_lane,
+                     const RowOf& row_of, ResultSet* out) {
+  while (word != 0) {
+    const uint64_t lane =
+        first_lane + static_cast<uint64_t>(__builtin_ctzll(word));
+    out->rows.push_back(row_of(lane));
+    out->values.push_back(data[lane]);
+    word &= word - 1;
+  }
+}
+
+// Fused select+emit over [data, data+n): same structure as
+// FusedCountRange, but every match word's set lanes are appended to `out`
+// at once, with row_of(lane) as their row ids.
+template <typename RowOf>
+void FusedScanRange(const Value* data, uint64_t n, uint64_t ulo,
+                    uint64_t span, const uint64_t* vis, bool invert,
+                    const RowOf& row_of, ResultSet* out) {
+  const uint64_t full = n / kLanesPerWord;
+  for (uint64_t w = 0; w < full; ++w) {
+    const uint64_t visw = VisibilityWord(vis, invert, w);
+    if (visw == 0) continue;
+    EmitWord(MatchWord(data + w * kLanesPerWord, ulo, span, visw), data,
+             w * kLanesPerWord, row_of, out);
+  }
+  const uint64_t rem = n - full * kLanesPerWord;
+  if (rem != 0) {
+    EmitWord(TailMatchWord(data + full * kLanesPerWord, rem, ulo, span) &
+                 VisibilityWord(vis, invert, full),
+             data, full * kLanesPerWord, row_of, out);
+  }
 }
 
 }  // namespace
-
-uint64_t SelectionVector::CountSet() const {
-  uint64_t count = 0;
-  for (uint64_t w : words_) count += PopCount(w);
-  return count;
-}
-
-void SelectRange(const Value* data, uint64_t n, Value lo, Value hi,
-                 SelectionVector* sel) {
-  sel->Reset(n);
-  if (lo >= hi || n == 0) return;
-  uint64_t* words = sel->words();
-  // One-compare range test: lo <= v < hi iff uint64(v) - uint64(lo) <
-  // uint64(hi) - uint64(lo). The subtractions wrap (well-defined in the
-  // unsigned domain) and the equivalence holds across the full signed
-  // domain, including lo = Value::min() / hi = Value::max().
-  const uint64_t ulo = static_cast<uint64_t>(lo);
-  const uint64_t span = static_cast<uint64_t>(hi) - ulo;
-  const uint64_t full = n / kLanesPerWord;
-  for (uint64_t w = 0; w < full; ++w) {
-    words[w] = PackSelectWord(data + w * kLanesPerWord, ulo, span);
-  }
-  for (uint64_t i = full * kLanesPerWord; i < n; ++i) {
-    words[i >> 6] |= static_cast<uint64_t>(
-                         static_cast<uint64_t>(data[i]) - ulo < span)
-                     << (i & 63);
-  }
-}
-
-void ApplyVisibility(const Bitmap& active, RowId first, Visibility visibility,
-                     SelectionVector* sel, std::vector<uint64_t>* scratch) {
-  if (visibility == Visibility::kAll || sel->lanes() == 0) return;
-  scratch->resize(sel->word_count());
-  active.ExtractWords(first, first + sel->lanes(), scratch->data());
-  uint64_t* words = sel->words();
-  const uint64_t* vis = scratch->data();
-  const uint64_t n = sel->word_count();
-  if (visibility == Visibility::kActiveOnly) {
-    for (uint64_t w = 0; w < n; ++w) words[w] &= vis[w];
-  } else {
-    // kForgottenOnly: selection tail bits are already zero, so the
-    // complement's stray tail ones cannot leak in.
-    for (uint64_t w = 0; w < n; ++w) words[w] &= ~vis[w];
-  }
-}
 
 uint64_t MorselLiveCount(const Table& table, Morsel morsel) {
   return table.active_bitmap().CountSetRange(morsel.begin, morsel.end);
@@ -349,39 +351,6 @@ AggregateResult VectorAggState::Finish() const {
   return out;
 }
 
-void AccumulateSelected(const Value* data, const SelectionVector& sel,
-                        VectorAggState* agg) {
-  const uint64_t* words = sel.words();
-  const uint64_t word_count = sel.word_count();
-  for (uint64_t w = 0; w < word_count; ++w) {
-    const uint64_t word = words[w];
-    if (word == 0) continue;
-    const Value* lanes = data + w * kLanesPerWord;
-    if (word == kAllOnes) {
-      AccumulateDense64(lanes, agg);
-    } else {
-      AccumulateSparse(lanes, word, agg);
-    }
-  }
-}
-
-void EmitSelected(const Value* data, const SelectionVector& sel, RowId first,
-                  ResultSet* out) {
-  const uint64_t* words = sel.words();
-  const uint64_t word_count = sel.word_count();
-  for (uint64_t w = 0; w < word_count; ++w) {
-    uint64_t word = words[w];
-    const uint64_t lane_base = w * kLanesPerWord;
-    while (word != 0) {
-      const uint64_t lane =
-          lane_base + static_cast<uint64_t>(__builtin_ctzll(word));
-      out->rows.push_back(first + lane);
-      out->values.push_back(data[lane]);
-      word &= word - 1;
-    }
-  }
-}
-
 VectorAggState AggregateValues(const std::vector<Value>& values) {
   VectorAggState agg;
   const uint64_t n = values.size();
@@ -402,22 +371,6 @@ VectorAggState AggregateValues(const std::vector<Value>& values) {
   return agg;
 }
 
-bool SelectMorsel(const Table& table, const RangePredicate& pred,
-                  Visibility visibility, Morsel morsel,
-                  VectorScanContext* ctx) {
-  if (SkipMorsel(table, visibility, morsel)) {
-    ctx->sel.Reset(0);
-    return false;
-  }
-  NoteMorselScanned(morsel.size());
-  const ValueSpan slice =
-      table.column(pred.col).span(morsel.begin, morsel.end);
-  SelectRange(slice.data, slice.size, pred.lo, pred.hi, &ctx->sel);
-  ApplyVisibility(table.active_bitmap(), morsel.begin, visibility, &ctx->sel,
-                  &ctx->visibility_words);
-  return true;
-}
-
 namespace {
 
 // The visibility input of the fused kernels: nullptr under kAll, else the
@@ -425,10 +378,23 @@ namespace {
 const uint64_t* FusedVisibilityWords(const Table& table, Visibility visibility,
                                      Morsel morsel, VectorScanContext* ctx) {
   if (visibility == Visibility::kAll) return nullptr;
-  ctx->visibility_words.resize(SelectionWordCount(morsel.size()));
+  ctx->visibility_words.resize((morsel.size() + kLanesPerWord - 1) /
+                               kLanesPerWord);
   table.active_bitmap().ExtractWords(morsel.begin, morsel.end,
                                      ctx->visibility_words.data());
   return ctx->visibility_words.data();
+}
+
+// The skip check of the live-list kernels: an empty slice is a morsel
+// with no live row, skipped under the same SkipsWholesale rule. Notes the
+// skip, or the slice as the rows scanned.
+bool SkipLiveSlice(LiveCandidates::Slice slice, Morsel morsel) {
+  if (SkipsWholesale(Visibility::kActiveOnly, slice.size(), morsel.size())) {
+    NoteMorselSkipped();
+    return true;
+  }
+  NoteMorselScanned(slice.size());
+  return false;
 }
 
 }  // namespace
@@ -436,23 +402,29 @@ const uint64_t* FusedVisibilityWords(const Table& table, Visibility visibility,
 uint64_t CountMorselVectorized(const Table& table, const RangePredicate& pred,
                                Visibility visibility, Morsel morsel,
                                VectorScanContext* ctx) {
-  if (pred.Empty() || morsel.size() == 0) return 0;
   if (SkipMorsel(table, visibility, morsel)) return 0;
-  const uint64_t* vis = FusedVisibilityWords(table, visibility, morsel, ctx);
-  const bool invert = visibility == Visibility::kForgottenOnly;
   NoteMorselScanned(morsel.size());
+  if (pred.Empty()) return 0;
   const ValueSpan slice = table.column(pred.col).span(morsel.begin, morsel.end);
   return FusedCountRange(slice.data, slice.size,
                          static_cast<uint64_t>(pred.lo), pred.UnsignedSpan(),
-                         vis, invert);
+                         FusedVisibilityWords(table, visibility, morsel, ctx),
+                         visibility == Visibility::kForgottenOnly);
 }
 
 void ScanMorselVectorized(const Table& table, const RangePredicate& pred,
                           Visibility visibility, Morsel morsel,
                           VectorScanContext* ctx, ResultSet* out) {
-  if (!SelectMorsel(table, pred, visibility, morsel, ctx)) return;
-  EmitSelected(table.column(pred.col).span(morsel.begin, morsel.end).data,
-               ctx->sel, morsel.begin, out);
+  if (SkipMorsel(table, visibility, morsel)) return;
+  NoteMorselScanned(morsel.size());
+  if (pred.Empty()) return;
+  const ValueSpan slice = table.column(pred.col).span(morsel.begin, morsel.end);
+  const RowId first = morsel.begin;
+  FusedScanRange(slice.data, slice.size, static_cast<uint64_t>(pred.lo),
+                 pred.UnsignedSpan(),
+                 FusedVisibilityWords(table, visibility, morsel, ctx),
+                 visibility == Visibility::kForgottenOnly,
+                 [first](uint64_t lane) { return first + lane; }, out);
 }
 
 VectorAggState AggregateMorselVectorized(const Table& table,
@@ -460,15 +432,38 @@ VectorAggState AggregateMorselVectorized(const Table& table,
                                          Visibility visibility, Morsel morsel,
                                          VectorScanContext* ctx) {
   VectorAggState agg;
-  if (pred.Empty() || morsel.size() == 0) return agg;
   if (SkipMorsel(table, visibility, morsel)) return agg;
-  const uint64_t* vis = FusedVisibilityWords(table, visibility, morsel, ctx);
-  const bool invert = visibility == Visibility::kForgottenOnly;
   NoteMorselScanned(morsel.size());
+  if (pred.Empty()) return agg;
   const ValueSpan slice = table.column(pred.col).span(morsel.begin, morsel.end);
   FusedAggregateRange(slice.data, slice.size, static_cast<uint64_t>(pred.lo),
-                      pred.UnsignedSpan(), vis, invert, &agg);
+                      pred.UnsignedSpan(),
+                      FusedVisibilityWords(table, visibility, morsel, ctx),
+                      visibility == Visibility::kForgottenOnly, &agg);
   return agg;
+}
+
+uint64_t CountLiveVectorized(const LiveCandidates& live,
+                             const RangePredicate& pred, Morsel morsel) {
+  const LiveCandidates::Slice slice = live.SliceOf(morsel.begin, morsel.end);
+  if (SkipLiveSlice(slice, morsel) || pred.Empty()) return 0;
+  return FusedCountRange(live.values(pred.col) + slice.lo, slice.size(),
+                         static_cast<uint64_t>(pred.lo), pred.UnsignedSpan(),
+                         /*vis=*/nullptr, /*invert=*/false);
+}
+
+void ScanLiveVectorized(const LiveCandidates& live, const RangePredicate& pred,
+                        Morsel morsel, ResultSet* out) {
+  const LiveCandidates::Slice slice = live.SliceOf(morsel.begin, morsel.end);
+  if (SkipLiveSlice(slice, morsel) || pred.Empty()) return;
+  const Value* values = live.values(pred.col);
+  live.ForEachRun(slice, [&](uint64_t lo, uint64_t hi, RowId base) {
+    FusedScanRange(
+        values + lo, hi - lo, static_cast<uint64_t>(pred.lo),
+        pred.UnsignedSpan(), /*vis=*/nullptr, /*invert=*/false,
+        [&live, lo, base](uint64_t i) { return base + live.offset(lo + i); },
+        out);
+  });
 }
 
 VectorScanContext& ThreadLocalScanContext() {

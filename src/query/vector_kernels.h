@@ -2,21 +2,28 @@
 //
 // Vectorized batch-at-a-time scan kernels. The scalar scan path evaluates
 // RangePredicate::Matches per Value cell inside a branchy row loop; these
-// kernels instead process one morsel's contiguous column slice at a time:
+// kernels instead work a word of 64 lanes at a time, fused in one pass:
 //
-//   1. a branch-free range-predicate kernel fills a per-morsel selection
-//      bitmap (one bit per row, auto-vectorizable compares, no per-row
-//      branches);
-//   2. the selection bitmap is ANDed word-at-a-time against the table's
-//      visibility (active) bitmap — all three Visibility modes reduce to
-//      AND, no-op, or AND-NOT;
-//   3. accumulation kernels fold COUNT (popcount), MIN/MAX/SUM (masked
-//      lane arithmetic for dense words, set-bit iteration for sparse
-//      words) over the selected lanes, or materialize the selected rows.
+//   1. a branch-free one-compare range test over the 64 lanes, masked by
+//      the lanes' visibility word, gives one match word (on AVX-512 the
+//      visibility word is the compare's write mask; elsewhere the packed
+//      compare bits are ANDed with it). All three Visibility modes reduce
+//      to a mask: all ones (kAll), the active words (kActiveOnly) or their
+//      complement (kForgottenOnly);
+//   2. the match word feeds COUNT (popcount), the aggregate accumulators
+//      (masked lane arithmetic) or the emit loop (set-bit iteration that
+//      appends row id and value). No selection bitmap is written back.
 //
-// A fully-forgotten morsel (live count 0 under kActiveOnly) is skipped
-// before any kernel runs — the amnesia-aware fast path: the more a table
-// has forgotten, the less of it a scan touches.
+// Two inputs feed them. A morsel's column span plus its visibility words
+// serve kAll, kForgottenOnly and every aggregate. Under kActiveOnly, scans
+// and counts read the morsel's slice of the table's live candidate list
+// (Table::live_candidates()) instead: the live values only, with no
+// visibility words, so a forgotten row costs them nothing.
+//
+// A morsel with nothing visible (live count 0 under kActiveOnly, an empty
+// list slice, or no forgotten row under kForgottenOnly) is skipped before
+// any kernel runs — the amnesia-aware fast path: the more a table has
+// forgotten, the less of it a scan touches.
 //
 // Equivalence contract with the scalar kernels (the cross-check oracle):
 // ScanRange rows/values, CountRange, and aggregate COUNT/MIN/MAX are
@@ -31,7 +38,6 @@
 #include <limits>
 #include <vector>
 
-#include "common/bitmap.h"
 #include "query/predicate.h"
 #include "query/result.h"
 #include "query/scan.h"
@@ -39,69 +45,15 @@
 
 namespace amnesia {
 
-/// Returns the number of 64-bit selection words covering `lanes` rows.
-inline uint64_t SelectionWordCount(uint64_t lanes) {
-  return (lanes + 63) / 64;
-}
-
-/// \brief A per-morsel selection bitmap: bit i marks row morsel.begin + i
-/// as selected. Backed by a grow-only word buffer so one instance can be
-/// reused across every morsel of a scan without reallocating.
-class SelectionVector {
- public:
-  /// Resizes to `lanes` bits, all clear. Keeps capacity across calls.
-  void Reset(uint64_t lanes) {
-    lanes_ = lanes;
-    words_.assign(SelectionWordCount(lanes), 0);
-  }
-
-  /// Returns the number of lanes (rows) covered.
-  uint64_t lanes() const { return lanes_; }
-  /// Returns the number of backing words.
-  uint64_t word_count() const { return words_.size(); }
-  /// Mutable word access. Bits past lanes() must stay zero.
-  uint64_t* words() { return words_.data(); }
-  /// Read-only word access.
-  const uint64_t* words() const { return words_.data(); }
-
-  /// Returns true iff lane `i` is selected. Precondition: i < lanes().
-  bool Test(uint64_t i) const {
-    return (words_[i >> 6] >> (i & 63)) & 1u;
-  }
-
-  /// Returns the number of selected lanes (popcount over the words; tail
-  /// bits are zero by construction).
-  uint64_t CountSet() const;
-
- private:
-  std::vector<uint64_t> words_;
-  uint64_t lanes_ = 0;
-};
-
-/// \brief Reusable scratch buffers for one scan thread: the selection
-/// bitmap plus the extracted visibility words. The per-morsel kernels take
-/// one of these so parallel workers never share state and serial scans
+/// \brief Reusable scratch for one scan thread: a morsel's visibility
+/// words, re-aligned from the table's active bitmap. The per-morsel
+/// kernels take one so parallel workers never share state and serial scans
 /// never reallocate per morsel.
 struct VectorScanContext {
-  SelectionVector sel;
   std::vector<uint64_t> visibility_words;
 };
 
 // ----------------------------------------------------------- kernels
-
-/// Fills `sel` with the range predicate lo <= v < hi over the `n` values
-/// at `data`: branch-free, one unsigned compare per lane (uint64(v) -
-/// uint64(lo) < unsigned span), packed 64 lanes per word. An empty range
-/// yields an all-clear selection.
-void SelectRange(const Value* data, uint64_t n, Value lo, Value hi,
-                 SelectionVector* sel);
-
-/// ANDs visibility into `sel` for the rows [first, first + sel->lanes()):
-/// kAll is a no-op, kActiveOnly keeps lanes whose `active` bit is set,
-/// kForgottenOnly keeps lanes whose bit is clear. `scratch` receives the
-/// word-realigned visibility slice.
-void ApplyVisibility(const Bitmap& active, RowId first, Visibility visibility,
-                     SelectionVector* sel, std::vector<uint64_t>* scratch);
 
 /// Notes one morsel a kernel of either engine scanned: scan.morsels_scanned
 /// and scan.rows_scanned.
@@ -143,47 +95,43 @@ struct VectorAggState {
   AggregateResult Finish() const;
 };
 
-/// Accumulates COUNT/SUM/MIN/MAX/sum-of-squares over the selected lanes of
-/// `data` into `agg`: all-ones words take a dense unmasked lane loop
-/// (auto-vectorizable), sparse words iterate set bits, all-zero words are
-/// skipped.
-void AccumulateSelected(const Value* data, const SelectionVector& sel,
-                        VectorAggState* agg);
-
-/// Appends the selected rows to `out`: RowId first + lane for the row ids,
-/// data[lane] for the values, in ascending lane order.
-void EmitSelected(const Value* data, const SelectionVector& sel, RowId first,
-                  ResultSet* out);
-
 /// Computes a whole unmasked value vector's aggregates with the dense
 /// lane kernel — the executor's vectorized fold for index-plan results.
 VectorAggState AggregateValues(const std::vector<Value>& values);
 
 // ------------------------------------------------- per-morsel operators
 
-/// Runs the full selection pipeline (skip check, predicate kernel,
-/// visibility AND) for one morsel into ctx->sel. Returns false when the
-/// morsel was skipped wholesale (ctx->sel is left empty: zero lanes).
-bool SelectMorsel(const Table& table, const RangePredicate& pred,
-                  Visibility visibility, Morsel morsel,
-                  VectorScanContext* ctx);
-
-/// Vectorized per-morsel COUNT: selection pipeline + popcount.
+/// Vectorized per-morsel COUNT over the morsel's column span and
+/// visibility words: fused compare + popcount.
 uint64_t CountMorselVectorized(const Table& table, const RangePredicate& pred,
                                Visibility visibility, Morsel morsel,
                                VectorScanContext* ctx);
 
-/// Vectorized per-morsel scan: appends matching rows to `out` in
+/// Vectorized per-morsel scan over the morsel's column span and visibility
+/// words: fused compare + emit. Appends matching rows to `out` in
 /// ascending RowId order (bit-identical to the scalar morsel kernel).
 void ScanMorselVectorized(const Table& table, const RangePredicate& pred,
                           Visibility visibility, Morsel morsel,
                           VectorScanContext* ctx, ResultSet* out);
 
-/// Vectorized per-morsel aggregation over the selected lanes.
+/// Vectorized per-morsel aggregation over the morsel's column span and
+/// visibility words: fused compare + masked accumulation.
 VectorAggState AggregateMorselVectorized(const Table& table,
                                          const RangePredicate& pred,
                                          Visibility visibility, Morsel morsel,
                                          VectorScanContext* ctx);
+
+/// kActiveOnly COUNT over the candidates of `live` whose rows lie in
+/// `morsel`: fused compare + popcount over the live values only. An empty
+/// slice is a wholesale skip.
+uint64_t CountLiveVectorized(const LiveCandidates& live,
+                             const RangePredicate& pred, Morsel morsel);
+
+/// kActiveOnly scan over the candidates of `live` whose rows lie in
+/// `morsel`: appends the matching rows to `out` in ascending RowId order.
+/// An empty slice is a wholesale skip.
+void ScanLiveVectorized(const LiveCandidates& live, const RangePredicate& pred,
+                        Morsel morsel, ResultSet* out);
 
 /// Returns this thread's reusable scan context (thread-local, so the
 /// morsel-parallel workers each get their own buffers).

@@ -64,7 +64,7 @@ struct SimulationConfig {
   int parallelism = 1;
   /// Execution engine for the measured queries (ExecOptions::engine) and
   /// the attestation count. The default, kVectorized, runs the
-  /// batch-at-a-time selection-bitmap kernels; kScalar, the tuple-at-a-time
+  /// batch-at-a-time fused kernels; kScalar, the tuple-at-a-time
   /// reference, is for tests. Result counts, range-precision metrics and
   /// the final table are identical either way; aggregate_precision and
   /// aggregate_rel_error differ in the last bits (sum/n vs Welford AVG).

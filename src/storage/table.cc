@@ -2,9 +2,11 @@
 
 #include "storage/table.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -24,6 +26,35 @@ uint64_t NormalizePartitionRows(uint64_t rows) {
 }
 
 }  // namespace
+
+LiveCandidates::LiveCandidates(LiveCandidates&& other) noexcept
+    : block_start_(std::move(other.block_start_)),
+      offsets_(std::move(other.offsets_)),
+      values_(std::move(other.values_)),
+      version_(other.version_.exchange(kUnbuilt, std::memory_order_relaxed)) {
+}
+
+LiveCandidates& LiveCandidates::operator=(LiveCandidates&& other) noexcept {
+  if (this == &other) return *this;
+  block_start_ = std::move(other.block_start_);
+  offsets_ = std::move(other.offsets_);
+  values_ = std::move(other.values_);
+  version_.store(other.version_.exchange(kUnbuilt, std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+  return *this;
+}
+
+uint64_t LiveCandidates::LowerBound(RowId row) const {
+  const uint64_t b = row >> kBlockBits;
+  if (b + 1 >= block_start_.size()) return size();
+  const uint64_t lo = block_start_[b];
+  const uint16_t off = static_cast<uint16_t>(row);
+  if (off == 0) return lo;
+  const uint16_t* first = offsets_.data() + lo;
+  const uint16_t* last = offsets_.data() + block_start_[b + 1];
+  return static_cast<uint64_t>(std::lower_bound(first, last, off) -
+                               offsets_.data());
+}
 
 Table::Table(Schema schema) : schema_(std::move(schema)) {
   columns_.resize(schema_.num_columns());
@@ -317,6 +348,53 @@ StatusOr<uint64_t> Table::DropPartition(size_t idx, bool defer_unlink) {
     AMNESIA_RETURN_NOT_OK(FsyncPath(storage_.dir));
   }
   return newly;
+}
+
+const LiveCandidates& Table::live_candidates() const {
+  if (live_.version_.load(std::memory_order_acquire) != version_) {
+    std::lock_guard<std::mutex> lock(live_.mu_);
+    if (live_.version_.load(std::memory_order_relaxed) != version_) {
+      RebuildLiveCandidates();
+      live_.version_.store(version_, std::memory_order_release);
+    }
+  }
+  return live_;
+}
+
+void Table::RebuildLiveCandidates() const {
+  constexpr unsigned kBits = LiveCandidates::kBlockBits;
+  const uint64_t rows = num_rows();
+  const uint64_t blocks = (rows + (uint64_t{1} << kBits) - 1) >> kBits;
+  // resize, never assign or shrink: the buffers keep their capacity from
+  // one version to the next, so a steady live set allocates nothing.
+  std::vector<uint64_t>& block_start = live_.block_start_;
+  std::vector<uint16_t>& offsets = live_.offsets_;
+  block_start.resize(blocks + 1);
+  offsets.resize(num_active_);
+  uint64_t k = 0;
+  uint64_t next_block = 0;
+  active_.ForEachSet([&](size_t r) {
+    while (next_block <= (r >> kBits)) block_start[next_block++] = k;
+    offsets[k++] = static_cast<uint16_t>(r);
+  });
+  while (next_block <= blocks) block_start[next_block++] = k;
+
+  live_.values_.resize(columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    live_.values_[c].resize(num_active_);
+    Value* out = live_.values_[c].data();
+    // Span by span, so a mapped column is read in place, partition by
+    // partition.
+    columns_[c].ForEachSpan(0, rows, [&](RowId first, ValueSpan vals) {
+      live_.ForEachRun(
+          live_.SliceOf(first, first + vals.size),
+          [&](uint64_t lo, uint64_t hi, RowId base) {
+            for (uint64_t i = lo; i < hi; ++i) {
+              out[i] = vals[base + offsets[i] - first];
+            }
+          });
+    });
+  }
 }
 
 uint64_t Table::MappedBytes() const {

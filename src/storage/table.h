@@ -9,7 +9,9 @@
 #define AMNESIA_STORAGE_TABLE_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -100,13 +102,104 @@ struct RowMapping {
   uint64_t removed = 0;
 };
 
+/// \brief A table's live candidate list: the RowId and every column value
+/// of each active row, in RowId order. kActiveOnly scans and counts read
+/// a morsel's slice of it instead of the morsel's whole column span and
+/// visibility words (query/scan.h), so they cost the live rows, not the
+/// history. A RowId is kept as its 16-bit offset inside its 64Ki-row
+/// block plus one start index per block: 8 B per live row per column,
+/// plus 2 B.
+///
+/// Only Table builds one (Table::live_candidates()); readers get it const.
+class LiveCandidates {
+ public:
+  /// Rows per block: a candidate's RowId is block * 2^kBlockBits + offset.
+  static constexpr unsigned kBlockBits = 16;
+
+  /// \brief The candidates of a row range: indices [lo, hi).
+  struct Slice {
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+    uint64_t first_block = 0;  ///< Block of the range's first row.
+
+    uint64_t size() const { return hi - lo; }
+  };
+
+  LiveCandidates() = default;
+  /// A move carries the list with the version it was built at and leaves
+  /// the source unbuilt. Tables are move-only (a mapped column owns its
+  /// mappings), and so is the list.
+  LiveCandidates(LiveCandidates&& other) noexcept;
+  LiveCandidates& operator=(LiveCandidates&& other) noexcept;
+  LiveCandidates(const LiveCandidates&) = delete;
+  LiveCandidates& operator=(const LiveCandidates&) = delete;
+
+  /// Returns the number of candidates (the table's active rows).
+  uint64_t size() const { return offsets_.size(); }
+
+  /// Returns the candidates whose RowIds lie in [begin, end). Rows past
+  /// the table's row count have none. O(1) when both ends are
+  /// block-aligned, else a binary search inside one block each.
+  Slice SliceOf(RowId begin, RowId end) const {
+    return Slice{LowerBound(begin), LowerBound(end), begin >> kBlockBits};
+  }
+
+  /// Returns column `col`'s values, index-aligned with the candidates.
+  const Value* values(size_t col) const { return values_[col].data(); }
+
+  /// Calls fn(lo, hi, base) for each run [lo, hi) of `slice`'s candidates
+  /// that share one block, in order: candidate k of a run is row
+  /// base + offset(k).
+  template <typename Fn>
+  void ForEachRun(Slice slice, Fn&& fn) const {
+    uint64_t k = slice.lo;
+    for (uint64_t b = slice.first_block; k < slice.hi; ++b) {
+      const uint64_t run_hi = std::min(slice.hi, block_start_[b + 1]);
+      if (k < run_hi) fn(k, run_hi, RowId{b} << kBlockBits);
+      k = run_hi;
+    }
+  }
+
+  /// Returns candidate k's offset inside its block.
+  uint16_t offset(uint64_t k) const { return offsets_[k]; }
+
+ private:
+  friend class Table;
+
+  /// The version() of a list that was never built.
+  static constexpr uint64_t kUnbuilt = ~uint64_t{0};
+
+  /// Index of the first candidate whose RowId is >= row.
+  uint64_t LowerBound(RowId row) const;
+
+  /// block_start_[b] is the index of block b's first candidate; one entry
+  /// per block plus a last one equal to size().
+  std::vector<uint64_t> block_start_;
+  std::vector<uint16_t> offsets_;
+  /// One vector per column.
+  std::vector<std::vector<Value>> values_;
+  /// The table version() the list was built at, or kUnbuilt. Released
+  /// after a rebuild, so a reader that sees the current version sees the
+  /// whole list.
+  std::atomic<uint64_t> version_{kUnbuilt};
+  /// Serializes rebuilds against each other.
+  std::mutex mu_;
+};
+
 /// \brief Append-only columnar table with tuple-level amnesia marking.
 ///
 /// Rows are appended (never updated in place by clients); each row records
 /// the logical tick and batch of its insertion. Forgetting flips a row's
 /// state to kForgotten; the row's payload stays in place until a forgetting
 /// backend scrubs or compacts it. A monotonically increasing `version()`
-/// lets secondary structures (indexes) detect staleness.
+/// lets secondary structures (indexes) detect staleness; the live
+/// candidate list (live_candidates()) is rebuilt by the first reader that
+/// finds it behind version().
+///
+/// Threading: any number of threads may read one table at once, or one
+/// thread may mutate it. The lazy rebuild of the live candidate list is
+/// the one write a const method makes; a mutex guards it, so concurrent
+/// first readers after a mutation build it once.
 class Table {
  public:
   /// Creates an empty table with the given schema.
@@ -314,9 +407,19 @@ class Table {
   /// point; space comes back partition-wise via DropPartition instead).
   RowMapping CompactForgotten();
 
-  /// Monotonic structural version: bumped on append, forget, revive and
-  /// compaction. Indexes record the version they were built at.
+  /// Monotonic structural version: bumped on append, seal, forget, revive,
+  /// scrub, partition drop and compaction — every change of the live set
+  /// or a live value. Indexes and the live candidate list record the
+  /// version they were built at.
   uint64_t version() const { return version_; }
+
+  /// Returns the live candidate list at version(). The first call after
+  /// version() moved rebuilds it: one walk of the active bitmap plus one
+  /// gather of the live values of every column. Safe to call from several
+  /// reader threads at once; the reference stays valid until the next
+  /// mutation. A table from FromParts starts without a list, and
+  /// ApproxBytes() does not count it.
+  const LiveCandidates& live_candidates() const;
 
   /// Monotonic count of BumpAccess calls — the one mutation version()
   /// does not cover (indexes must not look stale on reads). The
@@ -335,6 +438,9 @@ class Table {
   Status MaybeSealTail();
   /// Seals exactly one partition (the first partition_rows() tail rows).
   Status SealTailPartition();
+  /// Refills live_ from the active bitmap and the columns. Caller holds
+  /// live_.mu_.
+  void RebuildLiveCandidates() const;
 
   Schema schema_;
   StorageOptions storage_;
@@ -351,6 +457,7 @@ class Table {
   BatchId current_batch_ = 0;
   uint64_t version_ = 0;
   uint64_t access_epoch_ = 0;
+  mutable LiveCandidates live_;
 };
 
 }  // namespace amnesia

@@ -287,6 +287,24 @@ TEST(SimulatorTest, VectorizedDefaultMatchesScalarOracle) {
   vacuum.audit_ledger = true;
   vacuum.vacuum_max_age_batches = 4;
   ExpectDefaultMatchesScalar(vacuum, "amnesia_sim_engine_vacuum");
+
+  // Write path: uniform deletes turn the table over every batch and every
+  // round compacts, so each batch's queries read a live list rebuilt from
+  // renumbered rows; journaled on a segmented log, checkpointed every 3
+  // batches with retention 2.
+  SimulationConfig churn = SmallConfig();
+  churn.dbsize = 1000;
+  churn.upd_perc = 1.0;
+  churn.num_batches = 8;
+  churn.queries_per_batch = 20;
+  churn.record_access = false;
+  churn.policy.kind = PolicyKind::kUniform;
+  churn.backend = BackendKind::kDelete;
+  churn.compact_every_n_rounds = 1;
+  churn.log_format = LogFormat::kSegmented;
+  churn.checkpoint_every_n_batches = 3;
+  churn.checkpoint_retention = 2;
+  ExpectDefaultMatchesScalar(churn, "amnesia_sim_engine_churn");
 }
 
 TEST(ConfigTest, ValidateRejectsNonPositiveParallelism) {

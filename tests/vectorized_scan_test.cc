@@ -5,12 +5,20 @@
 // policy, shard count and parallelism, Engine::kVectorized returns exactly
 // the rows/values of Engine::kScalar, CountRange and the COUNT/MIN/MAX
 // aggregates are bit-identical, and SUM/AVG/variance agree within FP
-// reassociation tolerance. Plus unit coverage for the selection-bitmap
-// kernels themselves (branch-free range select, visibility AND, morsel
-// skip, dense/sparse accumulation).
+// reassociation tolerance. The kernels' edge cases (domain extremes, tail
+// lanes, unaligned visibility, dense/sparse words, wholesale skips) run
+// through the operators, and the live candidate list behind kActiveOnly
+// scans and counts must follow every mutation and survive racing first
+// readers.
 
+#include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <functional>
 #include <limits>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +29,7 @@
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "index/index_manager.h"
+#include "obs/metrics.h"
 #include "query/executor.h"
 #include "query/oracle.h"
 #include "query/predicate.h"
@@ -118,65 +127,63 @@ void ExpectEnginesAgree(const Table& table, const RangePredicate& pred) {
   }
 }
 
-// ------------------------------------------------------ kernel units
+#if defined(AMNESIA_NO_METRICS)
+constexpr bool kMetricsEnabled = false;
+#else
+constexpr bool kMetricsEnabled = true;
+#endif
 
-TEST(SelectRangeTest, MatchesScalarPredicateIncludingExtremes) {
-  const std::vector<Value> data = {0,   -5,        17,       kValueMin,
-                                   999, kValueMax, -1000000, 63,
-                                   64,  65,        -1,       1};
-  const RangePredicate preds[] = {
-      {0, -5, 64},
-      {0, kValueMin, kValueMax},       // full domain minus the max value
-      {0, kValueMin, 0},               // negative half
-      {0, 0, kValueMax},               // non-negative half
-      {0, kValueMax - 1, kValueMax},   // one value at the top
-      {0, kValueMin, kValueMin + 1},   // one value at the bottom
-      {0, 10, 10},                     // empty
-      {0, 10, 5},                      // inverted = empty
-  };
-  SelectionVector sel;
-  for (const RangePredicate& pred : preds) {
-    SelectRange(data.data(), data.size(), pred.lo, pred.hi, &sel);
-    ASSERT_EQ(sel.lanes(), data.size());
-    for (uint64_t i = 0; i < data.size(); ++i) {
-      EXPECT_EQ(sel.Test(i), pred.Matches(data[i]))
-          << "value " << data[i] << " in [" << pred.lo << ", " << pred.hi
-          << ")";
-    }
-  }
+// Returns the registry's scan.morsels_skipped count (0 without metrics).
+uint64_t SkippedMorsels() {
+  const obs::MetricsSnapshot snap =
+      obs::MetricsRegistry::Global().SnapshotAll();
+  const auto it = snap.counters.find("scan.morsels_skipped");
+  return it == snap.counters.end() ? 0 : it->second;
 }
 
-TEST(SelectRangeTest, TailBitsPastLanesStayZero) {
-  std::vector<Value> data(70, 5);  // every lane matches
-  SelectionVector sel;
-  SelectRange(data.data(), data.size(), 0, 10, &sel);
-  ASSERT_EQ(sel.word_count(), 2u);
-  EXPECT_EQ(sel.words()[0], ~uint64_t{0});
-  EXPECT_EQ(sel.words()[1], (uint64_t{1} << 6) - 1);  // 6 tail lanes only
-  EXPECT_EQ(sel.CountSet(), 70u);
-}
-
-TEST(ApplyVisibilityTest, ThreeModesAtUnalignedOffsets) {
-  // 300 rows, forget every third; scan window [97, 230) is word-unaligned
-  // on both sides.
-  Table t = MakeRandomTable(300, 0.0, 7);
-  for (RowId r = 0; r < 300; r += 3) ASSERT_TRUE(t.Forget(r).ok());
-  const RowId first = 97, end = 230;
-  const uint64_t n = end - first;
-  std::vector<uint64_t> scratch;
+// Checks ScanRange and CountRange of both engines, serial and on parallel
+// morsels of 64 and 97 rows (the latter unaligned to the 64-lane words),
+// against the predicate evaluated row by row under every visibility.
+void ExpectScansMatchPredicate(const TableShards& table,
+                               const RangePredicate& pred) {
+  ThreadPool pool(3);
   for (Visibility vis : kAllVisibilities) {
-    SelectionVector sel;
-    std::vector<Value> ones(n, 1);
-    SelectRange(ones.data(), n, 0, 2, &sel);  // select everything
-    ApplyVisibility(t.active_bitmap(), first, vis, &sel, &scratch);
-    for (uint64_t i = 0; i < n; ++i) {
-      const bool active = t.IsActive(first + i);
-      const bool expect = vis == Visibility::kAll ||
-                          (vis == Visibility::kActiveOnly ? active : !active);
-      EXPECT_EQ(sel.Test(i), expect) << "lane " << i;
+    ResultSet expect;
+    for (uint32_t s = 0; s < table.num_shards(); ++s) {
+      const Table& shard = table.shard(s);
+      for (RowId r = 0; r < shard.num_rows(); ++r) {
+        const bool visible =
+            vis == Visibility::kAll ||
+            (vis == Visibility::kActiveOnly) == shard.IsActive(r);
+        const Value v = shard.value(pred.col, r);
+        if (visible && pred.Matches(v)) {
+          expect.rows.push_back(MakeGlobalRowId(s, r));
+          expect.values.push_back(v);
+        }
+      }
+    }
+    for (Engine engine : {Engine::kScalar, Engine::kVectorized}) {
+      const ResultSet serial = ScanRange(table, pred, vis, engine).value();
+      EXPECT_EQ(serial.rows, expect.rows);
+      EXPECT_EQ(serial.values, expect.values);
+      EXPECT_EQ(CountRange(table, pred, vis, engine).value(),
+                expect.rows.size());
+      for (uint64_t morsel_rows : {uint64_t{64}, kTestMorselRows}) {
+        const ResultSet par = ScanRangeParallel(table, pred, vis, pool,
+                                                morsel_rows, 4, engine)
+                                  .value();
+        EXPECT_EQ(par.rows, expect.rows);
+        EXPECT_EQ(par.values, expect.values);
+        EXPECT_EQ(CountRangeParallel(table, pred, vis, pool, morsel_rows, 4,
+                                     engine)
+                      .value(),
+                  expect.rows.size());
+      }
     }
   }
 }
+
+// ------------------------------------------------------ kernel units
 
 TEST(MorselSkipTest, FullyForgottenAndFullyLiveMorselsAreSkipped) {
   // Three default-size morsels; the first is forgotten wholesale.
@@ -187,19 +194,16 @@ TEST(MorselSkipTest, FullyForgottenAndFullyLiveMorselsAreSkipped) {
   }
   const MorselRange morsels = t.Morsels();
   ASSERT_EQ(morsels.count(), 3u);
-  EXPECT_EQ(MorselLiveCount(t, morsels.at(0)), 0u);
-  EXPECT_EQ(MorselLiveCount(t, morsels.at(1)), kDefaultMorselRows);
-
-  VectorScanContext ctx;
-  const RangePredicate all = RangePredicate::All(0);
+  const Morsel dead = morsels.at(0);
+  const Morsel live = morsels.at(1);
+  EXPECT_EQ(MorselLiveCount(t, dead), 0u);
+  EXPECT_EQ(MorselLiveCount(t, live), kDefaultMorselRows);
   // Forgotten morsel contributes nothing to the amnesic view...
-  EXPECT_FALSE(
-      SelectMorsel(t, all, Visibility::kActiveOnly, morsels.at(0), &ctx));
+  EXPECT_TRUE(SkipsWholesale(Visibility::kActiveOnly, 0, dead.size()));
   // ...and a fully-live morsel nothing to the forgotten-only view.
-  EXPECT_FALSE(
-      SelectMorsel(t, all, Visibility::kForgottenOnly, morsels.at(1), &ctx));
-  // The skip must not change any operator's answer.
-  ExpectEnginesAgree(t, all);
+  EXPECT_TRUE(SkipsWholesale(Visibility::kForgottenOnly, live.size(),
+                             live.size()));
+  EXPECT_FALSE(SkipsWholesale(Visibility::kAll, 0, dead.size()));
 }
 
 TEST(VectorAggStateTest, EmptyFinishMatchesEmptyRunningStats) {
@@ -219,24 +223,6 @@ TEST(VectorAggStateTest, AggregateValuesMatchesWelfordFold) {
   RunningStats stats;
   for (Value v : values) stats.Add(static_cast<double>(v));
   ExpectAggEqual(ToAggregateResult(stats), AggregateValues(values).Finish());
-}
-
-TEST(AccumulateSelectedTest, DenseAndSparseWordsAgreeWithScalar) {
-  // 192 values: word 0 all-ones (dense path), word 1 sparse, word 2 zero.
-  std::vector<Value> data;
-  Rng rng(5);
-  for (int i = 0; i < 192; ++i) data.push_back(rng.UniformInt(-100, 100));
-  SelectionVector sel;
-  SelectRange(data.data(), data.size(), -1000, 1000, &sel);  // all match
-  sel.words()[1] = 0x8000000000000001ull;
-  sel.words()[2] = 0;
-  VectorAggState agg;
-  AccumulateSelected(data.data(), sel, &agg);
-  RunningStats stats;
-  for (uint64_t i = 0; i < data.size(); ++i) {
-    if (sel.Test(i)) stats.Add(static_cast<double>(data[i]));
-  }
-  ExpectAggEqual(ToAggregateResult(stats), agg.Finish());
 }
 
 // ------------------------------------------------- engine equivalence
@@ -262,6 +248,109 @@ TEST(EngineEquivalenceTest, DomainExtremePredicates) {
   ExpectEnginesAgree(t, RangePredicate{0, kValueMin, kValueMax});
   ExpectEnginesAgree(t, RangePredicate{0, kValueMin, 0});
   ExpectEnginesAgree(t, RangePredicate{0, kValueMax - 1, kValueMax});
+}
+
+// The kernels' edge cases, through the operators.
+
+TEST(EngineEquivalenceTest, DomainExtremeValuesUnderEveryPredicateShape) {
+  // The twelve values cycle over 300 rows, so each lands in full words, in
+  // the tail word and at both edges of a 64-lane word; every third row is
+  // forgotten, so each visibility sees a different part of them.
+  const std::vector<Value> values = {0,   -5,        17,       kValueMin,
+                                     999, kValueMax, -1000000, 63,
+                                     64,  65,        -1,       1};
+  Table t = Table::Make(Schema::SingleColumn("a", -1000, 1000)).value();
+  for (uint64_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(t.AppendRow({values[i % values.size()]}).ok());
+  }
+  for (RowId r = 0; r < 300; r += 3) ASSERT_TRUE(t.Forget(r).ok());
+  const RangePredicate preds[] = {
+      {0, -5, 64},
+      {0, kValueMin, kValueMax},      // full domain minus the max value
+      {0, kValueMin, 0},              // negative half
+      {0, 0, kValueMax},              // non-negative half
+      {0, kValueMax - 1, kValueMax},  // one value at the top
+      {0, kValueMin, kValueMin + 1},  // one value at the bottom
+      {0, 10, 10},                    // empty
+      {0, 10, 5},                     // inverted = empty
+  };
+  for (const RangePredicate& pred : preds) {
+    SCOPED_TRACE("[" + std::to_string(pred.lo) + ", " +
+                 std::to_string(pred.hi) + ")");
+    ExpectScansMatchPredicate(t, pred);
+  }
+}
+
+TEST(EngineEquivalenceTest, TailLanesPastTheLastRowNeverMatch) {
+  // 70 rows, all matching: one full word plus a 6-lane tail word. The
+  // first six rows are forgotten, so kForgottenOnly complements a
+  // visibility word whose lanes past row 70 are zero; none may leak in.
+  Table t = Table::Make(Schema::SingleColumn("a", 0, 10)).value();
+  for (int i = 0; i < 70; ++i) ASSERT_TRUE(t.AppendRow({5}).ok());
+  for (RowId r = 0; r < 6; ++r) ASSERT_TRUE(t.Forget(r).ok());
+  const RangePredicate pred{0, 0, 10};
+  EXPECT_EQ(CountRange(t, pred, Visibility::kAll).value(), 70u);
+  EXPECT_EQ(CountRange(t, pred, Visibility::kActiveOnly).value(), 64u);
+  EXPECT_EQ(CountRange(t, pred, Visibility::kForgottenOnly).value(), 6u);
+  EXPECT_EQ(ScanRange(t, pred, Visibility::kAll).value().rows.back(), 69u);
+  ExpectScansMatchPredicate(t, pred);
+}
+
+TEST(EngineEquivalenceTest, VisibilityAtUnalignedMorselOffsets) {
+  // 300 rows, every third forgotten. The 97-row parallel morsels of
+  // ExpectScansMatchPredicate start at rows 97, 194 and 291, so their
+  // visibility words and live-list slices start mid-word.
+  Table t = MakeRandomTable(300, 0.0, 7);
+  for (RowId r = 0; r < 300; r += 3) ASSERT_TRUE(t.Forget(r).ok());
+  const RangePredicate all = RangePredicate::All(0);
+  EXPECT_EQ(CountRange(t, all, Visibility::kAll).value(), 300u);
+  EXPECT_EQ(CountRange(t, all, Visibility::kActiveOnly).value(), 200u);
+  EXPECT_EQ(CountRange(t, all, Visibility::kForgottenOnly).value(), 100u);
+  ExpectScansMatchPredicate(t, all);
+  ExpectScansMatchPredicate(t, RangePredicate{0, -300, 300});
+}
+
+TEST(EngineEquivalenceTest, DenseSparseAndEmptyVisibilityWords) {
+  // 192 rows: word 0 all live (the dense accumulation path), word 1 live
+  // only at its two edge lanes (sparse), word 2 all forgotten (skipped).
+  Table t = MakeRandomTable(192, 0.0, 5, -100, 100);
+  for (RowId r = 65; r < 127; ++r) ASSERT_TRUE(t.Forget(r).ok());
+  for (RowId r = 128; r < 192; ++r) ASSERT_TRUE(t.Forget(r).ok());
+  ExpectEnginesAgree(t, RangePredicate{0, -1000, 1000});
+  ExpectEnginesAgree(t, RangePredicate{0, -50, 50});
+  ExpectScansMatchPredicate(t, RangePredicate{0, -1000, 1000});
+}
+
+TEST(EngineEquivalenceTest, FullyForgottenAndFullyLiveMorselsAreSkipped) {
+  // Three default-size morsels; the first is forgotten wholesale.
+  const uint64_t rows = 2 * kDefaultMorselRows + 1234;
+  Table t = MakeRandomTable(rows, 0.0, 11);
+  for (RowId r = 0; r < kDefaultMorselRows; ++r) {
+    ASSERT_TRUE(t.Forget(r).ok());
+  }
+  const RangePredicate all = RangePredicate::All(0);
+  // Morsels each visibility skips wholesale: the dead one under
+  // kActiveOnly, the two fully live ones under kForgottenOnly.
+  const std::pair<Visibility, uint64_t> skips[] = {
+      {Visibility::kActiveOnly, 1},
+      {Visibility::kAll, 0},
+      {Visibility::kForgottenOnly, 2}};
+  for (const auto& [vis, expected_skips] : skips) {
+    const uint64_t before = SkippedMorsels();
+    const uint64_t count = CountRange(t, all, vis).value();
+    const uint64_t after_count = SkippedMorsels();
+    EXPECT_EQ(ScanRange(t, all, vis).value().rows.size(), count);
+    const uint64_t after_scan = SkippedMorsels();
+    if (kMetricsEnabled) {
+      EXPECT_EQ(after_count - before, expected_skips);
+      EXPECT_EQ(after_scan - after_count, expected_skips);
+    }
+    EXPECT_EQ(count, vis == Visibility::kActiveOnly ? rows - kDefaultMorselRows
+                     : vis == Visibility::kAll      ? rows
+                                                    : kDefaultMorselRows);
+  }
+  // The skip must not change any operator's answer.
+  ExpectEnginesAgree(t, all);
 }
 
 TEST(EngineEquivalenceTest, EveryAmnesiaPolicy) {
@@ -364,6 +453,236 @@ TEST(ShardedEngineEquivalenceTest, FourShardsSerialAndParallel) {
   }
   ExpectShardedEnginesAgree(t, RangePredicate{0, -400, 500});
   ExpectShardedEnginesAgree(t, RangePredicate::All(0));
+}
+
+// ------------------------------------------------- live candidate list
+
+// ExpectScansMatchPredicate over predicates matching every row, a middle
+// range, the range the ScrubRow step writes into, and none.
+void ExpectScansMatchAfterMutation(const TableShards& table) {
+  const RangePredicate preds[] = {RangePredicate::All(0), {0, 100, 600},
+                                  {0, 700, 800}, {0, 5, 5}};
+  for (const RangePredicate& pred : preds) {
+    ExpectScansMatchPredicate(table, pred);
+  }
+}
+
+// Global ids of the rows whose active state is `active`, ascending.
+std::vector<RowId> RowsWhere(const TableShards& table, bool active) {
+  std::vector<RowId> out;
+  for (uint32_t s = 0; s < table.num_shards(); ++s) {
+    const Table& shard = table.shard(s);
+    for (RowId r = 0; r < shard.num_rows(); ++r) {
+      if (shard.IsActive(r) == active) out.push_back(MakeGlobalRowId(s, r));
+    }
+  }
+  return out;
+}
+
+std::vector<Value> RandomValues(uint64_t n, Rng* rng) {
+  std::vector<Value> out;
+  for (uint64_t i = 0; i < n; ++i) out.push_back(rng->UniformInt(0, 999));
+  return out;
+}
+
+Status DropFirstPartition(Table* t) {
+  if (!t->mapped()) return Status::OK();
+  return t->DropPartition(0).status();
+}
+Status DropFirstPartition(ShardedTable* t) {
+  for (uint32_t s = 0; s < t->num_shards(); ++s) {
+    AMNESIA_RETURN_NOT_OK(DropFirstPartition(&t->mutable_shard(s)));
+  }
+  return Status::OK();
+}
+
+Status Restore(Table* t) {
+  AMNESIA_ASSIGN_OR_RETURN(Table restored, Table::FromParts(t->ToParts()));
+  *t = std::move(restored);
+  return Status::OK();
+}
+Status Restore(ShardedTable* t) {
+  std::vector<Table> shards;
+  for (uint32_t s = 0; s < t->num_shards(); ++s) {
+    AMNESIA_ASSIGN_OR_RETURN(Table shard,
+                             Table::FromParts(t->shard(s).ToParts()));
+    shards.push_back(std::move(shard));
+  }
+  AMNESIA_ASSIGN_OR_RETURN(
+      ShardedTable restored,
+      ShardedTable::FromShards(std::move(shards), t->ingest_cursor()));
+  *t = std::move(restored);
+  return Status::OK();
+}
+
+// The mutation steps, applied in order to one table. Each changes the
+// live set or a live value (or, for a move, the object holding the list)
+// right after the previous check built the list, so the next check finds
+// it stale.
+template <typename T>
+std::vector<std::pair<const char*, std::function<Status(T*)>>>
+MutationSteps() {
+  return {
+      {"AppendRow", [](T* t) { return t->AppendRow({321}).status(); }},
+      {"AppendColumns",
+       [](T* t) {
+         Rng rng(2);
+         return t->AppendColumns({RandomValues(40, &rng)}).status();
+       }},
+      // 64-row partitions: 256 more rows fill every shard's tail at least
+      // once, so each mapped shard seals.
+      {"seal",
+       [](T* t) {
+         Rng rng(3);
+         return t->AppendColumns({RandomValues(256, &rng)}).status();
+       }},
+      {"Forget",
+       [](T* t) {
+         const std::vector<RowId> live = RowsWhere(*t, true);
+         for (size_t i = 0; i < live.size(); i += 5) {
+           AMNESIA_RETURN_NOT_OK(t->Forget(live[i]));
+         }
+         return Status::OK();
+       }},
+      {"ScrubRow",
+       [](T* t) {
+         // 750 lies in [700, 800): a stale list would show the old value.
+         return t->ScrubRow(RowsWhere(*t, false).back(), 750);
+       }},
+      {"Revive",
+       [](T* t) { return t->Revive(RowsWhere(*t, false).back()); }},
+      {"Forget one, Revive another",
+       [](T* t) {
+         // Row and active counts stay the same; the live set does not.
+         const RowId dead = RowsWhere(*t, false).front();
+         AMNESIA_RETURN_NOT_OK(t->Forget(RowsWhere(*t, true).back()));
+         return t->Revive(dead);
+       }},
+      {"CompactForgotten",
+       [](T* t) {
+         t->CompactForgotten();
+         return Status::OK();
+       }},
+      {"DropPartition", [](T* t) { return DropFirstPartition(t); }},
+      {"FromParts(ToParts())", [](T* t) { return Restore(t); }},
+      {"move",
+       [](T* t) {
+         T moved(std::move(*t));
+         *t = std::move(moved);
+         return Status::OK();
+       }},
+      {"Forget after the move",
+       [](T* t) { return t->Forget(RowsWhere(*t, true).front()); }},
+  };
+}
+
+template <typename T>
+void ExpectListFollowsEveryMutation(T table) {
+  ExpectScansMatchAfterMutation(table);
+  for (const auto& [name, step] : MutationSteps<T>()) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(step(&table).ok());
+    ExpectScansMatchAfterMutation(table);
+  }
+}
+
+TEST(LiveCandidatesTest, ListFollowsEveryMutation) {
+  const Schema schema = Schema::SingleColumn("a", 0, 1000);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "amnesia_live_list_test";
+  for (bool mapped : {false, true}) {
+    SCOPED_TRACE(mapped ? "mapped" : "vector");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    StorageOptions storage;
+    if (mapped) {
+      storage.backend = StorageBackend::kMapped;
+      storage.partition_rows = 64;
+    }
+    Rng rng(1);
+    storage.dir = (dir / "table").string();
+    Table table = Table::Make(schema, storage).value();
+    ASSERT_TRUE(table.AppendColumns({RandomValues(150, &rng)}).ok());
+    ExpectListFollowsEveryMutation(std::move(table));
+
+    storage.dir = (dir / "sharded").string();
+    ShardedTable sharded = ShardedTable::Make(schema, 4, storage).value();
+    ASSERT_TRUE(sharded.AppendColumns({RandomValues(600, &rng)}).ok());
+    ExpectListFollowsEveryMutation(std::move(sharded));
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(LiveCandidatesTest, RestoredTableRestartsAtVersionOne) {
+  Table t = MakeRandomTable(300, 0.2, 13, 0, 1000);
+  ExpectScansMatchAfterMutation(t);  // builds the list at the old version
+  Table restored = Table::FromParts(t.ToParts()).value();
+  ASSERT_EQ(restored.version(), 1u);
+  ExpectScansMatchAfterMutation(restored);  // builds it at version 1
+  // Another restored table, also at version 1, replaces it: the list built
+  // for the first one must not answer for the second.
+  Table other = MakeRandomTable(200, 0.5, 17, 0, 1000);
+  Table other_restored = Table::FromParts(other.ToParts()).value();
+  ASSERT_EQ(other_restored.version(), 1u);
+  restored = std::move(other_restored);
+  ExpectScansMatchAfterMutation(restored);
+  // Forget and revive one row: same live set, new version, rebuilt.
+  const RowId r = restored.ActiveRows().front();
+  ASSERT_TRUE(restored.Forget(r).ok());
+  ASSERT_TRUE(restored.Revive(r).ok());
+  ExpectScansMatchAfterMutation(restored);
+}
+
+TEST(LiveCandidatesTest, RacingFirstScansAfterAMutationAgree) {
+  for (uint32_t shards : {1u, 4u}) {
+    ShardedTable t =
+        ShardedTable::Make(Schema::SingleColumn("a", -1000, 1000), shards)
+            .value();
+    Rng rng(61);
+    std::vector<Value> values;
+    for (int i = 0; i < 5000; ++i) {
+      values.push_back(rng.UniformInt(-1000, 1000));
+    }
+    ASSERT_TRUE(t.AppendColumns({values}).ok());
+    const RangePredicate pred{0, -300, 500};
+    ThreadPool pool(2);
+    for (int round = 0; round < 20; ++round) {
+      // A mutation right before the race: both threads find the list stale.
+      const std::vector<RowId> live = RowsWhere(t, true);
+      ASSERT_TRUE(t.Forget(live[rng.UniformIndex(live.size())]).ok());
+      const ResultSet expect =
+          ScanRange(t, pred, Visibility::kActiveOnly, Engine::kScalar).value();
+
+      std::atomic<int> ready{0};
+      ResultSet got[2];
+      uint64_t counts[2] = {0, 0};
+      auto scan = [&](int i) {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        if (i == 0) {
+          got[i] = ScanRange(t, pred, Visibility::kActiveOnly).value();
+          counts[i] = CountRange(t, pred, Visibility::kActiveOnly).value();
+        } else {
+          counts[i] = CountRangeParallel(t, pred, Visibility::kActiveOnly,
+                                         pool, 256)
+                          .value();
+          got[i] = ScanRangeParallel(t, pred, Visibility::kActiveOnly, pool,
+                                     256)
+                       .value();
+        }
+      };
+      std::thread a(scan, 0);
+      std::thread b(scan, 1);
+      a.join();
+      b.join();
+      for (int i = 0; i < 2; ++i) {
+        EXPECT_EQ(got[i].rows, expect.rows) << "thread " << i;
+        EXPECT_EQ(got[i].values, expect.values) << "thread " << i;
+        EXPECT_EQ(counts[i], expect.rows.size()) << "thread " << i;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ executor knob
