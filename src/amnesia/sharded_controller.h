@@ -5,10 +5,10 @@
 // table, so a forget pass (victim selection, marking/scrubbing, and
 // compaction) runs per shard with no shared bitmap or policy state. A
 // budget splitter apportions the global storage budget across shards
-// before every pass; the passes then run concurrently on the PR 1 thread
-// pool. With one shard this reduces exactly to the unsharded
-// AmnesiaController (same victims, same state transitions) given the same
-// seed.
+// before every pass; the passes then run concurrently on the caller's
+// ThreadPool (common/thread_pool.h). With one shard this reduces exactly
+// to the unsharded AmnesiaController (same victims, same state
+// transitions) given the same seed.
 
 #ifndef AMNESIA_AMNESIA_SHARDED_CONTROLLER_H_
 #define AMNESIA_AMNESIA_SHARDED_CONTROLLER_H_

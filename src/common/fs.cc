@@ -75,6 +75,41 @@ Status RemoveDir(const std::string& dir) {
   return Status::OK();
 }
 
+Status RemoveFile(const std::string& path) {
+  if (std::remove(path.c_str()) != 0) return ErrnoStatus("remove", path);
+  return Status::OK();
+}
+
+Status RemoveMatchingFiles(
+    const std::string& dir,
+    const std::function<bool(const std::string&)>& doomed,
+    uint64_t* removed) {
+  AMNESIA_ASSIGN_OR_RETURN(const std::vector<std::string> names,
+                           ListDirEntries(dir));
+  for (const std::string& name : names) {
+    if (!doomed(name)) continue;
+    AMNESIA_RETURN_NOT_OK(RemoveFile(dir + "/" + name));
+    if (removed != nullptr) ++*removed;
+  }
+  return Status::OK();
+}
+
+Status RenamePath(const std::string& from, const std::string& to) {
+  if (std::rename(from.c_str(), to.c_str()) == 0) return Status::OK();
+  const StatusCode code =
+      errno == ENOENT                       ? StatusCode::kNotFound
+      : errno == ENOTEMPTY || errno == EEXIST ? StatusCode::kFailedPrecondition
+                                              : StatusCode::kInternal;
+  return Status(code, ErrnoStatus("rename '" + from + "' to", to).message());
+}
+
+Status TruncateFile(const std::string& path, uint64_t size) {
+  if (::truncate(path.c_str(), static_cast<off_t>(size)) != 0) {
+    return ErrnoStatus("truncate", path);
+  }
+  return Status::OK();
+}
+
 StatusOr<std::vector<uint8_t>> ReadBytesFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
@@ -114,10 +149,8 @@ Status ReplaceFile(const std::string& path, bool sync,
     status = ErrnoStatus("fsync", tmp);
   }
   if (std::fclose(f) != 0 && status.ok()) status = ErrnoStatus("close", tmp);
-  if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
-    status = ErrnoStatus("rename '" + tmp + "' over", path);
-  }
-  if (!status.ok()) std::remove(tmp.c_str());
+  if (status.ok()) status = RenamePath(tmp, path);
+  if (!status.ok()) (void)RemoveFile(tmp);
   return status;
 }
 

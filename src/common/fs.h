@@ -2,12 +2,11 @@
 //
 // The file-system calls of storage and durability, in one module:
 // creating, listing and removing directories, reading a whole file,
-// replacing a file through "<path>.tmp" + rename, and fsyncing a path.
-// The engine's crash protocol is the order of these calls, so no other
-// file under src/ makes, scans or removes a directory, stats a path or
-// fsyncs (CI greps for it). Every call goes straight to the C library,
-// not std::filesystem, so a test that interposes fsync or rename at link
-// time sees each one.
+// replacing a file through "<path>.tmp" + rename, removing, renaming or
+// truncating a file, and fsyncing a path. The engine's crash protocol is
+// the order of these calls, so no other file under src/ makes any of them
+// (CI greps for it). Every call goes straight to the C library, not
+// std::filesystem, so a test that interposes them at link time sees each.
 
 #ifndef AMNESIA_COMMON_FS_H_
 #define AMNESIA_COMMON_FS_H_
@@ -55,6 +54,26 @@ Status RemoveDirRecursive(const std::string& dir);
 
 /// \brief Removes the empty directory `dir`. A missing directory is OK.
 Status RemoveDir(const std::string& dir);
+
+/// \brief Removes the file at `path`: Internal on any failure, a missing
+/// file included.
+Status RemoveFile(const std::string& path);
+
+/// \brief RemoveFile on each entry of `dir` whose name `doomed` accepts,
+/// in directory order, counting each into `*removed` when given; stops at
+/// the first failure. A missing `dir` removes nothing.
+Status RemoveMatchingFiles(
+    const std::string& dir,
+    const std::function<bool(const std::string&)>& doomed,
+    uint64_t* removed = nullptr);
+
+/// \brief Atomically renames `from` over `to`: NotFound when `from` (or
+/// the directory of `to`) is missing, FailedPrecondition when `to` is a
+/// non-empty directory, Internal for any other failure.
+Status RenamePath(const std::string& from, const std::string& to);
+
+/// \brief Cuts the file at `path` to `size` bytes: Internal on failure.
+Status TruncateFile(const std::string& path, uint64_t size);
 
 /// \brief Reads the whole of `path` into a byte buffer (NotFound when the
 /// file does not exist, InvalidArgument when it is not a regular file).

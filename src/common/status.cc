@@ -2,6 +2,9 @@
 
 #include "common/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace amnesia {
 
 std::string_view StatusCodeToString(StatusCode code) {
@@ -34,6 +37,12 @@ std::string Status::ToString() const {
     out += message_;
   }
   return out;
+}
+
+void DieOnErrorValue(const Status& status) {
+  std::fprintf(stderr, "StatusOr::value() on error: %s\n",
+               status.ToString().c_str());
+  std::abort();
 }
 
 }  // namespace amnesia

@@ -89,10 +89,14 @@ class [[nodiscard]] Status {
   std::string message_;
 };
 
+/// \brief Prints "StatusOr::value() on error: <status>" and aborts.
+[[noreturn]] void DieOnErrorValue(const Status& status);
+
 /// \brief Either a value of type T or a non-OK Status explaining its absence.
 ///
 /// Mirrors arrow::Result / absl::StatusOr. Accessing the value of a failed
-/// StatusOr is a programming error (checked by assert in debug builds).
+/// StatusOr is a programming error: in every build, value() and the
+/// operators print the carried status and abort.
 template <typename T>
 class [[nodiscard]] StatusOr {
  public:
@@ -112,17 +116,17 @@ class [[nodiscard]] StatusOr {
 
   /// Returns the value. Precondition: ok().
   const T& value() const& {
-    assert(ok());
+    if (!ok()) DieOnErrorValue(status_);
     return *value_;
   }
   /// Returns the value (mutable). Precondition: ok().
   T& value() & {
-    assert(ok());
+    if (!ok()) DieOnErrorValue(status_);
     return *value_;
   }
   /// Moves the value out. Precondition: ok().
   T&& value() && {
-    assert(ok());
+    if (!ok()) DieOnErrorValue(status_);
     return std::move(*value_);
   }
 

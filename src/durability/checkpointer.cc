@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <future>
 #include <limits>
@@ -26,13 +25,10 @@ namespace amnesia {
 namespace {
 
 constexpr uint32_t kManifestMagic = 0x414D4D46;  // "AMMF"
-// The layout every manifest is written in: shard blobs with their
-// mapped-storage fields (empty for vector shards), then the cold/summary
-// tier entries. Version 2 is the same layout without the mapped-storage
-// fields; earlier binaries wrote it for every run without a mapped shard,
-// so it still decodes. Version 1 (no tier entries) does not.
+// The one manifest layout: shard blobs with their mapped-storage fields
+// (empty for vector shards), then the cold/summary tier entries. Any
+// other version is refused.
 constexpr uint32_t kManifestVersion = 3;
-constexpr uint32_t kManifestVersionNoMapped = 2;
 constexpr const char* kManifestPrefix = "MANIFEST-";
 constexpr const char* kCurrentName = "CURRENT";
 
@@ -85,6 +81,13 @@ std::vector<std::vector<uint8_t>> SerializeBlobs(
 bool IsBlobName(const std::string& name) {
   return name.rfind("ckpt-", 0) == 0 && name.size() > 5 &&
          name.rfind(".blob") == name.size() - 5;
+}
+
+/// Reads and decodes `dir`/MANIFEST-<id>.
+StatusOr<Manifest> ReadManifest(const std::string& dir, uint64_t id) {
+  AMNESIA_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
+                           ReadBytesFile(dir + "/" + ManifestName(id)));
+  return DecodeManifest(bytes);
 }
 
 /// Returns the ids of every MANIFEST-<id> file in `dir`, unsorted.
@@ -176,7 +179,7 @@ StatusOr<Manifest> DecodeManifest(const std::vector<uint8_t>& buffer) {
     return Status::InvalidArgument("not an AmnesiaDB checkpoint manifest");
   }
   AMNESIA_RETURN_NOT_OK(r.U32(&version));
-  if (version != kManifestVersion && version != kManifestVersionNoMapped) {
+  if (version != kManifestVersion) {
     return Status::FailedPrecondition("unsupported manifest version " +
                                       std::to_string(version));
   }
@@ -195,7 +198,6 @@ StatusOr<Manifest> DecodeManifest(const std::vector<uint8_t>& buffer) {
     AMNESIA_RETURN_NOT_OK(r.String(&shard.filename));
     AMNESIA_RETURN_NOT_OK(r.U64(&shard.size));
     AMNESIA_RETURN_NOT_OK(r.U32(&shard.crc32));
-    if (version == kManifestVersionNoMapped) continue;
     AMNESIA_RETURN_NOT_OK(r.String(&shard.storage_dir));
     AMNESIA_RETURN_NOT_OK(r.U64(&shard.partition_rows));
     uint64_t parts = 0;
@@ -215,20 +217,10 @@ StatusOr<Manifest> DecodeManifest(const std::vector<uint8_t>& buffer) {
 }
 
 Status ClearCheckpointArtifacts(const std::string& dir) {
-  AMNESIA_ASSIGN_OR_RETURN(const std::vector<std::string> names,
-                           ListDirEntries(dir));
-  for (const std::string& name : names) {
-    if (name.rfind(kManifestPrefix, 0) != 0 && name != kCurrentName &&
-        !IsBlobName(name)) {
-      continue;
-    }
-    const std::string path = dir + "/" + name;
-    if (std::remove(path.c_str()) != 0) {
-      return Status::Internal("cannot remove stale checkpoint artifact '" +
-                              path + "'");
-    }
-  }
-  return Status::OK();
+  return RemoveMatchingFiles(dir, [](const std::string& name) {
+    return name.rfind(kManifestPrefix, 0) == 0 || name == kCurrentName ||
+           IsBlobName(name);
+  });
 }
 
 // -------------------------------------------------- BackgroundCheckpointer
@@ -296,21 +288,16 @@ BackgroundCheckpointer::Health BackgroundCheckpointer::health() const {
 
 namespace {
 
-/// What one retention-GC pass deleted.
-struct GcResult {
-  uint64_t manifests_deleted = 0;
-  uint64_t blobs_deleted = 0;
-  uint64_t partition_dirs_deleted = 0;
-};
-
 /// Deletes manifests older than the newest `retain`, blobs no retained
 /// manifest references, and the event-log prefix below the oldest
-/// retained covered LSN. Runs strictly after the commit rename; every
+/// retained covered LSN, counting the files it deleted into `out`'s
+/// *_gced fields. Runs strictly after the commit rename; every
 /// deletion is individually crash-safe (a crash mid-GC leaves extra files
 /// the next pass collects). When a retained manifest fails to decode the
 /// pass backs off without deleting anything: GC must never turn a
 /// readable directory into an unreadable one.
-Status RunRetentionGc(const CheckpointerOptions& options, GcResult* out) {
+Status RunRetentionGc(const CheckpointerOptions& options,
+                      CheckpointerStats* out) {
   AMNESIA_ASSIGN_OR_RETURN(std::vector<uint64_t> ids,
                            ListManifestIds(options.dir));
   std::sort(ids.begin(), ids.end(), std::greater<uint64_t>());
@@ -326,25 +313,15 @@ Status RunRetentionGc(const CheckpointerOptions& options, GcResult* out) {
     // Backing off keeps GC from ever turning a readable directory into an
     // unreadable one — but it also means the disk stops shrinking, so the
     // operator must be able to see WHICH manifest is pinning it.
-    auto bytes = ReadBytesFile(options.dir + "/" + ManifestName(ids[i]));
-    if (!bytes.ok()) {
-      AMNESIA_LOG(kWarning)
-          << "retention GC backing off: cannot read retained manifest "
-          << ids[i] << " in '" << options.dir
-          << "' (" << bytes.status().ToString()
-          << "); no checkpoint, blob or log prefix will be deleted until "
-             "it reads";
-      return Status::OK();  // back off, collect next time
-    }
-    auto manifest = DecodeManifest(bytes.value());
+    const StatusOr<Manifest> manifest = ReadManifest(options.dir, ids[i]);
     if (!manifest.ok()) {
       AMNESIA_LOG(kWarning)
           << "retention GC backing off: retained manifest " << ids[i]
-          << " in '" << options.dir << "' is undecodable ("
+          << " in '" << options.dir << "' does not read ("
           << manifest.status().ToString()
           << "); no checkpoint, blob or log prefix will be deleted until "
-             "it decodes";
-      return Status::OK();
+             "it reads";
+      return Status::OK();  // back off, collect next time
     }
     for (const ManifestShard& shard : manifest->shards) {
       referenced.insert(shard.filename);
@@ -361,23 +338,16 @@ Status RunRetentionGc(const CheckpointerOptions& options, GcResult* out) {
   }
 
   for (size_t i = keep; i < ids.size(); ++i) {
-    const std::string path = options.dir + "/" + ManifestName(ids[i]);
-    if (std::remove(path.c_str()) != 0) {
-      return Status::Internal("retention GC cannot remove '" + path + "'");
-    }
-    ++out->manifests_deleted;
+    AMNESIA_RETURN_NOT_OK(
+        RemoveFile(options.dir + "/" + ManifestName(ids[i])));
+    ++out->manifests_gced;
   }
-
-  AMNESIA_ASSIGN_OR_RETURN(const std::vector<std::string> names,
-                           ListDirEntries(options.dir));
-  for (const std::string& name : names) {
-    if (!IsBlobName(name) || referenced.count(name) > 0) continue;
-    const std::string path = options.dir + "/" + name;
-    if (std::remove(path.c_str()) != 0) {
-      return Status::Internal("retention GC cannot remove '" + path + "'");
-    }
-    ++out->blobs_deleted;
-  }
+  AMNESIA_RETURN_NOT_OK(RemoveMatchingFiles(
+      options.dir,
+      [&referenced](const std::string& name) {
+        return IsBlobName(name) && referenced.count(name) == 0;
+      },
+      &out->blobs_gced));
 
   // Partition-directory GC. Dropping a partition renames its directory to
   // `part-*.dropped` (the O(1) forget) and leaves the unlink to this
@@ -397,7 +367,7 @@ Status RunRetentionGc(const CheckpointerOptions& options, GcResult* out) {
       }
       if (live.count(PartitionDirName(lo, hi)) > 0) continue;
       if (RemoveDirRecursive(storage_dir + "/" + name).ok()) {
-        ++out->partition_dirs_deleted;
+        ++out->partition_dirs_gced;
       }  // else: leave it for the next pass
     }
   }
@@ -632,19 +602,14 @@ Status BackgroundCheckpointer::WriteSnapshot(
   }
 
   // Retention GC, strictly after the commit.
-  GcResult gc;
   Status gc_status = Status::OK();
   if (options.retain > 0) {
     obs::TraceScope gc_trace("checkpoint.gc", metrics.checkpoint_gc_ns);
-    gc_status = RunRetentionGc(options, &gc);
+    gc_status = RunRetentionGc(options, &delta);
     gc_trace.Annotate("manifests_deleted",
-                      static_cast<int64_t>(gc.manifests_deleted));
-    gc_trace.Annotate("blobs_deleted",
-                      static_cast<int64_t>(gc.blobs_deleted));
+                      static_cast<int64_t>(delta.manifests_gced));
+    gc_trace.Annotate("blobs_deleted", static_cast<int64_t>(delta.blobs_gced));
   }
-  delta.manifests_gced = gc.manifests_deleted;
-  delta.blobs_gced = gc.blobs_deleted;
-  delta.partition_dirs_gced = gc.partition_dirs_deleted;
   delta.write_ms = MillisSince(start);
 
   // Mirror the committed delta into the registry at the same point the
@@ -834,12 +799,7 @@ StatusOr<RecoveredState> Recover(const std::string& dir,
 
   Status last_error = Status::NotFound("no usable checkpoint manifest");
   for (uint64_t id : ids) {
-    auto bytes = ReadBytesFile(dir + "/" + ManifestName(id));
-    if (!bytes.ok()) {
-      last_error = bytes.status();
-      continue;
-    }
-    auto manifest = DecodeManifest(bytes.value());
+    auto manifest = ReadManifest(dir, id);
     if (!manifest.ok()) {
       last_error = manifest.status();
       continue;
@@ -901,8 +861,8 @@ Status CollectCheckpointGarbage(const std::string& dir, uint32_t retain,
   options.dir = dir;
   options.retain = retain;
   options.log = log;
-  GcResult gc;
-  return RunRetentionGc(options, &gc);
+  CheckpointerStats deleted;
+  return RunRetentionGc(options, &deleted);
 }
 
 }  // namespace amnesia

@@ -5,8 +5,8 @@
 // names them all. Checkpoint() captures on the caller: each shard's image
 // (Table::ToParts) and copies of the tiers, in one pass. The writer
 // encodes each image (EncodeTableParts) and commits the manifest
-// atomically via rename (common/fs.h); a CURRENT file points at the
-// newest one.
+// atomically by renaming it into place (common/fs.h); a CURRENT file
+// points at the newest one.
 // Incremental checkpoints skip writing shards whose durability epoch has
 // not advanced since the last durable write (and tier blobs whose bytes
 // did not change): the new manifest references the existing blob file.
@@ -30,9 +30,8 @@
 //   <dir>/<events file>             the EventLog (owned by the caller)
 //
 // A manifest lists every shard blob (with its mapped-storage fields, empty
-// for vector shards) and the tier blobs. Every manifest is written as
-// version 3; version 2 manifests (no mapped-storage fields, written by
-// earlier binaries for runs without a mapped shard) still decode.
+// for vector shards) and the tier blobs, in one layout: version 3. A
+// manifest of any other version does not decode.
 //
 // Retention GC: with CheckpointerOptions::retain = R, each commit keeps
 // the newest R manifests, deletes manifests below them, deletes every
@@ -126,9 +125,9 @@ struct Manifest {
 /// covers everything before it, so truncation is detectable).
 std::vector<uint8_t> EncodeManifest(const Manifest& manifest);
 
-/// \brief Decodes and verifies a manifest buffer, version 2 or 3 (version 2
-/// has no mapped-storage fields). InvalidArgument on a truncated or corrupt
-/// manifest, FailedPrecondition on any other version.
+/// \brief Decodes and verifies a version 3 manifest buffer.
+/// InvalidArgument on a truncated or corrupt manifest, FailedPrecondition
+/// on any other version.
 StatusOr<Manifest> DecodeManifest(const std::vector<uint8_t>& buffer);
 
 /// \brief Deletes every checkpoint artifact (manifests, CURRENT, shard and

@@ -171,7 +171,7 @@ enum class LogFormat : uint8_t {
 /// flush per event.
 struct SyncPolicy {
   enum class Kind : uint8_t {
-    kEveryAppend = 0,  ///< Flush after each event (the PR 3 behavior).
+    kEveryAppend = 0,  ///< Flush after each event.
     kGroupCommit = 1,  ///< Flush after N events or after an interval.
   };
   Kind kind = Kind::kEveryAppend;

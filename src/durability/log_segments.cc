@@ -2,7 +2,6 @@
 
 #include "durability/log_segments.h"
 
-#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -117,12 +116,7 @@ std::string EventLogPathFor(const std::string& checkpoint_dir,
 Status RemoveEventLog(const std::string& path) {
   const PathInfo info = StatPath(path);
   if (!info.exists) return Status::OK();  // nothing there
-  if (!info.is_dir) {
-    if (std::remove(path.c_str()) != 0) {
-      return Status::Internal("cannot remove event log '" + path + "'");
-    }
-    return Status::OK();
-  }
+  if (!info.is_dir) return RemoveFile(path);
   AMNESIA_RETURN_NOT_OK(RemoveSegmentFiles(path, kLogFormat));
   // Foreign files would make the rmdir fail; the segments are gone, which
   // is what correctness needs, so an undeletable directory is not fatal.

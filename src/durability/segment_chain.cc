@@ -2,8 +2,6 @@
 
 #include "durability/segment_chain.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -173,16 +171,9 @@ StatusOr<uint64_t> ReadSegmentChain(const std::string& dir,
 
 Status RemoveSegmentFiles(const std::string& dir,
                           const SegmentFormat& format) {
-  AMNESIA_ASSIGN_OR_RETURN(const std::vector<std::string> names,
-                           ListDirEntries(dir));
-  for (const std::string& name : names) {
-    if (!IsSegmentName(name, format)) continue;
-    const std::string path = dir + "/" + name;
-    if (std::remove(path.c_str()) != 0) {
-      return Status::Internal("cannot remove segment '" + path + "'");
-    }
-  }
-  return Status::OK();
+  return RemoveMatchingFiles(dir, [&format](const std::string& name) {
+    return IsSegmentName(name, format);
+  });
 }
 
 // ------------------------------------------------------------ SegmentChain
@@ -306,20 +297,14 @@ StatusOr<SegmentChain> SegmentChain::Resume(const std::string& dir,
   }
   // Make the disk match the valid prefix BEFORE new appends land: bytes
   // after the last valid frame would hide every frame appended behind
-  // them from all future readers. truncate(2) is a single atomic metadata
+  // them from all future readers. Truncating is a single atomic metadata
   // operation, bounded by one segment.
   const ScannedSegment& tail = scan.chain.back();
-  if (scan.tail_torn &&
-      truncate(tail.path.c_str(), static_cast<off_t>(tail.valid_bytes)) !=
-          0) {
-    return Status::Internal("cannot truncate torn segment '" + tail.path +
-                            "'");
+  if (scan.tail_torn) {
+    AMNESIA_RETURN_NOT_OK(TruncateFile(tail.path, tail.valid_bytes));
   }
   for (const std::string& path : scan.unreachable) {
-    if (std::remove(path.c_str()) != 0) {
-      return Status::Internal("cannot remove unreachable segment '" + path +
-                              "'");
-    }
+    AMNESIA_RETURN_NOT_OK(RemoveFile(path));
   }
 
   auto state = std::make_unique<State>(dir, format, max_segment_bytes, sync);
@@ -435,7 +420,7 @@ StatusOr<uint64_t> SegmentChain::TruncateBefore(uint64_t index) {
     }
   }
   for (size_t i = 0; i < doomed.size(); ++i) {
-    if (std::remove(doomed[i].path.c_str()) != 0) {
+    if (Status removed = RemoveFile(doomed[i].path); !removed.ok()) {
       // Re-adopt everything not yet unlinked: forgetting a segment that is
       // still on disk would let a LATER truncation unlink past it and
       // leave a base gap, which readers take for the end of the chain and
@@ -443,12 +428,10 @@ StatusOr<uint64_t> SegmentChain::TruncateBefore(uint64_t index) {
       // segments back in the index this truncation simply retries later.
       std::lock_guard<std::mutex> lock(s.mu);
       s.unlinked_total += i;
-      const std::string failed = doomed[i].path;
       for (size_t j = doomed.size(); j > i; --j) {
         s.sealed.push_front(std::move(doomed[j - 1]));
       }
-      return Status::Internal("cannot unlink truncated segment '" + failed +
-                              "'");
+      return removed;
     }
   }
   std::lock_guard<std::mutex> lock(s.mu);

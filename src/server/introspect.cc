@@ -515,6 +515,23 @@ HttpResponse IntrospectionServer::HandleTarget(const std::string& target) {
   return Handle(path, params);
 }
 
+std::optional<HttpResponse> IntrospectionServer::HandleRequestHead(
+    const std::string& head) {
+  const size_t line_end = head.find("\r\n");
+  if (line_end == std::string::npos) return std::nullopt;
+  const std::string line = head.substr(0, line_end);
+  const size_t sp1 = line.find(' ');
+  const size_t sp2 = sp1 == std::string::npos ? std::string::npos
+                                              : line.find(' ', sp1 + 1);
+  if (sp1 == std::string::npos || sp2 == std::string::npos) {
+    return TextResponse(400, "malformed request line\n");
+  }
+  if (line.substr(0, sp1) != "GET") {
+    return TextResponse(405, "only GET is served here\n");
+  }
+  return HandleTarget(line.substr(sp1 + 1, sp2 - sp1 - 1));
+}
+
 Status IntrospectionServer::Start(IntrospectionOptions options) {
   if (running()) {
     return Status::FailedPrecondition("introspection server already running");
@@ -602,33 +619,21 @@ void IntrospectionServer::ServeConnection(int fd) {
     if (n <= 0) return;
     request.append(buf, static_cast<size_t>(n));
   }
-  const size_t line_end = request.find("\r\n");
-  if (line_end == std::string::npos) return;
-  const std::string line = request.substr(0, line_end);
-  HttpResponse resp;
-  const size_t sp1 = line.find(' ');
-  const size_t sp2 = sp1 == std::string::npos ? std::string::npos
-                                              : line.find(' ', sp1 + 1);
-  if (sp1 == std::string::npos || sp2 == std::string::npos) {
-    resp = TextResponse(400, "malformed request line\n");
-  } else if (line.substr(0, sp1) != "GET") {
-    resp = TextResponse(405, "only GET is served here\n");
-  } else {
-    resp = HandleTarget(line.substr(sp1 + 1, sp2 - sp1 - 1));
-  }
-  const char* reason = resp.status == 200   ? "OK"
-                       : resp.status == 400 ? "Bad Request"
-                       : resp.status == 404 ? "Not Found"
-                       : resp.status == 405 ? "Method Not Allowed"
-                       : resp.status == 503 ? "Service Unavailable"
-                                            : "Error";
+  const std::optional<HttpResponse> resp = HandleRequestHead(request);
+  if (!resp.has_value()) return;
+  const char* reason = resp->status == 200   ? "OK"
+                       : resp->status == 400 ? "Bad Request"
+                       : resp->status == 404 ? "Not Found"
+                       : resp->status == 405 ? "Method Not Allowed"
+                       : resp->status == 503 ? "Service Unavailable"
+                                             : "Error";
   std::string out;
-  out.reserve(resp.body.size() + 160);
-  AppendFmt(&out, "HTTP/1.1 %d %s\r\n", resp.status, reason);
-  AppendFmt(&out, "Content-Type: %s\r\n", resp.content_type.c_str());
-  AppendFmt(&out, "Content-Length: %zu\r\n", resp.body.size());
+  out.reserve(resp->body.size() + 160);
+  AppendFmt(&out, "HTTP/1.1 %d %s\r\n", resp->status, reason);
+  AppendFmt(&out, "Content-Type: %s\r\n", resp->content_type.c_str());
+  AppendFmt(&out, "Content-Length: %zu\r\n", resp->body.size());
   out += "Connection: close\r\n\r\n";
-  out += resp.body;
+  out += resp->body;
   size_t sent = 0;
   while (sent < out.size()) {
     ssize_t n;

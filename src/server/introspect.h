@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,6 +157,11 @@ class IntrospectionServer {
 
   /// Parses "path?k=v&..." and dispatches to Handle().
   HttpResponse HandleTarget(const std::string& target);
+
+  /// Answers a request head as the socket path does: 400 for a malformed
+  /// request line, 405 for a method other than GET, else HandleTarget();
+  /// nullopt (close unanswered) when the head has no complete line.
+  std::optional<HttpResponse> HandleRequestHead(const std::string& head);
 
  private:
   void AcceptLoop();

@@ -87,10 +87,10 @@ struct SimulationConfig {
   /// manifests, garbage-collect older manifests and unreferenced blobs,
   /// and truncate the event log below the oldest retained manifest's
   /// covered LSN — the run's disk footprint stays proportional to N live
-  /// checkpoints however long it runs. 0 keeps every checkpoint (the
-  /// pre-retention behavior).
+  /// checkpoints however long it runs. 0 keeps every checkpoint, blob and
+  /// journal event, and runs no GC.
   uint32_t checkpoint_retention = 0;
-  /// Event-log layout. kSingleFile is the PR 3/4 rewrite-compacted file;
+  /// Event-log layout. kSingleFile is one file that retention rewrites;
   /// kSegmented stripes the log across fixed-size segment files so
   /// retention truncation is O(1) unlinks instead of an O(retained
   /// events) rewrite that blocks the journaling appenders.

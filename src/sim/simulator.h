@@ -135,9 +135,6 @@ class Simulator {
   void set_amnesia_paused(bool paused) {
     amnesia_paused_.store(paused, std::memory_order_release);
   }
-  bool amnesia_paused() const {
-    return amnesia_paused_.load(std::memory_order_acquire);
-  }
 
  private:
   explicit Simulator(const SimulationConfig& config);

@@ -194,9 +194,7 @@ class Column {
   /// Attaches a dropped placeholder segment during restore: reads as
   /// zeros, ignores writes, owns no file.
   void AttachDroppedSegment() {
-    Segment s;
-    s.dropped = true;
-    segments_.push_back(std::move(s));
+    segments_.emplace_back();
     sealed_rows_ += partition_rows_;
   }
 
@@ -206,11 +204,7 @@ class Column {
     Segment& s = segments_[idx];
     s.file.Reset();
     s.data = nullptr;
-    s.dropped = true;
   }
-
-  /// True when sealed segment `idx` has been dropped.
-  bool SegmentDropped(size_t idx) const { return segments_[idx].dropped; }
 
   /// Total bytes currently mmap'd by this column's live segments.
   uint64_t MappedBytes() const {
@@ -256,7 +250,6 @@ class Column {
   struct Segment {
     MappedColumnFile file;
     Value* data = nullptr;
-    bool dropped = false;
   };
 
   ValueSpan MappedSpan(RowId begin, RowId end) const;

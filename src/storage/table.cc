@@ -3,9 +3,6 @@
 #include "storage/table.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <mutex>
 #include <numeric>
 #include <string>
@@ -314,21 +311,21 @@ StatusOr<uint64_t> Table::DropPartition(size_t idx, bool defer_unlink) {
   // keeps, recovery is consistent — rename lost: partition intact under
   // its live name; journal record lost: partition restores intact from
   // the .dropped name and its rows come back active.
-  if (::rename(live.c_str(), dropped.c_str()) != 0) {
-    const int err = errno;
-    if ((err == ENOTEMPTY || err == EEXIST) && StatPath(dropped).is_dir) {
+  if (Status renamed = RenamePath(live, dropped); !renamed.ok()) {
+    if (renamed.code() == StatusCode::kFailedPrecondition &&
+        StatPath(dropped).is_dir) {
       // Replay re-sealed the partition under its live name while the
       // original drop's `.dropped` copy still waits for retention GC. Both
       // hold this partition's rows; keep the copy a retained manifest may
       // still map and remove the re-sealed one.
       AMNESIA_RETURN_NOT_OK(RemoveDirRecursive(live));
-    } else if (err != ENOENT || StatPath(live).is_dir) {
-      // ENOENT without a live directory is a re-drop after a crash between
-      // rename and journal flush: the source is gone but the target exists
-      // (or, when the unlink also completed and the drop record survived,
-      // both are gone) — proceed either way.
-      return Status::Internal("rename '" + live + "' -> '" + dropped +
-                              "': " + std::strerror(err));
+    } else if (renamed.code() != StatusCode::kNotFound ||
+               StatPath(live).is_dir) {
+      // A missing source without a live directory is a re-drop after a
+      // crash between rename and journal flush: the source is gone but the
+      // target exists (or, when the unlink also completed and the drop
+      // record survived, both are gone) — proceed either way.
+      return renamed;
     }
   }
 

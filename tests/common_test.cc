@@ -94,6 +94,18 @@ TEST(StatusOrTest, AssignOrReturnPropagates) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
+// Reading the value of an error aborts in every build, Release included,
+// and says which error it was.
+TEST(StatusOrDeathTest, ValueOfAnErrorAbortsWithTheStatus) {
+  StatusOr<int> number = Status::NotFound("no row 7");
+  EXPECT_DEATH((void)number.value(),
+               "StatusOr::value\\(\\) on error: NotFound: no row 7");
+  EXPECT_DEATH((void)*number, "on error: NotFound: no row 7");
+  StatusOr<std::string> text = Status::Internal("disk gone");
+  EXPECT_DEATH((void)text->size(), "on error: Internal: disk gone");
+  EXPECT_DEATH((void)std::move(text).value(), "on error: Internal: disk gone");
+}
+
 Status ReturnNotOkHelper(bool fail) {
   AMNESIA_RETURN_NOT_OK(fail ? Status::Internal("boom") : Status::OK());
   return Status::OK();
@@ -510,6 +522,54 @@ TEST(FsTest, ReplaceFileKeepsOldContentWhenTheWriteFails) {
   EXPECT_EQ(ListDirEntries(dir).value(), std::vector<std::string>{"file"});
   ASSERT_TRUE(RemoveDirRecursive(dir).ok());
   EXPECT_FALSE(StatPath(dir).exists);
+}
+
+TEST(FsTest, RemovesRenamesAndTruncatesWithDistinctCodes) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "amnesia_fs_entries_test")
+          .string();
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(EnsureDir(dir).ok());
+  for (const char* name : {"a.seg", "b.seg", "keep"}) {
+    ASSERT_TRUE(WriteBytesFileAtomic({1, 2, 3, 4}, dir + "/" + name).ok());
+  }
+
+  ASSERT_TRUE(TruncateFile(dir + "/keep", 1).ok());
+  EXPECT_EQ(ReadBytesFile(dir + "/keep").value(), std::vector<uint8_t>{1});
+  EXPECT_EQ(TruncateFile(dir + "/none", 0).code(), StatusCode::kInternal);
+
+  uint64_t removed = 0;
+  ASSERT_TRUE(RemoveMatchingFiles(
+                  dir,
+                  [](const std::string& name) {
+                    return name.size() > 4 &&
+                           name.compare(name.size() - 4, 4, ".seg") == 0;
+                  },
+                  &removed)
+                  .ok());
+  EXPECT_EQ(removed, 2u);
+  EXPECT_EQ(ListDirEntries(dir).value(), std::vector<std::string>{"keep"});
+  EXPECT_TRUE(
+      RemoveMatchingFiles(dir + "/none", [](const std::string&) {
+        return true;
+      }).ok());
+
+  // A missing source is NotFound; a non-empty directory target is
+  // FailedPrecondition; a file target is replaced.
+  EXPECT_EQ(RenamePath(dir + "/none", dir + "/x").code(),
+            StatusCode::kNotFound);
+  ASSERT_TRUE(EnsureDir(dir + "/full").ok());
+  ASSERT_TRUE(EnsureDir(dir + "/full.dropped").ok());
+  ASSERT_TRUE(WriteBytesFileAtomic({5}, dir + "/full.dropped/f").ok());
+  EXPECT_EQ(RenamePath(dir + "/full", dir + "/full.dropped").code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(WriteBytesFileAtomic({7}, dir + "/other").ok());
+  ASSERT_TRUE(RenamePath(dir + "/other", dir + "/keep").ok());
+  EXPECT_EQ(ReadBytesFile(dir + "/keep").value(), std::vector<uint8_t>{7});
+
+  ASSERT_TRUE(RemoveFile(dir + "/keep").ok());
+  EXPECT_EQ(RemoveFile(dir + "/keep").code(), StatusCode::kInternal);
+  ASSERT_TRUE(RemoveDirRecursive(dir).ok());
 }
 
 }  // namespace

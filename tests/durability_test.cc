@@ -1073,9 +1073,8 @@ TEST(ManifestTest, V2RoundTripsTierEntries) {
 }
 
 /// Writes a manifest in the version-2 layout (tier entries, no
-/// mapped-storage fields) that earlier binaries wrote for every run
-/// without a mapped shard. `version` is stamped as given, so the same bytes
-/// can pose as another version.
+/// mapped-storage fields), which no binary decodes any more. `version` is
+/// stamped as given, so the same bytes can pose as another version.
 std::vector<uint8_t> EncodeManifestV2(const Manifest& manifest,
                                       uint32_t version = 2) {
   std::vector<uint8_t> out;
@@ -1103,11 +1102,10 @@ std::vector<uint8_t> EncodeManifestV2(const Manifest& manifest,
   return out;
 }
 
-TEST(ManifestTest, V2DirectoryStillRecovers) {
-  // A checkpoint directory whose newest manifest is version 2 (what a
-  // vector-storage run of an earlier binary wrote) must recover exactly as
-  // before.
-  ScratchDir dir("amnesia_manifest_v2_compat_test");
+TEST(ManifestTest, V2ManifestIsRefusedAndRecoveryFallsBack) {
+  // Only version 3 decodes. A directory whose newest manifest is version 2
+  // recovers from the newest version 3 manifest below it.
+  ScratchDir dir("amnesia_manifest_v2_refused_test");
   Table table = MakeLoadedTable(60, 83);
   CheckpointerOptions opts;
   opts.dir = dir.path();
@@ -1135,19 +1133,23 @@ TEST(ManifestTest, V2DirectoryStillRecovers) {
                   .ok());
 
   RecoveredState state = Recover(dir.path(), "").value();
-  EXPECT_EQ(state.checkpoint_id, 2u);
+  EXPECT_EQ(state.checkpoint_id, 1u);
   EXPECT_FALSE(state.cold.has_value());
   EXPECT_FALSE(state.summaries.has_value());
   EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(table));
 
   ExpectEveryCutAndFlipRejected(EncodeManifestV2(v2));
 
-  // Any version other than 2 and 3 is refused by name, not misparsed.
-  for (uint32_t version : {1u, 4u}) {
+  // Every version but 3 is refused by name, not misparsed.
+  for (uint32_t version : {1u, 2u, 4u}) {
     const StatusOr<Manifest> other =
         DecodeManifest(EncodeManifestV2(v2, version));
     ASSERT_FALSE(other.ok()) << "version " << version;
     EXPECT_EQ(other.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(other.status().message().find("unsupported manifest version " +
+                                            std::to_string(version)),
+              std::string::npos)
+        << other.status().ToString();
   }
 }
 

@@ -1,12 +1,13 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
-// Where and when the engine fsyncs. This binary interposes fsync,
-// fdatasync and rename at link time: the engine is a static library linked
-// into it, so its calls bind to the definitions below, which record each
-// call as (thread, op, path) in one global order and forward to the C
-// library's through dlsym(RTLD_NEXT). A run in privacy_vacuum's shape
-// (FIFO kDelete on mapped partitions, segmented journal, audit ledger,
-// partition drops, async checkpoints every 3 batches) then checks:
+// Where and when the engine fsyncs and deletes. This binary interposes
+// fsync, fdatasync, rename, unlink, rmdir, remove, truncate and ftruncate
+// at link time: the engine is a static library linked into it, so its
+// calls bind to the definitions below, which record each call as (thread,
+// op, path) in one global order and forward to the C library's through
+// dlsym(RTLD_NEXT). A run in privacy_vacuum's shape (FIFO kDelete on
+// mapped partitions, segmented journal, audit ledger, partition drops,
+// async checkpoints every 3 batches) then checks:
 //  (a) the thread that steps the batches fsyncs nothing under the storage
 //      directory or the journal's segment directory: seals, drops and
 //      journal rolls leave the disk to the checkpoint writer (the audit
@@ -15,7 +16,11 @@
 //      is durable: each partition it lists for the first time (column
 //      files, and its directory after the files renamed into place), the
 //      storage directory after the last seal or drop the manifest
-//      reflects, and every journal segment sealed before its capture.
+//      reflects, and every journal segment sealed before its capture;
+//  (c) the batch thread deletes nothing under the storage, checkpoint or
+//      journal directories, and each retention-GC deletion comes after the
+//      CURRENT rename of the commit whose pass made it and removes nothing
+//      that commit or a later one needs.
 
 #include <dlfcn.h>
 #include <unistd.h>
@@ -51,10 +56,12 @@ namespace fs = std::filesystem;
 
 /// One interposed call that completed successfully.
 struct Call {
-  enum class Op { kFsync, kRename };
+  enum class Op { kFsync, kRename, kUnlink, kRmdir, kRemove, kTruncate };
   Op op = Op::kFsync;
   std::thread::id thread;
-  std::string path;  ///< fsync: the descriptor's path; rename: the target.
+  /// fsync and ftruncate: the descriptor's path; rename: the target;
+  /// otherwise the path the call was given.
+  std::string path;
   std::string from;  ///< rename: the source.
   /// rename onto MANIFEST-<id>: the manifest bytes.
   std::vector<uint8_t> manifest;
@@ -129,6 +136,23 @@ int RecordedSync(int (*real)(int), int fd) {
   return rc;
 }
 
+/// Records a successful unlink, rmdir, remove or truncate of `path`.
+int RecordedPathOp(Call::Op op, const char* path, int rc) {
+  if (rc == 0 && Recording()) {
+    Call call;
+    call.op = op;
+    call.path = path;
+    Note(std::move(call));
+  }
+  return rc;
+}
+
+/// A call that removes a directory entry or cuts bytes off a file.
+bool IsDeletion(const Call& call) {
+  return call.op == Call::Op::kUnlink || call.op == Call::Op::kRmdir ||
+         call.op == Call::Op::kRemove || call.op == Call::Op::kTruncate;
+}
+
 }  // namespace
 }  // namespace amnesia
 
@@ -161,6 +185,38 @@ int rename(const char* from, const char* to) __THROW {
     amnesia::Note(std::move(call));
   }
   return rc;
+}
+
+int unlink(const char* path) __THROW {
+  static const auto real = amnesia::Real<int (*)(const char*)>("unlink");
+  return amnesia::RecordedPathOp(amnesia::Call::Op::kUnlink, path,
+                                 real(path));
+}
+
+int rmdir(const char* path) __THROW {
+  static const auto real = amnesia::Real<int (*)(const char*)>("rmdir");
+  return amnesia::RecordedPathOp(amnesia::Call::Op::kRmdir, path, real(path));
+}
+
+int remove(const char* path) __THROW {
+  static const auto real = amnesia::Real<int (*)(const char*)>("remove");
+  return amnesia::RecordedPathOp(amnesia::Call::Op::kRemove, path,
+                                 real(path));
+}
+
+int truncate(const char* path, off_t size) __THROW {
+  static const auto real =
+      amnesia::Real<int (*)(const char*, off_t)>("truncate");
+  return amnesia::RecordedPathOp(amnesia::Call::Op::kTruncate, path,
+                                 real(path, size));
+}
+
+int ftruncate(int fd, off_t size) __THROW {
+  static const auto real = amnesia::Real<int (*)(int, off_t)>("ftruncate");
+  const std::string path =
+      amnesia::Recording() ? amnesia::PathOfFd(fd) : std::string();
+  return amnesia::RecordedPathOp(amnesia::Call::Op::kTruncate, path.c_str(),
+                                 real(fd, size));
 }
 
 }  // extern "C"
@@ -374,6 +430,110 @@ TEST(FsyncOrderTest, BatchThreadLeavesSyncsToTheWriterBeforeEachManifest) {
     }
   }
   EXPECT_GE(manifests, 6u);  // the baseline plus one every 3 of 15 batches
+}
+
+/// The names of the blobs `manifest` references.
+std::set<std::string> BlobsOf(const Manifest& manifest) {
+  std::set<std::string> blobs;
+  for (const ManifestShard& shard : manifest.shards) {
+    blobs.insert(shard.filename);
+  }
+  if (manifest.cold.present()) blobs.insert(manifest.cold.filename);
+  if (manifest.summary.present()) blobs.insert(manifest.summary.filename);
+  return blobs;
+}
+
+TEST(FsyncOrderTest, RetentionGcDeletesOnlyAfterItsCommitsCurrentRename) {
+  ScratchDir dir("amnesia_delete_order_test");
+  const SimulationConfig config = PrivacyVacuumShape(dir);
+  const std::string storage = config.storage_dir;
+  const std::string ckpt = config.checkpoint_dir;
+  const std::string segs = ckpt + "/events.segs";
+  auto sim = Simulator::Make(config).value();
+
+  StartRecording();
+  const std::thread::id batch_thread = std::this_thread::get_id();
+  ASSERT_TRUE(sim->Initialize().ok());
+  std::set<uint64_t> all_segments = SnapshotJournal(*sim, segs).segments;
+  for (int b = 0; b < 15; ++b) {
+    ASSERT_TRUE(sim->StepBatch().ok());
+    const BatchEnd end = SnapshotJournal(*sim, segs);
+    all_segments.insert(end.segments.begin(), end.segments.end());
+  }
+  ASSERT_TRUE(sim->FlushCheckpoints().ok());
+  const std::vector<Call> calls = StopRecording();
+
+  // Walk the calls in order. `committed` is the last manifest renamed into
+  // place; `current_named` says whether CURRENT was renamed since. On the
+  // writer those are one commit's two renames, and its GC pass follows.
+  std::optional<Manifest> committed;
+  bool current_named = false;
+  std::set<std::string> deleted_blobs;
+  std::map<std::string, size_t> deleted;  // by kind
+  for (const Call& call : calls) {
+    if (call.op == Call::Op::kRename && !call.manifest.empty()) {
+      auto manifest = DecodeManifest(call.manifest);
+      ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+      for (const std::string& blob : BlobsOf(*manifest)) {
+        EXPECT_EQ(deleted_blobs.count(blob), 0u)
+            << "manifest " << manifest->id << " names deleted " << blob;
+      }
+      committed = std::move(manifest).value();
+      current_named = false;
+      continue;
+    }
+    if (call.op == Call::Op::kRename && call.path == ckpt + "/CURRENT") {
+      current_named = true;
+      continue;
+    }
+    if (!IsDeletion(call) ||
+        !(IsUnder(call.path, storage) || IsUnder(call.path, ckpt))) {
+      continue;
+    }
+    ASSERT_NE(call.thread, batch_thread)
+        << "batch thread deleted " << call.path;
+    ASSERT_TRUE(committed.has_value()) << "GC deleted " << call.path
+                                       << " before any commit";
+    SCOPED_TRACE("deleting " + call.path + " after manifest " +
+                 std::to_string(committed->id));
+    EXPECT_TRUE(current_named) << "before the commit's CURRENT rename";
+
+    // Nothing the newest commit needs goes.
+    const std::string name = fs::path(call.path).filename().string();
+    if (ParentOf(call.path) == segs) {
+      ++deleted["journal segment"];
+      const uint64_t base = std::stoull(name.substr(4, name.size() - 8));
+      const auto next = all_segments.upper_bound(base);
+      ASSERT_NE(next, all_segments.end()) << "the journal's last segment";
+      EXPECT_LE(*next, committed->covered_lsn) << "a segment it replays";
+    } else if (ParentOf(call.path) == ckpt && IsManifestName(name)) {
+      ++deleted["manifest"];
+      EXPECT_NE(name, "MANIFEST-" + std::to_string(committed->id));
+    } else if (ParentOf(call.path) == ckpt) {
+      ++deleted["blob"];
+      EXPECT_EQ(BlobsOf(*committed).count(name), 0u);
+      deleted_blobs.insert(name);
+    } else {
+      ASSERT_TRUE(IsUnder(call.path, storage));
+      ++deleted["partition entry"];
+      const std::string rel = call.path.substr(storage.size() + 1);
+      Tick lo = 0, hi = 0;
+      bool dropped = false;
+      ASSERT_TRUE(ParsePartitionDirName(rel.substr(0, rel.find('/')), &lo,
+                                        &hi, &dropped));
+      EXPECT_TRUE(dropped);
+      for (const ManifestShard& shard : committed->shards) {
+        for (const std::string& listed : shard.partitions) {
+          EXPECT_NE(listed, PartitionDirName(lo, hi));
+        }
+      }
+    }
+  }
+  // The run exercised every kind of GC deletion.
+  for (const char* kind :
+       {"journal segment", "manifest", "blob", "partition entry"}) {
+    EXPECT_GT(deleted[kind], 0u) << kind;
+  }
 }
 
 TEST(FsyncOrderTest, SyncStepRecordsOneSamplePerSyncingCommit) {

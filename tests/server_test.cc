@@ -3,11 +3,19 @@
 // Tests for the introspection server (server/introspect.h): the pure
 // exposition helpers (name sanitization, label escaping, Prometheus
 // rendering invariants, trace-event JSON), the socket-free Handle()
-// dispatcher, and the real HTTP loop end-to-end via FetchLocal().
+// dispatcher, a mutation sweep of the request-head parse, and the real
+// HTTP loop end-to-end via FetchLocal() and a raw socket.
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -436,6 +444,182 @@ TEST(HandleTest, SlazNeverAssertsAnUncheckedAttestation) {
   EXPECT_NE(text.body.find("not yet cross-checked"), std::string::npos)
       << text.body;
   srv.Stop();
+}
+
+// ---- the request head -----------------------------------------------------
+
+/// What a connection gets for `head`: the response status, or 0 when it
+/// closes unanswered.
+int Outcome(IntrospectionServer* srv, const std::string& head) {
+  const std::optional<HttpResponse> resp = srv->HandleRequestHead(head);
+  return resp.has_value() ? resp->status : 0;
+}
+
+bool IsServedOutcome(int outcome) {
+  static const std::set<int> kServed = {0, 200, 400, 404, 405, 503};
+  return kServed.count(outcome) > 0;
+}
+
+/// A server with a three-record audit ledger, so /auditz answers 200.
+class RequestHeadTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = (std::filesystem::temp_directory_path() / "amnesia_srv_head")
+               .string();
+    std::filesystem::remove_all(dir_);
+    ledger_.emplace(AuditLedger::Open(dir_).value());
+    for (uint64_t i = 0; i < 3; ++i) {
+      AuditRecord r;
+      r.op = AuditOp::kVacuum;
+      r.policy = "fifo";
+      r.batch = i;
+      ASSERT_TRUE(ledger_->Append(&r).ok());
+    }
+    IntrospectionOptions opts;
+    opts.audit_ledger = &*ledger_;
+    ASSERT_TRUE(srv_.Start(std::move(opts)).ok());
+  }
+  void TearDown() override {
+    srv_.Stop();
+    ledger_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  std::string dir_;
+  std::optional<AuditLedger> ledger_;
+  IntrospectionServer srv_;
+};
+
+const char kValidHead[] =
+    "GET /auditz?n=5&format=json HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
+
+TEST_F(RequestHeadTest, EveryTruncationAndByteFlipIsAnsweredOrClosed) {
+  const std::string head = kValidHead;
+  const std::optional<HttpResponse> valid = srv_.HandleRequestHead(head);
+  ASSERT_TRUE(valid.has_value());
+  EXPECT_EQ(valid->status, 200);
+  EXPECT_NE(valid->body.find("\"ok\":true"), std::string::npos)
+      << valid->body;
+
+  const size_t line_end = head.find("\r\n");
+  for (size_t cut = 0; cut < head.size(); ++cut) {
+    const int outcome = Outcome(&srv_, head.substr(0, cut));
+    // Without its CRLF the request line is incomplete: the connection
+    // closes. With it, the rest of the head does not matter.
+    EXPECT_EQ(outcome, cut < line_end + 2 ? 0 : 200) << "cut at " << cut;
+  }
+  std::map<int, size_t> seen;
+  for (size_t pos = 0; pos < head.size(); ++pos) {
+    for (int mask = 1; mask < 256; ++mask) {
+      std::string flipped = head;
+      flipped[pos] = static_cast<char>(flipped[pos] ^ mask);
+      const int outcome = Outcome(&srv_, flipped);
+      ASSERT_TRUE(IsServedOutcome(outcome))
+          << "byte " << pos << " ^ " << mask << " -> " << outcome;
+      ++seen[outcome];
+    }
+  }
+  // The flips reached every answer of the parse: a malformed line, a
+  // foreign method, an unknown path and a served one (the truncations
+  // above reached the closed connection).
+  for (int outcome : {200, 400, 404, 405}) {
+    EXPECT_GT(seen[outcome], 0u) << outcome;
+  }
+}
+
+TEST_F(RequestHeadTest, OddQueryStringsAreServed) {
+  const std::vector<std::string> auditz = {
+      "/auditz?",
+      "/auditz?=",
+      "/auditz?=5",
+      "/auditz?&",
+      "/auditz?&&&",
+      "/auditz?==",
+      "/auditz?n==5",
+      "/auditz?n=5&&format=json",
+      "/auditz?&=&=&",
+      "/auditz?n",
+      "/auditz?n=",
+      "/auditz?n=-1",
+      "/auditz?n=18446744073709551615",
+      "/auditz?n=18446744073709551616",
+      "/auditz?n=99999999999999999999999999999999&format=json",
+      "/auditz?format=json&format=text",
+  };
+  for (const std::string& target : auditz) {
+    EXPECT_EQ(Outcome(&srv_, "GET " + target + " HTTP/1.1\r\n\r\n"), 200)
+        << target;
+  }
+  // No profile has a 2^64-sized id or an empty one.
+  for (const char* target : {"/profilez?id=18446744073709551616",
+                             "/profilez?id=",
+                             "/profilez?id=99999999999999999999999"}) {
+    EXPECT_EQ(Outcome(&srv_, std::string("GET ") + target +
+                                 " HTTP/1.1\r\n\r\n"),
+              404)
+        << target;
+  }
+  EXPECT_EQ(Outcome(&srv_, "GET /healthz?&&==&& HTTP/1.1\r\n\r\n"), 200);
+  EXPECT_EQ(Outcome(&srv_, "GET  HTTP/1.1\r\n\r\n"), 404);
+  EXPECT_EQ(Outcome(&srv_, "GET /healthz\r\n\r\n"), 400);
+  EXPECT_EQ(Outcome(&srv_, "\r\n\r\n"), 400);
+}
+
+/// Sends `bytes` over one connection to 127.0.0.1:`port`, then shuts the
+/// sending side, and returns the response's status: 0 when the server
+/// closed the connection unanswered.
+int RawExchange(uint16_t port, const std::string& bytes) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof(addr)),
+            0);
+  // A server that stops reading may reset the connection mid-send; what
+  // it answered (if anything) is still read below.
+  size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<size_t>(n);
+  }
+  shutdown(fd, SHUT_WR);
+  std::string raw;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    raw.append(buf, static_cast<size_t>(n));
+  }
+  close(fd);
+  if (raw.rfind("HTTP/1.1 ", 0) != 0) return 0;
+  return std::atoi(raw.c_str() + 9);
+}
+
+TEST_F(RequestHeadTest, HostileConnectionsLeaveTheServerServing) {
+  // A request line past the 8 KiB head cap: nothing to parse, closed.
+  EXPECT_EQ(RawExchange(srv_.port(), "GET /" + std::string(9000, 'a')), 0);
+  // A head whose headers run past the cap is answered from its line.
+  EXPECT_EQ(RawExchange(srv_.port(), "GET /healthz HTTP/1.1\r\nX-Pad: " +
+                                         std::string(9000, 'b')),
+            200);
+  // Half a head, then the client closes: closed unanswered.
+  EXPECT_EQ(RawExchange(srv_.port(), "GET /healthz HTTP/1.1\r\nHost:"), 0);
+  EXPECT_EQ(RawExchange(srv_.port(), "GET /heal"), 0);
+  EXPECT_EQ(RawExchange(srv_.port(), "POST /healthz HTTP/1.1\r\n\r\n"),
+            405);
+
+  const StatusOr<HttpResponse> health = FetchLocal(srv_.port(), "/healthz");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->status, 200);
 }
 
 // ---- injected forget lag flips /readyz ------------------------------------
