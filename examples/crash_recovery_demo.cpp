@@ -212,13 +212,11 @@ int VerifyRetention(const std::string& dir, uint32_t retain,
   // pass the next commit would run, then assert the strict invariants.
   Status gc = CollectCheckpointGarbage(dir, retain);
   if (!gc.ok()) return Fail("gc pass: " + gc.ToString());
-  std::vector<uint64_t> ids;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("MANIFEST-", 0) == 0) {
-      ids.push_back(std::strtoull(name.substr(9).c_str(), nullptr, 10));
-    }
-  }
+  // Count manifests by the rule recovery and GC use: a kill inside a
+  // manifest's replace leaves a MANIFEST-<id>.tmp, which is none.
+  StatusOr<std::vector<uint64_t>> listed = ListManifestIds(dir);
+  if (!listed.ok()) return Fail("manifest list: " + listed.status().ToString());
+  const std::vector<uint64_t>& ids = listed.value();
   if (ids.size() > retain) {
     return Fail("retention " + std::to_string(retain) + " but " +
                 std::to_string(ids.size()) + " manifests on disk");

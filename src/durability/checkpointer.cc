@@ -90,24 +90,6 @@ StatusOr<Manifest> ReadManifest(const std::string& dir, uint64_t id) {
   return DecodeManifest(bytes);
 }
 
-/// Returns the ids of every MANIFEST-<id> file in `dir`, unsorted.
-StatusOr<std::vector<uint64_t>> ListManifestIds(const std::string& dir) {
-  AMNESIA_ASSIGN_OR_RETURN(const std::vector<std::string> names,
-                           ListDirEntries(dir));
-  std::vector<uint64_t> ids;
-  const size_t prefix_len = std::strlen(kManifestPrefix);
-  for (const std::string& name : names) {
-    if (name.rfind(kManifestPrefix, 0) != 0) continue;
-    const std::string suffix = name.substr(prefix_len);
-    if (suffix.empty() ||
-        suffix.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    ids.push_back(std::strtoull(suffix.c_str(), nullptr, 10));
-  }
-  return ids;
-}
-
 void EncodeManifestBlob(ckpt::Writer* w, const ManifestBlob& blob) {
   w->U8(blob.present() ? 1 : 0);
   if (!blob.present()) return;
@@ -133,6 +115,23 @@ Status DecodeManifestBlob(ckpt::Reader* r, ManifestBlob* blob) {
 }
 
 }  // namespace
+
+StatusOr<std::vector<uint64_t>> ListManifestIds(const std::string& dir) {
+  AMNESIA_ASSIGN_OR_RETURN(const std::vector<std::string> names,
+                           ListDirEntries(dir));
+  std::vector<uint64_t> ids;
+  const size_t prefix_len = std::strlen(kManifestPrefix);
+  for (const std::string& name : names) {
+    if (name.rfind(kManifestPrefix, 0) != 0) continue;
+    const std::string suffix = name.substr(prefix_len);
+    if (suffix.empty() ||
+        suffix.find_first_not_of("0123456789") != std::string::npos) {
+      continue;
+    }
+    ids.push_back(std::strtoull(suffix.c_str(), nullptr, 10));
+  }
+  return ids;
+}
 
 std::vector<uint8_t> EncodeManifest(const Manifest& manifest) {
   std::vector<uint8_t> out;

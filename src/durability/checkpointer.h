@@ -3,7 +3,9 @@
 // Background checkpoint writer and crash recovery. A checkpoint is a set
 // of per-shard blobs, optional cold/summary tier blobs and a manifest that
 // names them all. Checkpoint() captures on the caller: each shard's image
-// (Table::ToParts) and copies of the tiers, in one pass. The writer
+// (Table::ToParts: a mapped shard's rows from its first live partition on,
+// plus one batch run per batch, so the capture does not grow with the
+// dropped history) and copies of the tiers, in one pass. The writer
 // encodes each image (EncodeTableParts) and commits the manifest
 // atomically by renaming it into place (common/fs.h); a CURRENT file
 // points at the newest one.
@@ -129,6 +131,12 @@ std::vector<uint8_t> EncodeManifest(const Manifest& manifest);
 /// InvalidArgument on a truncated or corrupt manifest, FailedPrecondition
 /// on any other version.
 StatusOr<Manifest> DecodeManifest(const std::vector<uint8_t>& buffer);
+
+/// \brief Returns the ids of the manifests in `dir`, unsorted: every name
+/// `MANIFEST-<id>` whose suffix is all decimal digits. Recovery, retention
+/// GC and the id sequence count exactly these, so an orphan
+/// `MANIFEST-<id>.tmp` a kill left inside a replace is none of them.
+StatusOr<std::vector<uint64_t>> ListManifestIds(const std::string& dir);
 
 /// \brief Deletes every checkpoint artifact (manifests, CURRENT, shard and
 /// tier blobs) in `dir`, leaving other files alone. A process starting a

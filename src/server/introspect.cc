@@ -208,6 +208,26 @@ HttpResponse JsonResponse(std::string body) {
   return resp;
 }
 
+/// Parses a query parameter's number: 1-20 decimal digits, at most
+/// 2^64 - 1. Anything else (empty, a sign, a space, overflow) is nullopt,
+/// so a malformed number is refused rather than read as another.
+std::optional<uint64_t> ParseDecimalU64(const std::string& text) {
+  if (text.empty() || text.size() > 20) return std::nullopt;
+  uint64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (~uint64_t{0} - digit) / 10) return std::nullopt;
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
+HttpResponse BadNumber(const std::string& name, const std::string& text) {
+  return TextResponse(400, name + "=" + text +
+                               " is not a decimal number in [0, 2^64)\n");
+}
+
 HttpResponse HandleProfilez(const std::map<std::string, std::string>& params) {
   ProfileLog& log = ProfileLog::Global();
   const bool json = [&] {
@@ -215,8 +235,9 @@ HttpResponse HandleProfilez(const std::map<std::string, std::string>& params) {
     return it != params.end() && it->second == "json";
   }();
   if (auto it = params.find("id"); it != params.end()) {
-    const uint64_t id = strtoull(it->second.c_str(), nullptr, 10);
-    std::optional<QueryProfile> profile = log.Find(id);
+    const std::optional<uint64_t> id = ParseDecimalU64(it->second);
+    if (!id.has_value()) return BadNumber("id", it->second);
+    std::optional<QueryProfile> profile = log.Find(*id);
     if (!profile.has_value()) {
       return TextResponse(404, "profile " + it->second +
                                    " not retained (ring holds the last " +
@@ -287,7 +308,9 @@ HttpResponse HandleAuditz(AuditLedger* ledger,
   }
   size_t n = 20;
   if (const auto it = params.find("n"); it != params.end()) {
-    n = static_cast<size_t>(strtoull(it->second.c_str(), nullptr, 10));
+    const std::optional<uint64_t> parsed = ParseDecimalU64(it->second);
+    if (!parsed.has_value()) return BadNumber("n", it->second);
+    n = static_cast<size_t>(*parsed);
   }
   // The chain check re-reads the ledger from disk — it verifies what a
   // compliance audit would actually receive, not this process's memory.

@@ -20,8 +20,13 @@ constexpr uint32_t kTableBlobMagic = 0x414D4E45;  // "AMNE"
 /// Self-contained layout: payload, ticks, batches, access counts, bitmap.
 constexpr uint32_t kTableBlobVersion = 1;
 /// Mapped-shard layout: partition metadata + unsealed tail; the sealed
-/// payload is re-mapped from the partition files at restore.
-constexpr uint32_t kTableBlobVersionMapped = 2;
+/// payload is re-mapped from the partition files at restore. Version 2
+/// carries the access counts and active bits of every row and is read
+/// only; version 3 adds `row_base` and carries them from there on.
+constexpr uint32_t kTableBlobVersionMappedV2 = 2;
+constexpr uint32_t kTableBlobVersionMapped = 3;
+/// Bytes of one batch run in a mapped blob: batch id, then row count.
+constexpr uint64_t kBatchRunBytes = sizeof(uint32_t) + sizeof(uint64_t);
 
 /// Writes the prefix every table blob opens with: magic, `version`, the
 /// schema, then the row count, next tick, lifetime forget total and
@@ -76,10 +81,12 @@ void WriteSelfContainedBody(std::vector<uint8_t>* out, size_t cols,
   w.BitArray(active);
 }
 
-/// Writes the version 2 (mapped) body after the prefix. The sealed
+/// Writes the version 3 (mapped) body after the prefix. The sealed
 /// payload never enters the blob — recovery re-maps the partition files —
-/// so blob size and restore time scale with the tail plus flat metadata,
-/// not with history. Ticks are omitted: the image derives them.
+/// and neither do the access counts and active bits of the dropped prefix
+/// below `row_base`, so blob size and restore time scale with the live
+/// partitions, the tail and one entry per batch and partition, not with
+/// history. Ticks are omitted: the image derives them.
 void WriteMappedBody(std::vector<uint8_t>* out, const Table::Parts& parts) {
   Writer w(out);
   w.U64(parts.storage.partition_rows);
@@ -89,6 +96,7 @@ void WriteMappedBody(std::vector<uint8_t>* out, const Table::Parts& parts) {
     w.U64(p.epoch_hi);
     w.U8(p.dropped ? 1 : 0);
   }
+  w.U64(parts.row_base);
 
   for (size_t c = 0; c < parts.columns.size(); ++c) {
     w.I64(parts.min_seen[c]);
@@ -96,20 +104,10 @@ void WriteMappedBody(std::vector<uint8_t>* out, const Table::Parts& parts) {
     w.I64Array(parts.columns[c]);
   }
 
-  // Batches are monotonic per row, so run-length encoding collapses them
-  // to one entry per update batch.
-  std::vector<std::pair<BatchId, uint64_t>> batch_runs;
-  for (const BatchId b : parts.batches) {
-    if (batch_runs.empty() || batch_runs.back().first != b) {
-      batch_runs.emplace_back(b, 1);
-    } else {
-      ++batch_runs.back().second;
-    }
-  }
-  w.U64(batch_runs.size());
-  for (const auto& [batch, count] : batch_runs) {
-    w.U32(batch);
-    w.U64(count);
+  w.U64(parts.batches.size());
+  for (const Table::BatchRun& run : parts.batches) {
+    w.U32(run.batch);
+    w.U64(run.rows);
   }
 
   // Access counts cluster (cold history is all zeros); RLE when it wins,
@@ -171,12 +169,13 @@ std::vector<uint8_t> EncodeTableParts(const Table::Parts& parts) {
   std::vector<uint8_t> out;
   WriteTableBlobPrefix(
       &out, mapped ? kTableBlobVersionMapped : kTableBlobVersion, parts.schema,
-      parts.active.size(), parts.next_tick, parts.lifetime_forgotten,
+      parts.rows(), parts.next_tick, parts.lifetime_forgotten,
       parts.current_batch);
   if (mapped) {
     WriteMappedBody(&out, parts);
     return out;
   }
+  // Version 1 stores one batch id per row; a vector image's row_base is 0.
   WriteSelfContainedBody(
       &out, parts.columns.size(),
       [&parts](Writer* w, size_t c) {
@@ -184,7 +183,8 @@ std::vector<uint8_t> EncodeTableParts(const Table::Parts& parts) {
         w->I64(parts.max_seen[c]);
         w->I64Array(parts.columns[c]);
       },
-      parts.insert_ticks, parts.batches, parts.access_counts, parts.active);
+      parts.insert_ticks, parts.BatchIds(), parts.access_counts,
+      parts.active);
   return out;
 }
 
@@ -210,23 +210,26 @@ Status DecodeSelfContainedBody(Reader* r, uint64_t rows, Table::Parts* parts) {
   AMNESIA_RETURN_NOT_OK(r->U32Array(&batches));
   AMNESIA_RETURN_NOT_OK(r->U64Array(&parts->access_counts));
   AMNESIA_RETURN_NOT_OK(r->BitArray(&parts->active));
-  parts->batches.assign(batches.begin(), batches.end());
+  // Collapse the per-row ids into the image's runs; Table::FromParts
+  // rejects runs that decrease or miss rows.
+  for (const BatchId b : batches) {
+    if (parts->batches.empty() || parts->batches.back().batch != b) {
+      parts->batches.push_back(Table::BatchRun{b, 1});
+    } else {
+      ++parts->batches.back().rows;
+    }
+  }
   return Status::OK();
 }
 
-/// Decodes the version 2 (mapped) body past the prefix; Table::FromParts
-/// then re-maps the partition files under `storage_dir`.
-Status DecodeMappedBody(Reader* r, uint64_t rows,
+/// Decodes the version 2 or 3 (mapped) body past the prefix; a version 2
+/// body has row_base 0. Table::FromParts then validates the image, expands
+/// its batch runs and re-maps the partition files under `storage_dir`.
+Status DecodeMappedBody(Reader* r, uint32_t version, uint64_t rows,
                         const std::string& storage_dir, Table::Parts* parts) {
   if (storage_dir.empty()) {
     return Status::InvalidArgument(
         "mapped checkpoint blob needs a storage directory");
-  }
-  // The blob ends with a one-bit-per-row active bitmap, so a row count the
-  // remaining bytes cannot hold is corrupt; checking it here bounds every
-  // per-row allocation below.
-  if (rows / 8 > r->remaining()) {
-    return Status::InvalidArgument("mapped checkpoint row count exceeds blob");
   }
   const size_t cols = parts->schema.num_columns();
 
@@ -248,6 +251,16 @@ Status DecodeMappedBody(Reader* r, uint64_t rows,
     AMNESIA_RETURN_NOT_OK(r->U8(&dropped));
     p.dropped = dropped != 0;
   }
+  if (version == kTableBlobVersionMapped) {
+    AMNESIA_RETURN_NOT_OK(r->U64(&parts->row_base));
+  }
+  // The blob ends with one active bit per row from row_base on, so a
+  // suffix the remaining bytes cannot hold is corrupt; checking it here
+  // bounds every per-row allocation below.
+  if (parts->row_base > rows || (rows - parts->row_base) / 8 > r->remaining()) {
+    return Status::InvalidArgument("mapped checkpoint row count exceeds blob");
+  }
+  const uint64_t suffix = rows - parts->row_base;
   const uint64_t tail = rows - num_partitions * partition_rows;
 
   parts->columns.resize(cols);
@@ -262,23 +275,17 @@ Status DecodeMappedBody(Reader* r, uint64_t rows,
     }
   }
 
-  // Batches travel run-length encoded (one run per update batch).
+  // Batches travel as the image's runs (one per update batch); FromParts
+  // checks that they cover the rows.
   uint64_t batch_runs = 0;
   AMNESIA_RETURN_NOT_OK(r->U64(&batch_runs));
-  parts->batches.reserve(static_cast<size_t>(rows));
-  for (uint64_t i = 0; i < batch_runs; ++i) {
-    uint32_t value = 0;
-    uint64_t count = 0;
-    AMNESIA_RETURN_NOT_OK(r->U32(&value));
-    AMNESIA_RETURN_NOT_OK(r->U64(&count));
-    if (count == 0 || parts->batches.size() + count > rows) {
-      return Status::InvalidArgument("checkpoint batch runs exceed rows");
-    }
-    parts->batches.insert(parts->batches.end(), static_cast<size_t>(count),
-                          value);
+  if (batch_runs > r->remaining() / kBatchRunBytes) {
+    return Status::InvalidArgument("checkpoint batch runs exceed blob");
   }
-  if (parts->batches.size() != rows) {
-    return Status::InvalidArgument("checkpoint batch runs cover too few rows");
+  parts->batches.resize(static_cast<size_t>(batch_runs));
+  for (Table::BatchRun& run : parts->batches) {
+    AMNESIA_RETURN_NOT_OK(r->U32(&run.batch));
+    AMNESIA_RETURN_NOT_OK(r->U64(&run.rows));
   }
 
   uint8_t access_rle = 0;
@@ -286,12 +293,12 @@ Status DecodeMappedBody(Reader* r, uint64_t rows,
   if (access_rle != 0) {
     uint64_t access_runs = 0;
     AMNESIA_RETURN_NOT_OK(r->U64(&access_runs));
-    parts->access_counts.reserve(static_cast<size_t>(rows));
+    parts->access_counts.reserve(static_cast<size_t>(suffix));
     for (uint64_t i = 0; i < access_runs; ++i) {
       uint64_t value = 0, count = 0;
       AMNESIA_RETURN_NOT_OK(r->U64(&value));
       AMNESIA_RETURN_NOT_OK(r->U64(&count));
-      if (count == 0 || parts->access_counts.size() + count > rows) {
+      if (count == 0 || count > suffix - parts->access_counts.size()) {
         return Status::InvalidArgument("checkpoint access runs exceed rows");
       }
       parts->access_counts.insert(parts->access_counts.end(),
@@ -300,12 +307,12 @@ Status DecodeMappedBody(Reader* r, uint64_t rows,
   } else {
     AMNESIA_RETURN_NOT_OK(r->U64Array(&parts->access_counts));
   }
-  if (parts->access_counts.size() != rows) {
+  if (parts->access_counts.size() != suffix) {
     return Status::InvalidArgument("checkpoint access length mismatch");
   }
 
   AMNESIA_RETURN_NOT_OK(r->BitArray(&parts->active));
-  if (parts->active.size() != rows) {
+  if (parts->active.size() != suffix) {
     return Status::InvalidArgument("checkpoint bitmap length mismatch");
   }
 
@@ -327,7 +334,9 @@ StatusOr<Table> RestoreTable(const std::vector<uint8_t>& buffer,
     return Status::InvalidArgument("not an AmnesiaDB checkpoint");
   }
   AMNESIA_RETURN_NOT_OK(r.U32(&version));
-  if (version != kTableBlobVersion && version != kTableBlobVersionMapped) {
+  const bool mapped = version == kTableBlobVersionMappedV2 ||
+                      version == kTableBlobVersionMapped;
+  if (version != kTableBlobVersion && !mapped) {
     return Status::FailedPrecondition("unsupported checkpoint version " +
                                       std::to_string(version));
   }
@@ -353,9 +362,9 @@ StatusOr<Table> RestoreTable(const std::vector<uint8_t>& buffer,
   AMNESIA_RETURN_NOT_OK(r.U64(&parts.lifetime_forgotten));
   AMNESIA_RETURN_NOT_OK(r.U32(&batch));
   parts.current_batch = batch;
-  AMNESIA_RETURN_NOT_OK(version == kTableBlobVersionMapped
-                            ? DecodeMappedBody(&r, rows, storage_dir, &parts)
-                            : DecodeSelfContainedBody(&r, rows, &parts));
+  AMNESIA_RETURN_NOT_OK(
+      mapped ? DecodeMappedBody(&r, version, rows, storage_dir, &parts)
+             : DecodeSelfContainedBody(&r, rows, &parts));
   return Table::FromParts(std::move(parts));
 }
 

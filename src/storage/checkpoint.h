@@ -13,12 +13,19 @@
 // RestoreTable decodes a blob back into it and Table::FromParts rebuilds
 // the table. The format has two layouts, each with one writer:
 //  - version 1, self-contained: schema, payload, ticks, batches, access
-//    counts and the active bitmap. A vector image encodes to it, and
-//    CheckpointTable writes a live table's arrays in it directly; the two
-//    give the same bytes for the same table.
-//  - version 2, mapped: partition metadata plus the unsealed tail. A
-//    mapped image encodes to it, and restore re-maps the sealed payload
-//    from the partition files.
+//    counts and the active bitmap, one entry per row. A vector image
+//    encodes to it (its batch runs expanded), and CheckpointTable writes a
+//    live table's arrays in it directly; the two give the same bytes for
+//    the same table.
+//  - version 3, mapped: partition metadata, `row_base`, the unsealed tail,
+//    the batch runs, and the access counts and active bits of the rows
+//    from `row_base` on. A mapped image encodes to it, and restore
+//    re-maps the sealed payload from the partition files. Rows below
+//    `row_base` lie in dropped partitions, so the blob of a table whose
+//    oldest partitions were dropped grows with its live partitions and
+//    its batches, not with its history.
+// Version 2, the mapped layout before `row_base` (access counts and bits
+// of every row), still restores, as row_base 0; nothing writes it.
 
 #ifndef AMNESIA_STORAGE_CHECKPOINT_H_
 #define AMNESIA_STORAGE_CHECKPOINT_H_
@@ -44,16 +51,18 @@ std::vector<uint8_t> CheckpointTable(const Table& table);
 
 /// \brief Serializes a table image as ToParts() returns it: a vector
 /// image in the version 1 layout (the bytes CheckpointTable gives for the
-/// table it was taken from), a mapped image in the version 2 layout.
+/// table it was taken from), a mapped image in the version 3 layout.
 std::vector<uint8_t> EncodeTableParts(const Table::Parts& parts);
 
 /// \brief Reconstructs a table from a table blob of either layout. A
-/// version 2 (mapped) blob carries partition metadata and the unsealed
-/// tail only; restore re-maps the sealed partition files from
-/// `storage_dir`, and fails without one. A version 1 blob restores as an
-/// in-memory table and ignores `storage_dir`. Returns InvalidArgument on
-/// a corrupt or truncated buffer and FailedPrecondition on an unsupported
-/// format version.
+/// version 2 or 3 (mapped) blob carries partition metadata and the
+/// unsealed tail only; restore re-maps the sealed partition files from
+/// `storage_dir`, and fails without one. A dropped row's access count
+/// reads 0 after restore, also from a version 2 blob that carried another
+/// value. A version 1 blob restores as an in-memory table and ignores
+/// `storage_dir`. Returns InvalidArgument on a corrupt or truncated buffer
+/// (one naming more than Table::kMaxImageRows rows included) and
+/// FailedPrecondition on an unsupported format version.
 StatusOr<Table> RestoreTable(const std::vector<uint8_t>& buffer,
                              const std::string& storage_dir = "");
 

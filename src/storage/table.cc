@@ -112,6 +112,7 @@ StatusOr<Table> Table::FromParts(Parts parts) {
     }
   }
   uint64_t rows = payload;
+  const uint64_t row_base = parts.row_base;
   if (mapped) {
     if (payload >= pr) {
       return Status::InvalidArgument("table parts: tail spans a partition");
@@ -119,16 +120,78 @@ StatusOr<Table> Table::FromParts(Parts parts) {
     if (!parts.insert_ticks.empty()) {
       return Status::InvalidArgument("table parts: ticks on a mapped table");
     }
-    rows += parts.partitions.size() * pr;
+    if (parts.partitions.size() > (~uint64_t{0} - payload) / pr) {
+      return Status::InvalidArgument("table parts: row count overflows");
+    }
+    const uint64_t sealed = parts.partitions.size() * pr;
+    rows += sealed;
+    if (row_base % pr != 0) {
+      return Status::InvalidArgument(
+          "table parts: row_base off a partition boundary");
+    }
+    if (row_base > sealed) {
+      return Status::InvalidArgument(
+          "table parts: row_base past the sealed rows");
+    }
+    for (size_t i = 0; i < row_base / pr; ++i) {
+      if (!parts.partitions[i].dropped) {
+        return Status::InvalidArgument(
+            "table parts: live partition below row_base");
+      }
+    }
   } else if (parts.insert_ticks.size() != rows) {
     return Status::InvalidArgument("table parts: tick length mismatch");
+  } else if (row_base != 0) {
+    return Status::InvalidArgument("table parts: row_base on a vector table");
   }
-  if (parts.batches.size() != rows || parts.access_counts.size() != rows ||
-      parts.active.size() != rows) {
+  if (rows > kMaxImageRows) {
+    return Status::InvalidArgument(
+        "table parts: more rows than an image may restore");
+  }
+  if (parts.access_counts.size() != rows - row_base ||
+      parts.active.size() != rows - row_base) {
     return Status::InvalidArgument("table parts: metadata length mismatch");
   }
   if (parts.next_tick < rows) {
     return Status::InvalidArgument("table parts: next_tick below row count");
+  }
+  // Batch runs: none empty, none below its predecessor or past the batch
+  // the next append stamps, and together exactly the rows.
+  uint64_t covered = 0;
+  for (size_t i = 0; i < parts.batches.size(); ++i) {
+    const BatchRun& run = parts.batches[i];
+    if (run.rows == 0) {
+      return Status::InvalidArgument("table parts: empty batch run");
+    }
+    if (i > 0 && run.batch < parts.batches[i - 1].batch) {
+      return Status::InvalidArgument("table parts: batch runs decrease");
+    }
+    if (run.batch > parts.current_batch) {
+      return Status::InvalidArgument(
+          "table parts: batch run past the current batch");
+    }
+    if (run.rows > rows - covered) {
+      return Status::InvalidArgument("table parts: batch runs exceed rows");
+    }
+    covered += run.rows;
+  }
+  if (covered != rows) {
+    return Status::InvalidArgument(
+        "table parts: batch runs cover too few rows");
+  }
+  // A dropped partition's rows are gone: none may be active, and each
+  // reads access count 0 (a version 2 blob may carry stale counts).
+  for (size_t i = mapped ? row_base / pr : 0; i < parts.partitions.size();
+       ++i) {
+    if (!parts.partitions[i].dropped) continue;
+    const uint64_t begin = i * pr - row_base;
+    for (uint64_t k = begin; k < begin + pr; ++k) {
+      if (parts.active[k]) {
+        return Status::InvalidArgument(
+            "table parts: active row inside a dropped partition");
+      }
+      parts.access_counts[k] = 0;
+    }
   }
 
   Table table(std::move(parts.schema));
@@ -171,13 +234,23 @@ StatusOr<Table> Table::FromParts(Parts parts) {
     table.columns_[c].OverrideExtrema(parts.min_seen[c], parts.max_seen[c]);
   }
   table.insert_tick_ = std::move(parts.insert_ticks);
-  table.batch_of_ = std::move(parts.batches);
-  table.access_count_ = std::move(parts.access_counts);
+  // Expand the runs and the dropped prefix into arrays reserved at their
+  // final size: no regrowth, and never two history-sized copies at once.
+  table.batch_of_ = parts.BatchIds();
+  if (row_base == 0) {
+    table.access_count_ = std::move(parts.access_counts);
+  } else {
+    table.access_count_.reserve(static_cast<size_t>(rows));
+    table.access_count_.assign(static_cast<size_t>(row_base), 0);
+    table.access_count_.insert(table.access_count_.end(),
+                               parts.access_counts.begin(),
+                               parts.access_counts.end());
+  }
   table.active_ = Bitmap(rows, false);
   uint64_t active_count = 0;
-  for (size_t r = 0; r < rows; ++r) {
-    if (parts.active[r]) {
-      table.active_.Set(r);
+  for (size_t i = 0; i < parts.active.size(); ++i) {
+    if (parts.active[i]) {
+      table.active_.Set(row_base + i);
       ++active_count;
     }
   }
@@ -187,6 +260,15 @@ StatusOr<Table> Table::FromParts(Parts parts) {
   table.current_batch_ = parts.current_batch;
   table.version_ = 1;  // restored tables start a fresh version history
   return table;
+}
+
+std::vector<BatchId> Table::Parts::BatchIds() const {
+  std::vector<BatchId> ids;
+  ids.reserve(static_cast<size_t>(rows()));
+  for (const BatchRun& run : batches) {
+    ids.insert(ids.end(), static_cast<size_t>(run.rows), run.batch);
+  }
+  return ids;
 }
 
 Table::Parts Table::ToParts() const {
@@ -202,10 +284,28 @@ Table::Parts Table::ToParts() const {
   }
   // A mapped image derives its ticks (see Parts::insert_ticks).
   if (!mapped()) parts.insert_ticks = insert_tick_;
-  parts.batches = batch_of_;
-  parts.access_counts = access_count_;
-  parts.active.resize(num_rows());
-  for (RowId r = 0; r < num_rows(); ++r) parts.active[r] = active_.Test(r);
+  // The per-row arrays start at the first partition not dropped: every
+  // row below it is inactive, reads the scrub value and has access count
+  // 0 (DropPartition reset it).
+  size_t first_live = 0;
+  while (first_live < partitions_.size() && partitions_[first_live].dropped) {
+    ++first_live;
+  }
+  const uint64_t rows = num_rows();
+  parts.row_base = first_live * partition_rows();
+  // Batch ids never decrease in row order, so each run ends at its batch's
+  // upper bound: one binary search per run.
+  for (auto it = batch_of_.begin(); it != batch_of_.end();) {
+    const auto end = std::upper_bound(it, batch_of_.end(), *it);
+    parts.batches.push_back(BatchRun{*it, static_cast<uint64_t>(end - it)});
+    it = end;
+  }
+  parts.access_counts.assign(access_count_.begin() + parts.row_base,
+                             access_count_.end());
+  parts.active.resize(rows - parts.row_base);
+  for (RowId r = parts.row_base; r < rows; ++r) {
+    parts.active[r - parts.row_base] = active_.Test(r);
+  }
   parts.next_tick = next_tick_;
   parts.lifetime_forgotten = lifetime_forgotten_;
   parts.current_batch = current_batch_;
@@ -333,6 +433,8 @@ StatusOr<uint64_t> Table::DropPartition(size_t idx, bool defer_unlink) {
   const RowId row_end = row_begin + storage_.partition_rows;
   const uint64_t newly = active_.CountSetRange(row_begin, row_end);
   active_.ClearRange(row_begin, row_end);
+  std::fill(access_count_.begin() + row_begin,
+            access_count_.begin() + row_end, 0);
   num_active_ -= newly;
   lifetime_forgotten_ += newly;
   for (auto& col : columns_) col.DropSegment(idx);
@@ -426,6 +528,10 @@ Status Table::Revive(RowId row) {
   if (active_.Test(row)) {
     return Status::FailedPrecondition("row " + std::to_string(row) +
                                       " is active");
+  }
+  if (InDroppedPartition(row)) {
+    return Status::FailedPrecondition("row " + std::to_string(row) +
+                                      " lies in a dropped partition");
   }
   active_.Set(row);
   ++num_active_;

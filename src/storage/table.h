@@ -212,8 +212,17 @@ class Table {
   /// two (minimum 64) so scan morsels never straddle a seal boundary.
   static StatusOr<Table> Make(Schema schema, StorageOptions storage);
 
+  /// \brief `rows` consecutive rows stamped with update batch `batch`.
+  struct BatchRun {
+    BatchId batch = 0;
+    uint64_t rows = 0;
+  };
+
   /// \brief The table's image: what a checkpoint captures, writes and
-  /// restores. Metadata vectors cover the full row count.
+  /// restores. It holds only what the table cannot derive. Every row below
+  /// `row_base` lies in a dropped partition, so it is inactive, scrubbed
+  /// and has access count 0: the per-row arrays start at `row_base`, and
+  /// a capture costs the live partitions plus the tail, not the history.
   struct Parts {
     Schema schema;
     /// kVector (the default) or kMapped; for kMapped, `dir` and
@@ -232,28 +241,54 @@ class Table {
     /// A vector table's ticks; empty for a mapped table, which never
     /// compacts, so its row r was inserted at tick next_tick - rows + r.
     std::vector<Tick> insert_ticks;
-    std::vector<BatchId> batches;
+    /// The first row the per-row arrays below cover. For a mapped image, a
+    /// multiple of partition_rows, at most the sealed rows, with every
+    /// partition below it dropped; 0 for a vector image.
+    uint64_t row_base = 0;
+    /// The batch of every row, as runs in row order: one per update batch
+    /// that stamped rows. Batch ids never decrease in row order (ingest
+    /// stamps the current batch, which only grows, and compaction keeps
+    /// the order).
+    std::vector<BatchRun> batches;
+    /// Access counts of rows [row_base, rows).
     std::vector<uint64_t> access_counts;
-    /// active[i] == true iff row i is active; length == row count.
+    /// active[i] == true iff row row_base + i is active; length ==
+    /// rows - row_base.
     std::vector<bool> active;
     Tick next_tick = 0;
     uint64_t lifetime_forgotten = 0;
     BatchId current_batch = 0;
+
+    /// Returns the table's row count: row_base plus the per-row arrays.
+    uint64_t rows() const { return row_base + active.size(); }
+    /// Expands `batches` into one batch id per row, allocated once.
+    std::vector<BatchId> BatchIds() const;
   };
 
-  /// Reassembles a table from its image. Validates lengths and counter
-  /// consistency (InvalidArgument on mismatch). A mapped table derives
-  /// its ticks and re-maps every live partition's column files (falling
-  /// back to the `.dropped` name when a drop's rename was durable but its
-  /// journal record was lost — the rename preserves the bytes, so the
-  /// partition restores intact) and attaches zero-reading placeholders
-  /// for dropped partitions. Exposed for the checkpoint module; regular
-  /// clients use Make() + AppendRow().
+  /// The most rows an image may restore. A mapped image's dropped prefix
+  /// costs its blob nothing, while the restored table still holds ticks,
+  /// batch ids, access counts and active bits for every row; the ceiling
+  /// keeps a corrupt image from asking for those at any size.
+  static constexpr uint64_t kMaxImageRows = uint64_t{1} << 32;
+
+  /// Reassembles a table from its image. Validates lengths, the batch
+  /// runs, `row_base` and counter consistency (InvalidArgument on
+  /// mismatch; see Parts), and rejects an active bit inside a dropped
+  /// partition and more than kMaxImageRows rows. A dropped row's access
+  /// count reads 0 afterwards, whatever the image carried. A mapped table
+  /// derives its ticks and re-maps every live partition's column files
+  /// (falling back to the `.dropped` name when a drop's rename was
+  /// durable but its journal record was lost — the rename preserves the
+  /// bytes, so the partition restores intact) and attaches zero-reading
+  /// placeholders for dropped partitions. Exposed for the checkpoint
+  /// module; regular clients use Make() + AppendRow().
   static StatusOr<Table> FromParts(Parts parts);
 
-  /// Copies the table into its image, the inverse of FromParts: every
-  /// array whole, the payload as each column's data() (a mapped table's
-  /// sealed rows stay in their partition files).
+  /// Copies the table into its image, the inverse of FromParts: the
+  /// access counts and active bits from `row_base` on, the batches as one
+  /// run per batch (found by binary search), the payload as each column's
+  /// data() (a mapped table's sealed rows stay in their partition files).
+  /// O(rows from row_base on + partitions + batches · log rows).
   Parts ToParts() const;
 
   /// Returns the schema.
@@ -281,16 +316,18 @@ class Table {
   uint64_t MappedBytes() const;
 
   /// Drops sealed partition `idx` whole: renames its directory to
-  /// `part-<lo>-<hi>.dropped`, then every covered row is marked forgotten
-  /// and reads as the scrub value 0 — O(1) in the partition size (plus
-  /// one bitmap range-clear). With `defer_unlink` the renamed directory is
-  /// left for retention GC / recovery cleanup (callers that journal a drop
-  /// event defer, so a crash before the event is flushed recovers the
-  /// partition from its `.dropped` name) and nothing is fsynced: the
-  /// checkpoint writer syncs the storage directory before a manifest that
-  /// reflects the drop. Otherwise the directory is unlinked and the
-  /// storage directory fsynced at once. Idempotent. Returns the number of
-  /// rows newly forgotten.
+  /// `part-<lo>-<hi>.dropped`, then every covered row is marked forgotten,
+  /// reads as the scrub value 0 and has its access count reset to 0 (so an
+  /// image may leave a dropped prefix out, see Parts) — O(1) in the
+  /// partition size plus one bitmap range-clear and one fill of the
+  /// counts. With `defer_unlink` the renamed directory is left for
+  /// retention GC / recovery cleanup (callers that journal a drop event
+  /// defer, so a crash before the event is flushed recovers the partition
+  /// from its `.dropped` name) and nothing is fsynced: the checkpoint
+  /// writer syncs the storage directory before a manifest that reflects
+  /// the drop. Otherwise the directory is unlinked and the storage
+  /// directory fsynced at once. Idempotent. Returns the number of rows
+  /// newly forgotten.
   StatusOr<uint64_t> DropPartition(size_t idx, bool defer_unlink = false);
 
   /// Returns the number of rows physically present (active + forgotten,
@@ -341,7 +378,8 @@ class Table {
   Status Forget(RowId row);
 
   /// Reverses a Forget (used by explicit recovery from cold storage).
-  /// Returns FailedPrecondition when the row is active.
+  /// Returns FailedPrecondition when the row is active or lies in a
+  /// dropped partition (its bytes are gone).
   Status Revive(RowId row);
 
   /// Returns the logical insertion tick of `row`.
@@ -359,7 +397,10 @@ class Table {
   const std::vector<uint64_t>& access_counts() const { return access_count_; }
 
   /// Records that `row` appeared in a query result (rot policy feedback).
+  /// A row of a dropped partition, which a kAll scan still returns as the
+  /// scrub value, is not counted: its access count stays 0 (see Parts).
   void BumpAccess(RowId row) {
+    if (InDroppedPartition(row)) return;
     ++access_count_[row];
     ++access_epoch_;
   }
@@ -432,6 +473,12 @@ class Table {
 
  private:
   explicit Table(Schema schema);
+
+  /// True when `row` lies in a dropped partition: its bytes are gone.
+  bool InDroppedPartition(RowId row) const {
+    return row < sealed_rows() &&
+           partitions_[row / storage_.partition_rows].dropped;
+  }
 
   /// Seals full partitions out of the tail until it holds fewer than
   /// partition_rows() rows. No-op in vector mode.

@@ -4,8 +4,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <numeric>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -175,11 +177,14 @@ TEST(CheckpointTest, BlobLayoutsMatchHandEncodedBytes) {
   // Both table-blob layouts are pinned byte for byte, so checkpoint
   // directories written by earlier builds keep restoring: the leading
   // magic and version as literals, the rest assembled by hand from how
-  // the tables were built.
+  // the tables were built. The mapped layout is version 3; the version 2
+  // bytes earlier builds wrote for the same tables must still restore
+  // them.
   const std::vector<uint8_t> self_contained_head = {
       'E', 'N', 'M', 'A', 1, 0, 0, 0};  // magic "AMNE", version 1
-  const std::vector<uint8_t> mapped_head = {
-      'E', 'N', 'M', 'A', 2, 0, 0, 0};  // magic "AMNE", version 2
+  const auto mapped_head = [](uint8_t version) {
+    return std::vector<uint8_t>{'E', 'N', 'M', 'A', version, 0, 0, 0};
+  };
 
   // A two-column vector table over two batches, with forgotten and
   // accessed rows.
@@ -282,44 +287,146 @@ TEST(CheckpointTest, BlobLayoutsMatchHandEncodedBytes) {
   sw.BitArray(active);
   EXPECT_EQ(CheckpointTable(mapped), spliced_blob);
 
-  // The table's image records the partitions and the tail only.
-  std::vector<uint8_t> mapped_blob = mapped_head;
-  ckpt::Writer mw(&mapped_blob);
-  mw.U64(1);  // columns
-  mw.String("v");
-  mw.I64(0);
-  mw.I64(1000);
-  mw.U64(140);  // rows
-  mw.U64(140);  // next tick
-  mw.U64(65);   // lifetime forgotten
-  mw.U32(1);    // current batch
-  mw.U64(64);   // partition rows
-  mw.U64(2);    // partitions: epoch_lo, epoch_hi, dropped
-  mw.U64(0);
-  mw.U64(63);
-  mw.U8(0);
-  mw.U64(64);
-  mw.U64(127);
-  mw.U8(1);
-  mw.I64(0);  // min, max, tail
-  mw.I64(139);
-  mw.I64Array({128, 129, 130, 131, 132, 133, 134, 135, 136, 137, 138, 139});
-  mw.U64(2);  // batch runs: (batch, count)
-  mw.U32(0);
-  mw.U64(100);
-  mw.U32(1);
-  mw.U64(40);
-  mw.U8(1);   // access counts run-length encoded
-  mw.U64(5);  // access runs: (count value, rows)
-  for (const auto& [value, rows] :
-       {std::pair<uint64_t, uint64_t>{0, 5}, {2, 1}, {0, 123}, {1, 1},
-        {0, 10}}) {
-    mw.U64(value);
-    mw.U64(rows);
+  // The table's image records the partitions and the tail only. Its first
+  // partition is live, so row_base is 0 and the access counts and active
+  // bits cover every row.
+  std::vector<uint8_t> mapped_blob = mapped_head(3);
+  std::vector<uint8_t> mapped_v2_blob = mapped_head(2);
+  for (std::vector<uint8_t>* blob : {&mapped_blob, &mapped_v2_blob}) {
+    ckpt::Writer mw(blob);
+    mw.U64(1);  // columns
+    mw.String("v");
+    mw.I64(0);
+    mw.I64(1000);
+    mw.U64(140);  // rows
+    mw.U64(140);  // next tick
+    mw.U64(65);   // lifetime forgotten
+    mw.U32(1);    // current batch
+    mw.U64(64);   // partition rows
+    mw.U64(2);    // partitions: epoch_lo, epoch_hi, dropped
+    mw.U64(0);
+    mw.U64(63);
+    mw.U8(0);
+    mw.U64(64);
+    mw.U64(127);
+    mw.U8(1);
+    if (blob == &mapped_blob) mw.U64(0);  // row_base (version 3 only)
+    mw.I64(0);                            // min, max, tail
+    mw.I64(139);
+    mw.I64Array({128, 129, 130, 131, 132, 133, 134, 135, 136, 137, 138, 139});
+    mw.U64(2);  // batch runs: (batch, count)
+    mw.U32(0);
+    mw.U64(100);
+    mw.U32(1);
+    mw.U64(40);
+    mw.U8(1);   // access counts run-length encoded
+    mw.U64(5);  // access runs: (count value, rows)
+    for (const auto& [value, rows] :
+         {std::pair<uint64_t, uint64_t>{0, 5}, {2, 1}, {0, 123}, {1, 1},
+          {0, 10}}) {
+      mw.U64(value);
+      mw.U64(rows);
+    }
+    mw.BitArray(active);
   }
-  mw.BitArray(active);
   EXPECT_EQ(EncodeTableParts(mapped.ToParts()), mapped_blob);
+  EXPECT_EQ(CheckpointTable(RestoreTable(mapped_v2_blob, dir).value()),
+            spliced_blob);
+
+  // A second mapped table whose partitions 0-1 were accessed and then
+  // dropped: row_base is 128, so its access counts and active bits start
+  // at row 128. Rows 0-99 are batch 0, rows 100-199 batch 1; rows 0-191
+  // are sealed in three partitions, rows 192-199 the tail.
+  const std::string prefix_dir = dir + "-prefix";
+  std::filesystem::remove_all(prefix_dir);
+  storage.dir = prefix_dir;
+  Table prefix =
+      Table::Make(Schema::SingleColumn("v", 0, 1000), storage).value();
+  for (Value v = 0; v < 100; ++v) ASSERT_TRUE(prefix.AppendRow({v}).ok());
+  prefix.BeginBatch();
+  for (Value v = 100; v < 200; ++v) ASSERT_TRUE(prefix.AppendRow({v}).ok());
+  prefix.BumpAccess(10);
+  prefix.BumpAccess(10);
+  prefix.BumpAccess(70);
+  prefix.BumpAccess(150);
+  ASSERT_TRUE(prefix.Forget(140).ok());
+  ASSERT_EQ(prefix.DropPartition(0).value(), 64u);
+  ASSERT_EQ(prefix.DropPartition(1).value(), 64u);
+  EXPECT_EQ(prefix.access_count(10), 0u);  // a drop resets the counts
+  EXPECT_EQ(prefix.access_count(70), 0u);
+  EXPECT_EQ(prefix.ToParts().row_base, 128u);
+
+  const auto write_prefix_head = [](ckpt::Writer* w) {
+    w->U64(1);  // columns
+    w->String("v");
+    w->I64(0);
+    w->I64(1000);
+    w->U64(200);  // rows
+    w->U64(200);  // next tick
+    w->U64(129);  // lifetime forgotten: row 140 plus partitions 0-1
+    w->U32(1);    // current batch
+    w->U64(64);   // partition rows
+    w->U64(3);    // partitions: epoch_lo, epoch_hi, dropped
+    for (uint64_t p = 0; p < 3; ++p) {
+      w->U64(64 * p);
+      w->U64(64 * p + 63);
+      w->U8(p < 2 ? 1 : 0);
+    }
+  };
+  const auto write_prefix_body = [](ckpt::Writer* w) {
+    w->I64(0);  // min, max, tail
+    w->I64(199);
+    w->I64Array({192, 193, 194, 195, 196, 197, 198, 199});
+    w->U64(2);  // batch runs: (batch, count)
+    w->U32(0);
+    w->U64(100);
+    w->U32(1);
+    w->U64(100);
+  };
+  std::vector<uint8_t> prefix_blob = mapped_head(3);
+  ckpt::Writer pw(&prefix_blob);
+  write_prefix_head(&pw);
+  pw.U64(128);  // row_base
+  write_prefix_body(&pw);
+  pw.U8(1);   // access counts of rows 128-199, run-length encoded
+  pw.U64(3);  // access runs: (count value, rows)
+  for (const auto& [value, rows] :
+       {std::pair<uint64_t, uint64_t>{0, 22}, {1, 1}, {0, 49}}) {
+    pw.U64(value);
+    pw.U64(rows);
+  }
+  std::vector<bool> suffix_active(72, true);
+  suffix_active[140 - 128] = false;
+  pw.BitArray(suffix_active);
+  EXPECT_EQ(EncodeTableParts(prefix.ToParts()), prefix_blob);
+
+  // Earlier builds kept the dropped rows' access counts and wrote every
+  // row's count and bit. Those bytes restore the same table, the counts
+  // of the dropped rows reset to 0.
+  std::vector<uint8_t> prefix_v2_blob = mapped_head(2);
+  ckpt::Writer p2w(&prefix_v2_blob);
+  write_prefix_head(&p2w);
+  write_prefix_body(&p2w);
+  p2w.U8(1);  // access counts of rows 0-199, run-length encoded
+  p2w.U64(7);
+  for (const auto& [value, rows] :
+       {std::pair<uint64_t, uint64_t>{0, 10}, {2, 1}, {0, 59}, {1, 1},
+        {0, 79}, {1, 1}, {0, 49}}) {
+    p2w.U64(value);
+    p2w.U64(rows);
+  }
+  std::vector<bool> all_active(200, true);
+  std::fill(all_active.begin(), all_active.begin() + 128, false);
+  all_active[140] = false;
+  p2w.BitArray(all_active);
+  const Table from_v2 = RestoreTable(prefix_v2_blob, prefix_dir).value();
+  EXPECT_EQ(from_v2.access_count(10), 0u);
+  EXPECT_EQ(CheckpointTable(from_v2), CheckpointTable(prefix));
+  EXPECT_EQ(EncodeTableParts(from_v2.ToParts()), prefix_blob);
+  EXPECT_EQ(CheckpointTable(RestoreTable(prefix_blob, prefix_dir).value()),
+            CheckpointTable(prefix));
   std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(prefix_dir);
 }
 
 /// Two active rows of a one-column table, valid as the parts of a vector
@@ -331,7 +438,7 @@ Table::Parts TwoRowParts() {
   parts.min_seen = {1};
   parts.max_seen = {2};
   parts.insert_ticks = {0, 1};
-  parts.batches = {0, 0};
+  parts.batches = {{0, 2}};
   parts.access_counts = {0, 0};
   parts.active = {true, true};
   parts.next_tick = 2;
@@ -398,13 +505,202 @@ TEST(PartsTest, ValidatesMappedShapes) {
   // A tail as long as a partition would have been sealed.
   Table::Parts full = parts;
   full.columns = {std::vector<Value>(64, 1)};
-  full.batches.assign(64, 0);
+  full.batches = {{0, 64}};
   full.access_counts.assign(64, 0);
   full.active.assign(64, true);
   full.next_tick = 64;
   EXPECT_FALSE(Table::FromParts(full).ok());
   full.storage.partition_rows = 128;
   EXPECT_TRUE(Table::FromParts(full).ok());
+}
+
+/// Mapped table with 64-row partitions under `dir`: 300 rows over three
+/// batches (rows 0-99, 100-199, 200-299), partitions 0-1 accessed and
+/// then dropped, partition 3 dropped, row 140 forgotten and row 150
+/// accessed. Partitions 0-3 are sealed and rows 256-299 are the tail, so
+/// its image has row_base 128 and a dropped partition above it.
+Table MakeDroppedPrefixTable(const std::string& dir) {
+  std::filesystem::remove_all(dir);
+  StorageOptions storage;
+  storage.backend = StorageBackend::kMapped;
+  storage.dir = dir;
+  storage.partition_rows = 64;
+  Table t = Table::Make(Schema::SingleColumn("v", 0, 1000), storage).value();
+  for (Value v = 0; v < 300; ++v) {
+    if (v == 100 || v == 200) t.BeginBatch();
+    EXPECT_TRUE(t.AppendRow({v}).ok());
+  }
+  t.BumpAccess(10);
+  t.BumpAccess(70);
+  t.BumpAccess(150);
+  EXPECT_TRUE(t.Forget(140).ok());
+  for (size_t p : {size_t{0}, size_t{1}, size_t{3}}) {
+    EXPECT_EQ(t.DropPartition(p).value(), 64u);
+  }
+  return t;
+}
+
+TEST(PartsTest, RejectsImagesThatBreakAnInvariant) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "amnesia_parts_invariants")
+          .string();
+  const Table table = MakeDroppedPrefixTable(dir);
+  const Table::Parts parts = table.ToParts();
+  ASSERT_EQ(parts.row_base, 128u);
+  ASSERT_EQ(parts.active.size(), 172u);
+  ASSERT_EQ(parts.batches.size(), 3u);
+  ASSERT_EQ(CheckpointTable(Table::FromParts(parts).value()),
+            CheckpointTable(table));
+
+  // Each case breaks one invariant of an otherwise valid image and must
+  // be refused by the check that names it.
+  struct Case {
+    const char* message;
+    std::function<void(Table::Parts*)> mutate;
+  };
+  const std::vector<Case> cases = {
+      {"empty batch run",
+       [](Table::Parts* p) {
+         p->batches.insert(p->batches.begin() + 1, Table::BatchRun{0, 0});
+       }},
+      {"batch runs decrease",
+       [](Table::Parts* p) { std::swap(p->batches[0], p->batches[1]); }},
+      {"batch run past the current batch",
+       [](Table::Parts* p) { p->current_batch = 1; }},
+      {"batch runs cover too few rows",
+       [](Table::Parts* p) { --p->batches.back().rows; }},
+      {"batch runs exceed rows",
+       [](Table::Parts* p) { ++p->batches.back().rows; }},
+      {"row_base off a partition boundary",
+       [](Table::Parts* p) {
+         p->row_base = 127;
+         p->access_counts.insert(p->access_counts.begin(), 0);
+         p->active.insert(p->active.begin(), false);
+       }},
+      {"row_base past the sealed rows",
+       [](Table::Parts* p) {
+         for (PartitionMeta& m : p->partitions) m.dropped = true;
+         p->row_base = 5 * 64;
+       }},
+      {"live partition below row_base",
+       [](Table::Parts* p) {
+         p->row_base = 192;
+         p->access_counts.erase(p->access_counts.begin(),
+                                p->access_counts.begin() + 64);
+         p->active.erase(p->active.begin(), p->active.begin() + 64);
+       }},
+      {"metadata length mismatch",  // the access counts
+       [](Table::Parts* p) { p->access_counts.push_back(0); }},
+      {"metadata length mismatch",  // the active bits
+       [](Table::Parts* p) { p->active.pop_back(); }},
+      {"active row inside a dropped partition",
+       [](Table::Parts* p) { p->active[3 * 64 - 128 + 5] = true; }},
+      {"row_base on a vector table",
+       [](Table::Parts* p) {
+         *p = TwoRowParts();
+         p->row_base = 1;
+         p->access_counts = {0};
+         p->active = {true};
+       }},
+      {"more rows than an image may restore",  // one huge dropped prefix
+       [](Table::Parts* p) {
+         const uint64_t huge = Table::kMaxImageRows * 2;
+         p->storage.partition_rows = huge;
+         p->partitions.resize(1);
+         p->partitions[0].dropped = true;
+         p->row_base = huge;
+         p->columns[0].clear();
+         p->access_counts.clear();
+         p->active.clear();
+         p->batches = {Table::BatchRun{0, huge}};
+         p->next_tick = huge;
+       }},
+  };
+  for (const Case& c : cases) {
+    Table::Parts bad = parts;
+    c.mutate(&bad);
+    const Status status = Table::FromParts(std::move(bad)).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.message;
+    EXPECT_NE(status.message().find(c.message), std::string::npos)
+        << c.message << ": " << status.ToString();
+  }
+
+  // An image may carry a dropped row's access count (version 2 blobs
+  // did); the restored table reads 0 there.
+  Table::Parts stale = parts;
+  stale.access_counts[3 * 64 - 128 + 7] = 9;
+  const Table restored = Table::FromParts(stale).value();
+  EXPECT_EQ(restored.access_count(3 * 64 + 7), 0u);
+  EXPECT_EQ(restored.access_count(150), 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PartsTest, ADroppedRowNeitherRevivesNorCountsAccesses) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "amnesia_parts_revive")
+          .string();
+  Table table = MakeDroppedPrefixTable(dir);
+  EXPECT_EQ(table.Revive(5).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(table.Revive(3 * 64).code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(table.IsActive(5));
+  // A forgotten row of a live partition still revives.
+  EXPECT_TRUE(table.Revive(140).ok());
+  EXPECT_TRUE(table.IsActive(140));
+
+  // A kAll scan returns dropped rows as the scrub value; counting them
+  // would break the image's zero prefix, so their counts stay 0.
+  const uint64_t epoch = table.access_epoch();
+  table.BumpAccess(5);
+  table.BumpAccess(3 * 64 + 1);
+  EXPECT_EQ(table.access_count(5), 0u);
+  EXPECT_EQ(table.access_count(3 * 64 + 1), 0u);
+  EXPECT_EQ(table.access_epoch(), epoch);
+  table.BumpAccess(150);
+  EXPECT_EQ(table.access_count(150), 2u);
+  EXPECT_EQ(CheckpointTable(Table::FromParts(table.ToParts()).value()),
+            CheckpointTable(table));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PartsTest, CaptureCoversTheLivePartitionsNotTheHistory) {
+  // FIFO drops keep two sealed partitions live. The image's per-row
+  // arrays must cover those plus the tail, and its batch runs one per
+  // batch, after N batches and after 4N alike.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "amnesia_parts_capture")
+          .string();
+  std::filesystem::remove_all(dir);
+  StorageOptions storage;
+  storage.backend = StorageBackend::kMapped;
+  storage.dir = dir;
+  storage.partition_rows = 64;
+  Table t = Table::Make(Schema::SingleColumn("v", 0, 1000), storage).value();
+  constexpr uint64_t kLivePartitions = 2;
+  size_t oldest = 0;
+  Rng rng(5);
+  for (const int batches : {25, 100}) {
+    while (t.current_batch() < static_cast<BatchId>(batches)) {
+      t.BeginBatch();
+      std::vector<Value> rows(40);
+      for (Value& v : rows) v = rng.UniformInt(0, 1000);
+      ASSERT_TRUE(t.AppendColumns({rows}).ok());
+      t.BumpAccess(t.num_rows() - 1);
+      while (t.partitions().size() - oldest > kLivePartitions) {
+        ASSERT_TRUE(t.DropPartition(oldest++).ok());
+      }
+    }
+    SCOPED_TRACE(batches);
+    const Table::Parts parts = t.ToParts();
+    const uint64_t tail = t.num_rows() - t.sealed_rows();
+    EXPECT_EQ(parts.row_base, oldest * 64);
+    EXPECT_EQ(parts.active.size(), kLivePartitions * 64 + tail);
+    EXPECT_EQ(parts.access_counts.size(), parts.active.size());
+    EXPECT_LE(parts.batches.size(), static_cast<size_t>(batches) + 1);
+    EXPECT_EQ(CheckpointTable(RestoreTable(EncodeTableParts(parts), dir)
+                                  .value()),
+              CheckpointTable(t));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(PartsTest, ToPartsRoundTripsVectorAndMappedTables) {

@@ -29,6 +29,7 @@
 #include "sim/simulator.h"
 #include "storage/checkpoint.h"
 #include "storage/checkpoint_io.h"
+#include "mapped_v2_blob.h"
 
 namespace amnesia {
 namespace {
@@ -1342,6 +1343,13 @@ TEST(RetentionTest, GcBoundsManifestsBlobsAndLog) {
   ASSERT_EQ(ids.size(), 2u);
   EXPECT_EQ(ids[0], 5u);
   EXPECT_EQ(ids[1], 6u);
+  // No crash interrupted a manifest's replace, so none left a temp file.
+  for (const auto& entry : fs::directory_iterator(dir.path())) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_FALSE(name.rfind("MANIFEST-", 0) == 0 &&
+                 name.size() > 4 && name.substr(name.size() - 4) == ".tmp")
+        << "leftover " << name;
+  }
   ExpectNoOrphanBlobs(dir.path());
   const Manifest oldest =
       DecodeManifest(ReadBytesFile(dir.file("MANIFEST-5")).value()).value();
@@ -1475,7 +1483,7 @@ TEST(RetentionTest, CrashPointMatrixRecoversBitIdentically) {
 
 TEST(RetentionTest, MappedCrashPointMatrixRecoversBitIdentically) {
   // The same kill-between-every-commit-step matrix over a mapped table:
-  // the commit now writes a v2 blob (tail + partition metadata only) and
+  // the commit now writes a v3 blob (tail + partition metadata only) and
   // a v3 manifest naming the live partition directories, and recovery
   // re-maps the partition files instead of deserializing payloads. Every
   // crash point must still recover the exact live state, including the
@@ -1553,6 +1561,156 @@ TEST(RetentionTest, MappedCrashPointMatrixRecoversBitIdentically) {
     EXPECT_EQ(CheckpointSummaryStore(*state.summaries),
               CheckpointSummaryStore(summaries))
         << phase;
+  }
+}
+
+/// A mapped table with 64-row partitions under `storage_dir`: eight
+/// batches of 40 rows (rows 0-319, partitions 0-4 sealed, no tail), every
+/// fifth row accessed, as a run with record_access on leaves it.
+Table MakeAccessedMappedTable(const std::string& storage_dir) {
+  StorageOptions storage;
+  storage.backend = StorageBackend::kMapped;
+  storage.dir = storage_dir;
+  storage.partition_rows = 64;
+  Table table =
+      Table::Make(Schema::SingleColumn("v", 0, 1'000'000), storage).value();
+  Rng rng(83);
+  for (int b = 0; b < 8; ++b) {
+    table.BeginBatch();
+    for (int i = 0; i < 40; ++i) {
+      EXPECT_TRUE(table.AppendRow({rng.UniformInt(0, 999'999)}).ok());
+    }
+  }
+  for (RowId r = 0; r < table.num_rows(); r += 5) table.BumpAccess(r);
+  return table;
+}
+
+/// Drops partition `idx` the way the vacuum does: the rename now, the
+/// unlink deferred, and a kDropPartition record journaled (when `log` is
+/// given).
+void JournalDrop(size_t idx, Table* table, EventLog* log) {
+  ASSERT_TRUE(table->DropPartition(idx, /*defer_unlink=*/log != nullptr).ok());
+  if (log == nullptr) return;
+  Event event;
+  event.kind = EventKind::kDropPartition;
+  event.row = idx;
+  event.value = 64;
+  ASSERT_TRUE(log->Append(event).ok());
+}
+
+TEST(RetentionTest, VersionTwoMappedBlobsRecoverAndTheNextCheckpointWritesV3) {
+  // A checkpoint directory an earlier build wrote: its manifest names a
+  // version 2 blob, which carries every row's access count and active
+  // bit, the stale counts of the dropped rows included. It must recover
+  // bit-identically, log tail and all; the next checkpoint writes
+  // version 3, and that recovers too.
+  ScratchDir dir("amnesia_v2_blob_dir_test");
+  EventLog log = EventLog::Open(dir.file("events.log")).value();
+  Table table = MakeAccessedMappedTable(dir.file("storage"));
+  const std::vector<uint64_t> counts_before_drops = table.access_counts();
+  JournalDrop(0, &table, &log);
+  JournalDrop(1, &table, &log);
+  ASSERT_EQ(table.ToParts().row_base, 128u);
+  std::vector<uint64_t> stale_counts = table.access_counts();
+  std::copy(counts_before_drops.begin(), counts_before_drops.begin() + 128,
+            stale_counts.begin());
+
+  CheckpointerOptions opts;
+  opts.dir = dir.path();
+  opts.async = false;
+  {
+    BackgroundCheckpointer ckpt = BackgroundCheckpointer::Make(opts).value();
+    ASSERT_TRUE(ckpt.Checkpoint(table, log.next_lsn()).ok());
+  }
+  // Swap the blob for the version 2 bytes and re-point the manifest.
+  Manifest manifest =
+      DecodeManifest(ReadBytesFile(dir.file("MANIFEST-1")).value()).value();
+  ASSERT_EQ(manifest.shards.size(), 1u);
+  const std::vector<uint8_t> v2 = EncodeMappedV2(table, stale_counts);
+  ASSERT_EQ(v2[4], 2u);
+  ASSERT_TRUE(
+      WriteBytesFileAtomic(v2, dir.file(manifest.shards[0].filename)).ok());
+  manifest.shards[0].size = v2.size();
+  manifest.shards[0].crc32 = ckpt::Crc32(v2);
+  ASSERT_TRUE(
+      WriteBytesFileAtomic(EncodeManifest(manifest), dir.file("MANIFEST-1"))
+          .ok());
+
+  // A forget and a drop past the covered LSN replay on top of it.
+  ColdStore cold;
+  SummaryStore summaries;
+  JournalForget(200, BackendKind::kDelete, &table, &cold, &summaries, &log);
+  JournalDrop(2, &table, &log);
+  ASSERT_TRUE(log.Flush().ok());
+  RecoveredState from_v2 = Recover(dir.path(), dir.file("events.log")).value();
+  EXPECT_EQ(from_v2.checkpoint_id, 1u);
+  EXPECT_EQ(from_v2.events_replayed, 2u);
+  ASSERT_EQ(from_v2.shards.size(), 1u);
+  EXPECT_EQ(from_v2.shards[0].access_count(5), 0u);  // stale, dropped
+  EXPECT_EQ(CheckpointTable(from_v2.shards[0]), CheckpointTable(table));
+
+  BackgroundCheckpointer ckpt = BackgroundCheckpointer::Make(opts).value();
+  ASSERT_TRUE(ckpt.Checkpoint(table, log.next_lsn()).ok());
+  const Manifest next =
+      DecodeManifest(ReadBytesFile(dir.file("MANIFEST-2")).value()).value();
+  const std::vector<uint8_t> v3 =
+      ReadBytesFile(dir.file(next.shards[0].filename)).value();
+  EXPECT_EQ(v3[4], 3u);
+  EXPECT_EQ(v3, EncodeTableParts(table.ToParts()));
+  RecoveredState from_v3 = Recover(dir.path(), dir.file("events.log")).value();
+  EXPECT_EQ(from_v3.checkpoint_id, 2u);
+  EXPECT_EQ(from_v3.events_replayed, 0u);
+  EXPECT_EQ(CheckpointTable(from_v3.shards[0]), CheckpointTable(table));
+}
+
+TEST(RetentionTest, CrashAfterADroppedPrefixCommitRecoversLikeAnUncrashedTwin) {
+  // The first checkpoint commits an image with row_base 128 (partitions
+  // 0-1 dropped). Then partition 2 is accessed and dropped, and the next
+  // checkpoint dies at each commit step. Recovery replays the later drop
+  // on whichever checkpoint survived and must equal a twin that ran the
+  // same operations without a checkpointer. Every fifth row was
+  // accessed, so the access counts the drops reset are compared too.
+  for (const char* phase :
+       {"shard-blobs", "tier-blobs", "manifest", "current", "gc"}) {
+    SCOPED_TRACE(phase);
+    ScratchDir dir(std::string("amnesia_prefix_crash_") + phase + "_test");
+    EventLog log = EventLog::Open(dir.file("events.log")).value();
+    Table table = MakeAccessedMappedTable(dir.file("storage"));
+    Table twin = MakeAccessedMappedTable(dir.file("twin"));
+
+    bool armed = false;
+    CheckpointerOptions opts;
+    opts.dir = dir.path();
+    opts.async = false;
+    opts.retain = 2;
+    opts.log = &log;
+    opts.test_crash_hook = [&armed, phase](const char* p) {
+      return armed && std::strcmp(p, phase) == 0;
+    };
+    BackgroundCheckpointer ckpt = BackgroundCheckpointer::Make(opts).value();
+
+    for (Table* t : {&table, &twin}) {
+      EventLog* journal = t == &table ? &log : nullptr;
+      JournalDrop(0, t, journal);
+      JournalDrop(1, t, journal);
+    }
+    ASSERT_EQ(table.ToParts().row_base, 128u);
+    ASSERT_TRUE(ckpt.Checkpoint(table, log.next_lsn()).ok());
+
+    for (Table* t : {&table, &twin}) {
+      for (RowId r = 128; r < 192; r += 3) t->BumpAccess(r);
+      JournalDrop(2, t, t == &table ? &log : nullptr);
+    }
+    armed = true;
+    EXPECT_FALSE(ckpt.Checkpoint(table, log.next_lsn()).ok());
+    ASSERT_TRUE(log.Flush().ok());
+
+    RecoveredState state = Recover(dir.path(), dir.file("events.log")).value();
+    ASSERT_EQ(state.shards.size(), 1u);
+    EXPECT_EQ(state.shards[0].access_count(130), 0u);
+    EXPECT_EQ(state.shards[0].access_count(195), 1u);
+    EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(twin));
+    EXPECT_EQ(CheckpointTable(table), CheckpointTable(twin));
   }
 }
 

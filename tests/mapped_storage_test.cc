@@ -2,7 +2,7 @@
 //
 // Tests for the mmap-backed, time-partitioned storage backend: partition
 // file format (header, checksum, torn-file rejection), table sealing and
-// the O(1) partition drop, checkpoint/recovery over manifest v3 + the v2
+// the O(1) partition drop, checkpoint/recovery over manifest v3 + the v3
 // mapped blob, crash points around the drop's rename-then-unlink
 // protocol, and bit-identity of the kMapped backend against the kVector
 // oracle across every amnesia policy, backends, and sharded tables,
@@ -290,7 +290,7 @@ TEST(MappedTableTest, DeferredDropLeavesRenamedDirForGc) {
   EXPECT_TRUE(fs::exists(dir.file("part-0-63.dropped")));
 }
 
-// ------------------------------------------- checkpoint/recovery (v2/v3)
+// ---------------------------------------------- checkpoint/recovery (v3)
 
 Table MakeLoadedMappedTable(const std::string& dir, uint64_t rows,
                             uint64_t seed) {
@@ -325,10 +325,10 @@ TEST(MappedRecoveryTest, RecoveryRemapsPartitionsBitIdentically) {
   EXPECT_EQ(CheckpointTable(state.shards[0]), CheckpointTable(table));
 }
 
-TEST(MappedRecoveryTest, V2BlobWithoutStorageDirFailsClosed) {
+TEST(MappedRecoveryTest, MappedBlobWithoutStorageDirFailsClosed) {
   ScratchDir dir("amnesia_mapped_nodir_test");
   Table table = MakeLoadedMappedTable(dir.file("storage"), 100, 43);
-  // The checkpointer writes a mapped image in the v2 layout; restoring it
+  // The checkpointer writes a mapped image in the v3 layout; restoring it
   // without a storage_dir cannot map anything and must not half-restore.
   CheckpointerOptions opts;
   opts.dir = dir.file("ckpt");

@@ -5,6 +5,7 @@
 // checkpointing mid-simulation, corrupted-checkpoint and segment-chain
 // fuzzing, policy × backend interplay, and long-haul budget invariants.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -28,6 +29,7 @@
 #include "sim/simulator.h"
 #include "storage/checkpoint.h"
 #include "storage/checkpoint_io.h"
+#include "mapped_v2_blob.h"
 
 namespace amnesia {
 namespace {
@@ -150,53 +152,147 @@ TEST(RobustnessTest, CorruptedCheckpointsNeverCrash) {
 }
 
 TEST(RobustnessTest, CorruptedMappedCheckpointsNeverCrash) {
-  // Every single-byte flip and every truncation of a real mapped (version
-  // 2) blob — four sealed partitions, one of them dropped, and a tail —
-  // restored against its storage directory: each must fail cleanly or
-  // produce a consistent table.
+  // Every single-byte flip and every truncation of real mapped blobs,
+  // restored against their storage directory: each must fail cleanly or
+  // produce a consistent table. The blobs: a version 3 blob of four
+  // sealed partitions (one dropped) and a tail; a version 3 blob whose
+  // oldest two partitions were dropped (row_base 128); and the version 2
+  // bytes earlier builds wrote for that second table, stale access counts
+  // of its dropped rows included.
   const std::string dir =
       (std::filesystem::temp_directory_path() / "amnesia_robust_mapped_blob")
           .string();
   std::filesystem::remove_all(dir);
-  StorageOptions storage;
-  storage.backend = StorageBackend::kMapped;
-  storage.dir = dir;
-  storage.partition_rows = 64;
-  Table t = Table::Make(Schema::SingleColumn("a", 0, 1000), storage).value();
-  for (Value v = 0; v < 4 * 64 + 20; ++v) {
-    if (v % 100 == 99) t.BeginBatch();
-    ASSERT_TRUE(t.AppendRow({v}).ok());
-  }
-  ASSERT_TRUE(t.DropPartition(2).ok());
-  for (RowId r = 0; r < 276; r += 7) {
-    if (t.IsActive(r)) {
-      ASSERT_TRUE(t.Forget(r).ok());
+  std::filesystem::create_directories(dir);
+  const auto make_table = [&dir](const std::string& name) {
+    StorageOptions storage;
+    storage.backend = StorageBackend::kMapped;
+    storage.dir = dir + "/" + name;
+    storage.partition_rows = 64;
+    Table t =
+        Table::Make(Schema::SingleColumn("a", 0, 1000), storage).value();
+    for (Value v = 0; v < 4 * 64 + 20; ++v) {
+      if (v % 100 == 99) t.BeginBatch();
+      EXPECT_TRUE(t.AppendRow({v}).ok());
     }
-  }
-  t.BumpAccess(3);
-  t.BumpAccess(270);
-  const std::vector<uint8_t> blob = EncodeTableParts(t.ToParts());
-  ASSERT_EQ(CheckpointTable(RestoreTable(blob, dir).value()),
-            CheckpointTable(t));
+    t.BumpAccess(3);
+    t.BumpAccess(70);
+    return t;
+  };
+  const auto forget_some = [](Table* t) {
+    for (RowId r = 0; r < 276; r += 7) {
+      if (t->IsActive(r)) {
+        ASSERT_TRUE(t->Forget(r).ok());
+      }
+    }
+    t->BumpAccess(270);
+  };
+  Table gap = make_table("gap");
+  ASSERT_TRUE(gap.DropPartition(2).ok());
+  forget_some(&gap);
+  Table prefix = make_table("prefix");
+  const std::vector<uint64_t> counts_before_drops = prefix.access_counts();
+  ASSERT_TRUE(prefix.DropPartition(0).ok());
+  ASSERT_TRUE(prefix.DropPartition(1).ok());
+  forget_some(&prefix);
+  ASSERT_EQ(prefix.ToParts().row_base, 128u);
+  std::vector<uint64_t> stale_counts = prefix.access_counts();
+  std::copy(counts_before_drops.begin(), counts_before_drops.begin() + 128,
+            stale_counts.begin());
+  ASSERT_NE(stale_counts, prefix.access_counts());
 
-  Rng rng(17);
-  uint64_t restored = 0;
-  for (size_t pos = 0; pos < 2 * blob.size(); ++pos) {
-    std::vector<uint8_t> mutated = blob;
-    if (pos < blob.size()) {
-      mutated[pos] ^= static_cast<uint8_t>(1 + rng.UniformIndex(255));
-    } else {
-      mutated.resize(pos - blob.size());
+  struct Case {
+    const char* blob;
+    const Table* table;
+    std::vector<uint8_t> bytes;
+  };
+  const std::vector<Case> cases = {
+      {"v3, a dropped partition", &gap, EncodeTableParts(gap.ToParts())},
+      {"v3, a dropped prefix", &prefix, EncodeTableParts(prefix.ToParts())},
+      {"v2, a dropped prefix", &prefix, EncodeMappedV2(prefix, stale_counts)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.blob);
+    const std::string storage_dir = c.table->storage().dir;
+    ASSERT_EQ(CheckpointTable(RestoreTable(c.bytes, storage_dir).value()),
+              CheckpointTable(*c.table));
+    Rng rng(17);
+    uint64_t restored = 0;
+    for (size_t pos = 0; pos < 2 * c.bytes.size(); ++pos) {
+      std::vector<uint8_t> mutated = c.bytes;
+      if (pos < c.bytes.size()) {
+        mutated[pos] ^= static_cast<uint8_t>(1 + rng.UniformIndex(255));
+      } else {
+        mutated.resize(pos - c.bytes.size());
+      }
+      const StatusOr<Table> result = RestoreTable(mutated, storage_dir);
+      if (result.ok()) {
+        EXPECT_LE(result->num_active(), result->num_rows()) << "byte " << pos;
+        ++restored;
+      }
     }
-    const StatusOr<Table> result = RestoreTable(mutated, dir);
-    if (result.ok()) {
-      EXPECT_LE(result->num_active(), result->num_rows()) << "byte " << pos;
-      ++restored;
-    }
+    // Flips inside the tail payload and the counters still decode.
+    EXPECT_GT(restored, 0u);
   }
-  // Flips inside the tail payload and the counters still decode.
-  EXPECT_GT(restored, 0u);
   std::filesystem::remove_all(dir);
+}
+
+TEST(RobustnessTest, MappedBlobClaimingAHugeDroppedPrefixIsRejected) {
+  // A version 3 blob of one dropped partition of `partition_rows` rows
+  // and nothing else: row_base at the sealed rows, one batch run, no tail
+  // and empty suffix arrays. Its size does not grow with the rows it
+  // claims, so only the image's row ceiling stands between a corrupt
+  // partition_rows and per-row allocations of that size.
+  const auto encode = [](uint64_t partition_rows) {
+    std::vector<uint8_t> out;
+    ckpt::Writer w(&out);
+    w.U32(0x414D4E45);  // magic "AMNE"
+    w.U32(3);
+    w.U64(1);
+    w.String("a");
+    w.I64(0);
+    w.I64(1000);
+    w.U64(partition_rows);  // rows
+    w.U64(partition_rows);  // next tick
+    w.U64(0);               // lifetime forgotten
+    w.U32(0);               // current batch
+    w.U64(partition_rows);
+    w.U64(1);  // one partition, dropped
+    w.U64(0);
+    w.U64(partition_rows - 1);
+    w.U8(1);
+    w.U64(partition_rows);  // row_base
+    w.I64(0);
+    w.I64(1000);
+    w.I64Array({});  // no tail
+    w.U64(1);        // one batch run
+    w.U32(0);
+    w.U64(partition_rows);
+    w.U8(0);  // raw access counts
+    w.U64Array({});
+    w.BitArray({});
+    return out;
+  };
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "amnesia_robust_huge_prefix")
+          .string();
+
+  // The same layout at a real size restores: the blob is well formed.
+  const std::vector<uint8_t> small_blob = encode(64);
+  const Table small = RestoreTable(small_blob, dir).value();
+  EXPECT_EQ(small.num_rows(), 64u);
+  EXPECT_EQ(small.num_active(), 0u);
+
+  for (const uint64_t partition_rows :
+       {Table::kMaxImageRows * 2, uint64_t{1} << 40}) {
+    const std::vector<uint8_t> blob = encode(partition_rows);
+    EXPECT_EQ(blob.size(), small_blob.size());
+    const Status status = RestoreTable(blob, dir).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << partition_rows;
+    EXPECT_NE(status.message().find("more rows than an image may restore"),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(RobustnessTest, CheckpointOfRestoredTableIsStable) {

@@ -535,30 +535,33 @@ TEST_F(RequestHeadTest, OddQueryStringsAreServed) {
       "/auditz?&",
       "/auditz?&&&",
       "/auditz?==",
-      "/auditz?n==5",
       "/auditz?n=5&&format=json",
       "/auditz?&=&=&",
-      "/auditz?n",
-      "/auditz?n=",
-      "/auditz?n=-1",
       "/auditz?n=18446744073709551615",
-      "/auditz?n=18446744073709551616",
-      "/auditz?n=99999999999999999999999999999999&format=json",
+      "/auditz?n=00000000000000000005",
       "/auditz?format=json&format=text",
   };
   for (const std::string& target : auditz) {
     EXPECT_EQ(Outcome(&srv_, "GET " + target + " HTTP/1.1\r\n\r\n"), 200)
         << target;
   }
-  // No profile has a 2^64-sized id or an empty one.
-  for (const char* target : {"/profilez?id=18446744073709551616",
-                             "/profilez?id=",
-                             "/profilez?id=99999999999999999999999"}) {
+  // A number is 1-20 decimal digits up to 2^64 - 1; anything else is
+  // refused, not read as some other number.
+  for (const char* target :
+       {"/auditz?n==5", "/auditz?n", "/auditz?n=", "/auditz?n=-1",
+        "/auditz?n=+5", "/auditz?n=5x", "/auditz?n=000000000000000000005",
+        "/auditz?n=18446744073709551616",
+        "/auditz?n=99999999999999999999999999999999&format=json",
+        "/profilez?id=18446744073709551616", "/profilez?id=",
+        "/profilez?id=99999999999999999999999"}) {
     EXPECT_EQ(Outcome(&srv_, std::string("GET ") + target +
                                  " HTTP/1.1\r\n\r\n"),
-              404)
+              400)
         << target;
   }
+  EXPECT_EQ(Outcome(&srv_, "GET /profilez?id=18446744073709551615 "
+                           "HTTP/1.1\r\n\r\n"),
+            404);  // well-formed, but no such profile
   EXPECT_EQ(Outcome(&srv_, "GET /healthz?&&==&& HTTP/1.1\r\n\r\n"), 200);
   EXPECT_EQ(Outcome(&srv_, "GET  HTTP/1.1\r\n\r\n"), 404);
   EXPECT_EQ(Outcome(&srv_, "GET /healthz\r\n\r\n"), 400);
