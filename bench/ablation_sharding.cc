@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
     if (shards == 1) {
       // One shard must mark exactly the unsharded controller's victims.
       for (RowId r = 0; r < rows; ++r) {
-        if (table.IsActive(r) != reference.IsActive(r)) {
+        if (table.shard(0).IsActive(r) != reference.IsActive(r)) {
           Die("single-shard forget bitmap");
         }
       }

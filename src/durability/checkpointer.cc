@@ -3,7 +3,6 @@
 #include "durability/checkpointer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <future>
 #include <limits>
@@ -31,12 +30,6 @@ constexpr uint32_t kManifestMagic = 0x414D4D46;  // "AMMF"
 constexpr uint32_t kManifestVersion = 3;
 constexpr const char* kManifestPrefix = "MANIFEST-";
 constexpr const char* kCurrentName = "CURRENT";
-
-double MillisSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 std::string ManifestName(uint64_t id) {
   return kManifestPrefix + std::to_string(id);
@@ -442,7 +435,6 @@ Status WriteTierBlob(const std::string& dir, const std::vector<uint8_t>& bytes,
 Status BackgroundCheckpointer::WriteSnapshot(
     const std::shared_ptr<Shared>& shared, TableSnapshot snapshot,
     uint64_t covered_lsn, uint64_t checkpoint_id) {
-  const auto start = std::chrono::steady_clock::now();
   obs::EngineMetrics& metrics = obs::EngineMetrics::Get();
   obs::TraceScope trace("checkpoint.write", metrics.checkpoint_write_ns);
   trace.Annotate("checkpoint_id", static_cast<int64_t>(checkpoint_id));
@@ -609,7 +601,6 @@ Status BackgroundCheckpointer::WriteSnapshot(
                       static_cast<int64_t>(delta.manifests_gced));
     gc_trace.Annotate("blobs_deleted", static_cast<int64_t>(delta.blobs_gced));
   }
-  delta.write_ms = MillisSince(start);
 
   // Mirror the committed delta into the registry at the same point the
   // per-instance stats absorb it, so both views advance together.
@@ -635,7 +626,6 @@ Status BackgroundCheckpointer::WriteSnapshot(
     shared->stats.manifests_gced += delta.manifests_gced;
     shared->stats.blobs_gced += delta.blobs_gced;
     shared->stats.partition_dirs_gced += delta.partition_dirs_gced;
-    shared->stats.write_ms += delta.write_ms;
     if (delta.checkpoints > 0 &&
         covered_lsn > shared->last_durable_lsn) {
       shared->last_durable_lsn = covered_lsn;
@@ -647,7 +637,6 @@ Status BackgroundCheckpointer::WriteSnapshot(
 Status BackgroundCheckpointer::Checkpoint(const TableShards& table,
                                           uint64_t covered_lsn,
                                           const TierSet& tiers) {
-  const auto start = std::chrono::steady_clock::now();
   // One write in flight at a time; surfacing the previous write's error
   // here keeps the Status chain unbroken in async mode.
   AMNESIA_RETURN_NOT_OK(WaitIdle());
@@ -672,11 +661,7 @@ Status BackgroundCheckpointer::Checkpoint(const TableShards& table,
   const uint64_t id = next_checkpoint_id_++;
 
   if (!shared_->options.async) {
-    const Status status =
-        WriteSnapshot(shared_, std::move(snapshot), covered_lsn, id);
-    std::lock_guard<std::mutex> lock(shared_->mu);
-    shared_->stats.caller_stall_ms += MillisSince(start);
-    return status;
+    return WriteSnapshot(shared_, std::move(snapshot), covered_lsn, id);
   }
 
   inflight_ = std::thread([shared = shared_, snapshot = std::move(snapshot),
@@ -685,8 +670,6 @@ Status BackgroundCheckpointer::Checkpoint(const TableShards& table,
     std::lock_guard<std::mutex> lock(shared->mu);
     shared->inflight_status = std::move(status);
   });
-  std::lock_guard<std::mutex> lock(shared_->mu);
-  shared_->stats.caller_stall_ms += MillisSince(start);
   return Status::OK();
 }
 
@@ -757,8 +740,7 @@ Status RestoreManifestTiers(const std::string& dir, const Manifest& manifest,
 }  // namespace
 
 StatusOr<RecoveredState> Recover(const std::string& dir,
-                                 const std::string& log_path,
-                                 const ReplaySinks& sinks) {
+                                 const std::string& log_path) {
   // Candidate manifests, newest first; the CURRENT pointer is a hint that
   // goes first when it parses.
   AMNESIA_ASSIGN_OR_RETURN(std::vector<uint64_t> ids, ListManifestIds(dir));
@@ -836,13 +818,13 @@ StatusOr<RecoveredState> Recover(const std::string& dir,
     state.checkpoint_id = manifest->id;
     state.covered_lsn = manifest->covered_lsn;
     // Tail forget events re-route into the tiers restored from THIS
-    // manifest; caller sinks only stand in for tiers it does not cover.
-    ReplaySinks effective = sinks;
-    if (state.cold) effective.cold = &*state.cold;
-    if (state.summaries) effective.summaries = &*state.summaries;
+    // manifest.
+    ReplaySinks sinks;
+    if (state.cold) sinks.cold = &*state.cold;
+    if (state.summaries) sinks.summaries = &*state.summaries;
     auto replayed = ReplayEvents(
         log.events, manifest->covered_lsn - log.base_lsn, &state.shards,
-        &state.ingest_cursor, effective);
+        &state.ingest_cursor, sinks);
     if (!replayed.ok()) {
       last_error = replayed.status();
       continue;

@@ -203,16 +203,14 @@ struct CheckpointerStats {
   uint64_t manifests_gced = 0;     ///< Manifests deleted by retention GC.
   uint64_t blobs_gced = 0;         ///< Blob files deleted by retention GC.
   uint64_t partition_dirs_gced = 0;  ///< Dropped partition dirs unlinked.
-  double caller_stall_ms = 0.0;    ///< Time Checkpoint() blocked its caller.
-  double write_ms = 0.0;           ///< Serialize+write time (either thread).
 };
 
 /// \brief Writes table checkpoints to disk, asynchronously by default.
 ///
 /// One checkpoint may be in flight at a time; a second Checkpoint() call
-/// first waits for the previous write to commit (counted as caller
-/// stall). Mutators may run freely between Checkpoint() and commit: the
-/// writer works off the captured snapshot only.
+/// first waits for the previous write to commit. Mutators may run freely
+/// between Checkpoint() and commit: the writer works off the captured
+/// snapshot only.
 ///
 /// All state the background writer touches is heap-anchored in a shared
 /// block the writer co-owns, so the checkpointer object itself may be
@@ -338,11 +336,9 @@ struct RecoveredState {
 /// (restore the snapshot only), a legacy single-file log, or a segmented
 /// log directory (the format is detected from disk). When the manifest
 /// carries tier blobs the replayed forget events re-route into the
-/// restored tiers; `sinks` only applies to tiers the manifest does NOT
-/// cover. Returns NotFound when no valid manifest exists.
+/// restored tiers. Returns NotFound when no valid manifest exists.
 StatusOr<RecoveredState> Recover(const std::string& dir,
-                                 const std::string& log_path,
-                                 const ReplaySinks& sinks = ReplaySinks());
+                                 const std::string& log_path);
 
 /// \brief Runs one retention-GC pass over `dir` outside any checkpoint:
 /// keeps the newest `retain` manifests, deletes manifests and unreferenced

@@ -12,6 +12,7 @@
 #include "durability/frame_io.h"
 #include "obs/engine_metrics.h"
 #include "storage/checkpoint_io.h"
+#include "storage/sharded_table.h"
 
 namespace amnesia {
 
@@ -256,23 +257,9 @@ Status ReplayEvent(const Event& event, std::vector<Table>* tables,
       // Batches advance in lockstep across shards (ShardedTable::BeginBatch).
       for (Table& t : *tables) t.BeginBatch();
       return Status::OK();
-    case EventKind::kAppendRows: {
-      if (event.columns.empty() ||
-          event.columns.size() != (*tables)[0].num_columns()) {
-        return Status::InvalidArgument("append event arity mismatch");
-      }
-      const size_t rows = event.columns[0].size();
-      std::vector<Value> row_values(event.columns.size());
-      for (size_t i = 0; i < rows; ++i) {
-        Table& t = (*tables)[static_cast<size_t>(*ingest_cursor % n)];
-        for (size_t c = 0; c < event.columns.size(); ++c) {
-          row_values[c] = event.columns[c][i];
-        }
-        AMNESIA_RETURN_NOT_OK(t.AppendRow(row_values).status());
-        ++*ingest_cursor;
-      }
-      return Status::OK();
-    }
+    case EventKind::kAppendRows:
+      // The live ingest path's placement, so each row lands where it did.
+      return AppendRoundRobin(tables, ingest_cursor, event.columns).status();
     default:
       break;
   }
@@ -322,33 +309,16 @@ Status ReplayEvent(const Event& event, std::vector<Table>* tables,
     case EventKind::kCompact:
       table.CompactForgotten();
       return Status::OK();
-    case EventKind::kDropPartition: {
-      if (table.mapped()) {
-        // Idempotent: the restored snapshot may already reflect the drop,
-        // or the crash may have interrupted it anywhere between the
-        // directory rename and the deferred unlink. Unlinking stays
-        // deferred to the post-replay cleanup pass.
-        return table.DropPartition(static_cast<size_t>(event.row),
-                                   /*defer_unlink=*/true)
-            .status();
-      }
-      // Vector-mode fallback (a mapped shard's log replayed into an
-      // in-memory table): the drop is a range forget + scrub.
-      if (event.value <= 0) {
-        return Status::InvalidArgument("drop event without partition size");
-      }
-      const uint64_t pr = static_cast<uint64_t>(event.value);
-      const RowId row_begin = event.row * pr;
-      const RowId row_end = row_begin + pr;
-      if (row_end > table.num_rows()) {
-        return Status::InvalidArgument("drop event past table end");
-      }
-      for (RowId r = row_begin; r < row_end; ++r) {
-        if (table.IsActive(r)) AMNESIA_RETURN_NOT_OK(table.Forget(r));
-        AMNESIA_RETURN_NOT_OK(table.ScrubRow(r, 0));
-      }
-      return Status::OK();
-    }
+    case EventKind::kDropPartition:
+      // The live drop, so the replayed shard matches the journaling one
+      // (a vector shard refuses it: FailedPrecondition). Idempotent: the
+      // restored snapshot may already reflect the drop, or the crash may
+      // have interrupted it anywhere between the directory rename and the
+      // deferred unlink. The `.dropped` directory stays for retention GC
+      // to unlink once no retained manifest maps it.
+      return table.DropPartition(static_cast<size_t>(event.row),
+                                 /*defer_unlink=*/true)
+          .status();
     default:
       return Status::Internal("unhandled event kind");
   }

@@ -55,9 +55,10 @@ enum class EventKind : uint8_t {
   // writer ever emitted them, and DecodeEvent rejects them.
   /// One shard dropped a whole sealed partition (mapped storage's O(1)
   /// forget): `row` is the partition index, `value` the partition's row
-  /// count. Journaled after the partition directory's rename to its
-  /// `.dropped` name, so whichever of {rename, this record} a crash
-  /// keeps, recovery is consistent.
+  /// count (replay reads the size from the shard, not from here).
+  /// Journaled after the partition directory's rename to its `.dropped`
+  /// name, so whichever of {rename, this record} a crash keeps, recovery
+  /// is consistent.
   kDropPartition = 8,
   /// One forget sweep of a shard: the rows in `runs`, in victim order,
   /// each replayed as kForget (re-routed per `backend` and `payload_col`)
@@ -118,11 +119,15 @@ struct ReplaySinks {
 
 /// \brief Applies one event to a recovering table. `tables` are the
 /// restored shards in shard order; `ingest_cursor` is the global
-/// round-robin position (rows ever appended) and is advanced by
-/// kAppendRows events. A kForgetRows record is checked whole (backend,
+/// round-robin position (rows ever appended). Each record is redone
+/// through the code that made it live: kAppendRows places its rows with
+/// AppendRoundRobin (advancing `ingest_cursor`), and kDropPartition calls
+/// Table::DropPartition, which a vector shard refuses with
+/// FailedPrecondition. A kForgetRows record is checked whole (backend,
 /// payload column, every run in range, every row active, no row twice)
-/// before any table or tier is touched, so a rejected one changes
-/// nothing.
+/// before any table or tier is touched, and an append record's columns
+/// are checked for arity and equal length before any row is placed, so a
+/// rejected record changes nothing.
 Status ReplayEvent(const Event& event, std::vector<Table>* tables,
                    uint64_t* ingest_cursor,
                    const ReplaySinks& sinks = ReplaySinks());

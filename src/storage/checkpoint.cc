@@ -368,88 +368,14 @@ StatusOr<Table> RestoreTable(const std::vector<uint8_t>& buffer,
   return Table::FromParts(std::move(parts));
 }
 
-// -------------------------------------------------------------- database
-
-namespace {
-// Version of the database and tier containers.
-constexpr uint32_t kVersion = 1;
-constexpr uint32_t kDbMagic = 0x414D4442;     // "AMDB"
-constexpr uint32_t kColdMagic = 0x414D434C;   // "AMCL"
-constexpr uint32_t kSummaryMagic = 0x414D5355;  // "AMSU"
-}  // namespace
-
-std::vector<uint8_t> CheckpointDatabase(const Database& db) {
-  std::vector<uint8_t> out;
-  Writer w(&out);
-  w.U32(kDbMagic);
-  w.U32(kVersion);
-  const std::vector<std::string> names = db.TableNames();
-  w.U64(names.size());
-  for (const std::string& name : names) {
-    w.String(name);
-    const Table* table = db.GetTable(name).value();
-    const std::vector<uint8_t> blob = CheckpointTable(*table);
-    w.U64(blob.size());
-    for (uint8_t b : blob) out.push_back(b);
-  }
-  const auto& fks = db.foreign_keys();
-  w.U64(fks.size());
-  for (const ForeignKey& fk : fks) {
-    w.String(fk.child_table);
-    w.U64(fk.child_col);
-    w.String(fk.parent_table);
-    w.U64(fk.parent_col);
-  }
-  return out;
-}
-
-StatusOr<Database> RestoreDatabase(const std::vector<uint8_t>& buffer) {
-  Reader r(buffer);
-  uint32_t magic = 0, version = 0;
-  AMNESIA_RETURN_NOT_OK(r.U32(&magic));
-  if (magic != kDbMagic) {
-    return Status::InvalidArgument("not an AmnesiaDB database checkpoint");
-  }
-  AMNESIA_RETURN_NOT_OK(r.U32(&version));
-  if (version != kVersion) {
-    return Status::FailedPrecondition("unsupported checkpoint version");
-  }
-  Database db;
-  uint64_t num_tables = 0;
-  AMNESIA_RETURN_NOT_OK(r.U64(&num_tables));
-  if (num_tables > 1'000'000) {
-    return Status::InvalidArgument("implausible table count");
-  }
-  for (uint64_t i = 0; i < num_tables; ++i) {
-    std::string name;
-    AMNESIA_RETURN_NOT_OK(r.String(&name));
-    std::vector<uint8_t> blob;
-    AMNESIA_RETURN_NOT_OK(r.ByteArray(&blob));
-    AMNESIA_ASSIGN_OR_RETURN(Table table, RestoreTable(blob));
-    AMNESIA_RETURN_NOT_OK(db.AdoptTable(name, std::move(table)).status());
-  }
-  uint64_t num_fks = 0;
-  AMNESIA_RETURN_NOT_OK(r.U64(&num_fks));
-  if (num_fks > 1'000'000) {
-    return Status::InvalidArgument("implausible foreign-key count");
-  }
-  for (uint64_t i = 0; i < num_fks; ++i) {
-    ForeignKey fk;
-    uint64_t child_col = 0, parent_col = 0;
-    AMNESIA_RETURN_NOT_OK(r.String(&fk.child_table));
-    AMNESIA_RETURN_NOT_OK(r.U64(&child_col));
-    AMNESIA_RETURN_NOT_OK(r.String(&fk.parent_table));
-    AMNESIA_RETURN_NOT_OK(r.U64(&parent_col));
-    fk.child_col = static_cast<size_t>(child_col);
-    fk.parent_col = static_cast<size_t>(parent_col);
-    AMNESIA_RETURN_NOT_OK(db.AddForeignKey(fk));
-  }
-  return db;
-}
-
 // ------------------------------------------------------------ tier stores
 
 namespace {
+
+// Version of the tier containers.
+constexpr uint32_t kVersion = 1;
+constexpr uint32_t kColdMagic = 0x414D434C;   // "AMCL"
+constexpr uint32_t kSummaryMagic = 0x414D5355;  // "AMSU"
 
 // Doubles (cost models, accumulated latencies, summary sums) are stored as
 // their exact IEEE-754 bit pattern so restored tiers answer every query

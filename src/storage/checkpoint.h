@@ -36,7 +36,6 @@
 
 #include "common/status.h"
 #include "storage/cold_store.h"
-#include "storage/database.h"
 #include "storage/schema.h"
 #include "storage/summary_store.h"
 #include "storage/table.h"
@@ -65,13 +64,6 @@ std::vector<uint8_t> EncodeTableParts(const Table::Parts& parts);
 /// FailedPrecondition on an unsupported format version.
 StatusOr<Table> RestoreTable(const std::vector<uint8_t>& buffer,
                              const std::string& storage_dir = "");
-
-/// \brief Serializes an entire database: every table plus the declared
-/// foreign keys.
-std::vector<uint8_t> CheckpointDatabase(const Database& db);
-
-/// \brief Reconstructs a database from a CheckpointDatabase() buffer.
-StatusOr<Database> RestoreDatabase(const std::vector<uint8_t>& buffer);
 
 /// \brief Serializes the cold tier: cost model, resident tuples and the
 /// accumulated accounting, so recall economics survive a restart.

@@ -18,16 +18,6 @@ StatusOr<Table*> Database::CreateTable(const std::string& name,
   return raw;
 }
 
-StatusOr<Table*> Database::AdoptTable(const std::string& name, Table table) {
-  if (tables_.count(name) > 0) {
-    return Status::FailedPrecondition("table '" + name + "' already exists");
-  }
-  auto owned = std::make_unique<Table>(std::move(table));
-  Table* raw = owned.get();
-  tables_.emplace(name, std::move(owned));
-  return raw;
-}
-
 StatusOr<Table*> Database::GetTable(const std::string& name) {
   auto it = tables_.find(name);
   if (it == tables_.end()) {

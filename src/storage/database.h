@@ -41,10 +41,6 @@ class Database {
   /// Returns FailedPrecondition when the name is taken.
   StatusOr<Table*> CreateTable(const std::string& name, Schema schema);
 
-  /// Adopts an existing table (e.g. restored from a checkpoint) under the
-  /// given name. Returns FailedPrecondition when the name is taken.
-  StatusOr<Table*> AdoptTable(const std::string& name, Table table);
-
   /// Returns the table, or NotFound.
   StatusOr<Table*> GetTable(const std::string& name);
   /// Const overload.

@@ -97,86 +97,51 @@ void ShardedTable::BeginBatch() {
   for (Table& s : shards_) s.BeginBatch();
 }
 
-StatusOr<RowId> ShardedTable::AppendRow(const std::vector<Value>& values) {
-  const uint32_t s = static_cast<uint32_t>(next_shard_ % shards_.size());
-  AMNESIA_ASSIGN_OR_RETURN(RowId local, shards_[s].AppendRow(values));
-  ++next_shard_;
-  return MakeGlobalRowId(s, local);
-}
-
 StatusOr<uint64_t> ShardedTable::AppendColumns(
     const std::vector<std::vector<Value>>& columns) {
-  if (columns.size() != num_columns()) {
+  return AppendRoundRobin(&shards_, &next_shard_, columns);
+}
+
+StatusOr<uint64_t> AppendRoundRobin(
+    std::vector<Table>* shards, uint64_t* cursor,
+    const std::vector<std::vector<Value>>& columns) {
+  const size_t num_columns = (*shards)[0].num_columns();
+  if (columns.size() != num_columns) {
     return Status::InvalidArgument(
         "column arity " + std::to_string(columns.size()) +
-        " != schema arity " + std::to_string(num_columns()));
+        " != schema arity " + std::to_string(num_columns));
   }
-  const size_t rows = columns.empty() ? 0 : columns[0].size();
+  const size_t rows = columns[0].size();
   for (const auto& col : columns) {
     if (col.size() != rows) {
       return Status::InvalidArgument("ragged bulk-append columns");
     }
   }
   if (rows == 0) return uint64_t{0};
-  if (shards_.size() == 1) {
+  const size_t n = shards->size();
+  if (n == 1) {
     // Single shard: no redistribution needed, forward the buffers as-is.
-    AMNESIA_RETURN_NOT_OK(
-        shards_[0].AppendColumns(columns).status());
-    next_shard_ += rows;
+    AMNESIA_RETURN_NOT_OK((*shards)[0].AppendColumns(columns).status());
+    *cursor += rows;
     return static_cast<uint64_t>(rows);
   }
 
-  // Split the row stream per shard on the same round-robin schedule as
-  // AppendRow, then bulk-append each shard's slice: the resulting state
-  // (placement, per-shard row order, ticks, batches) is identical to a
-  // row-at-a-time loop.
-  const size_t n = shards_.size();
-  std::vector<std::vector<std::vector<Value>>> per_shard(n);
+  // Copy out each shard's rows, k with (*cursor + k) % n == s, and
+  // bulk-append them.
+  std::vector<std::vector<Value>> slice(columns.size());
   for (size_t s = 0; s < n; ++s) {
-    per_shard[s].resize(columns.size());
-    // Rows i with (next_shard_ + i) % n == s.
-    const size_t first = static_cast<size_t>(
-        (s + n - next_shard_ % n) % n);
+    const size_t first = static_cast<size_t>((s + n - *cursor % n) % n);
     if (first >= rows) continue;
-    const size_t shard_rows = (rows - first + n - 1) / n;
-    for (auto& col : per_shard[s]) col.reserve(shard_rows);
-    for (size_t i = first; i < rows; i += n) {
-      for (size_t c = 0; c < columns.size(); ++c) {
-        per_shard[s][c].push_back(columns[c][i]);
+    for (size_t c = 0; c < columns.size(); ++c) {
+      slice[c].clear();
+      for (size_t k = first; k < rows; k += n) {
+        slice[c].push_back(columns[c][k]);
       }
     }
+    AMNESIA_RETURN_NOT_OK((*shards)[s].AppendColumns(slice).status());
   }
-  for (size_t s = 0; s < n; ++s) {
-    if (per_shard[s][0].empty()) continue;
-    AMNESIA_RETURN_NOT_OK(
-        shards_[s].AppendColumns(per_shard[s]).status());
-  }
-  next_shard_ += rows;
+  *cursor += rows;
   return static_cast<uint64_t>(rows);
-}
-
-StatusOr<Table*> ShardedTable::Resolve(RowId row) {
-  const uint32_t s = ShardOfRow(row);
-  if (s >= shards_.size() || LocalRowOf(row) >= shards_[s].num_rows()) {
-    return Status::OutOfRange("global row " + std::to_string(row) +
-                              " does not address a stored row");
-  }
-  return &shards_[s];
-}
-
-Status ShardedTable::Forget(RowId row) {
-  AMNESIA_ASSIGN_OR_RETURN(Table * shard, Resolve(row));
-  return shard->Forget(LocalRowOf(row));
-}
-
-Status ShardedTable::Revive(RowId row) {
-  AMNESIA_ASSIGN_OR_RETURN(Table * shard, Resolve(row));
-  return shard->Revive(LocalRowOf(row));
-}
-
-Status ShardedTable::ScrubRow(RowId row, Value scrub_value) {
-  AMNESIA_ASSIGN_OR_RETURN(Table * shard, Resolve(row));
-  return shard->ScrubRow(LocalRowOf(row), scrub_value);
 }
 
 Value ShardedTable::max_seen(size_t col) const {
@@ -189,13 +154,6 @@ Value ShardedTable::min_seen(size_t col) const {
   Value out = shards_[0].min_seen(col);
   for (const Table& s : shards_) out = std::min(out, s.min_seen(col));
   return out;
-}
-
-std::vector<RowMapping> ShardedTable::CompactForgotten() {
-  std::vector<RowMapping> mappings;
-  mappings.reserve(shards_.size());
-  for (Table& s : shards_) mappings.push_back(s.CompactForgotten());
-  return mappings;
 }
 
 uint64_t ShardedTable::version() const {

@@ -1,10 +1,13 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
-// A table partitioned across N independent shards behind the Table-style
-// API, plus TableShards, the one shape in which the scan and checkpoint
-// layers take "a table". Rows are placed round-robin by insertion order;
-// global RowIds encode (shard, local row) — see storage/shard.h — so
-// RowId consumers keep working unchanged and a single-shard table is
+// A table partitioned across N independent shards, plus TableShards, the
+// one shape in which the scan and checkpoint layers take "a table". A
+// ShardedTable is its list of shard Tables: rows are placed round-robin
+// by insertion order (AppendRoundRobin, which recovery's replay calls
+// too), and batches advance on every shard in lockstep. It has no per-row
+// API of its own: global RowIds encode (shard, local row) — see
+// storage/shard.h — and a row is reached through its shard,
+// `shard(ShardOfRow(r))` at `LocalRowOf(r)`. A single-shard table is
 // bit-compatible with the unsharded Table (shard 0's global ids equal its
 // local ids). Each shard is a plain Table owning its columns, amnesia
 // metadata and active bitmap, so scans, forget passes, compaction and
@@ -74,54 +77,11 @@ class ShardedTable {
   /// Starts a new update batch on every shard.
   void BeginBatch();
 
-  /// Appends one row to the next round-robin shard. Returns its global
-  /// RowId.
-  StatusOr<RowId> AppendRow(const std::vector<Value>& values);
-
-  /// Bulk ingest: appends `columns[c][i]` as row i's column c, placing
-  /// rows on the same round-robin schedule as repeated AppendRow calls
-  /// (the final state is identical). All inner vectors must share one
-  /// length and `columns` must have num_columns() entries. Returns the
-  /// number of rows appended.
+  /// Ingest: appends `columns[c][k]` as row k's column c, placed
+  /// round-robin from the ingest cursor (see AppendRoundRobin). Returns
+  /// the number of rows appended.
   StatusOr<uint64_t> AppendColumns(
       const std::vector<std::vector<Value>>& columns);
-
-  /// Returns the value of column `col` at global row `row`.
-  /// Preconditions: col < num_columns(), `row` is a valid global id.
-  Value value(size_t col, RowId row) const {
-    return shards_[ShardOfRow(row)].value(col, LocalRowOf(row));
-  }
-
-  /// Returns true iff global row `row` is active.
-  bool IsActive(RowId row) const {
-    return shards_[ShardOfRow(row)].IsActive(LocalRowOf(row));
-  }
-
-  /// Marks the global row forgotten (OutOfRange for invalid ids,
-  /// FailedPrecondition when already forgotten).
-  Status Forget(RowId row);
-  /// Reverses a Forget on the global row.
-  Status Revive(RowId row);
-  /// Scrubs the payload of a forgotten global row.
-  Status ScrubRow(RowId row, Value scrub_value = 0);
-
-  /// Returns the shard-local insertion tick of the global row (ticks are
-  /// per-shard counters; compare them only within one shard).
-  Tick insert_tick(RowId row) const {
-    return shards_[ShardOfRow(row)].insert_tick(LocalRowOf(row));
-  }
-  /// Returns the update batch the global row was inserted in.
-  BatchId batch_of(RowId row) const {
-    return shards_[ShardOfRow(row)].batch_of(LocalRowOf(row));
-  }
-  /// Returns how many query results the global row appeared in.
-  uint64_t access_count(RowId row) const {
-    return shards_[ShardOfRow(row)].access_count(LocalRowOf(row));
-  }
-  /// Records that the global row appeared in a query result.
-  void BumpAccess(RowId row) {
-    shards_[ShardOfRow(row)].BumpAccess(LocalRowOf(row));
-  }
 
   /// Returns the largest value ever appended to column `col`, across all
   /// shards.
@@ -129,11 +89,6 @@ class ShardedTable {
   /// Returns the smallest value ever appended to column `col`, across all
   /// shards.
   Value min_seen(size_t col) const;
-
-  /// Physically removes forgotten rows shard by shard. Returns one
-  /// shard-local RowMapping per shard (global ids change only in their
-  /// low kShardLocalBits).
-  std::vector<RowMapping> CompactForgotten();
 
   /// Sum of the shards' structural versions; bumped by any shard mutation.
   uint64_t version() const;
@@ -145,13 +100,24 @@ class ShardedTable {
   explicit ShardedTable(std::vector<Table> shards, uint64_t next_shard)
       : shards_(std::move(shards)), next_shard_(next_shard) {}
 
-  /// Returns the shard owning `row`, or OutOfRange.
-  StatusOr<Table*> Resolve(RowId row);
-
   std::vector<Table> shards_;
   /// Rows ever appended; row i lands on shard i % num_shards().
   uint64_t next_shard_ = 0;
 };
+
+/// \brief Round-robin placement, the one rule that spreads rows over
+/// shards: appends `columns[c][k]` as row k's column c to shard
+/// `(*cursor + k) % shards->size()`, at that shard's next local row, and
+/// advances `*cursor` by the row count. Each shard receives its rows in
+/// one Table::AppendColumns call, so the result equals appending the rows
+/// one at a time. `columns` must have one entry per schema column, all of
+/// one length (InvalidArgument otherwise, before any row is appended).
+/// ShardedTable ingest and event-log replay both place rows through it.
+/// Returns the number of rows appended. Precondition: `shards` is not
+/// empty.
+StatusOr<uint64_t> AppendRoundRobin(
+    std::vector<Table>* shards, uint64_t* cursor,
+    const std::vector<std::vector<Value>>& columns);
 
 /// \brief "A table" as the scan and checkpoint layers read it: its shard
 /// Tables in shard order plus the round-robin ingest cursor.

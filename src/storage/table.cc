@@ -294,10 +294,17 @@ Table::Parts Table::ToParts() const {
   const uint64_t rows = num_rows();
   parts.row_base = first_live * partition_rows();
   // Batch ids never decrease in row order, so each run ends at its batch's
-  // upper bound: one binary search per run.
+  // upper bound. Gallop from the run's start (probe 1, 2, 4, ... rows
+  // ahead while the probe stays in the run), then binary-search the last
+  // step: O(log run) reads near the run, not a search over the history.
   for (auto it = batch_of_.begin(); it != batch_of_.end();) {
-    const auto end = std::upper_bound(it, batch_of_.end(), *it);
-    parts.batches.push_back(BatchRun{*it, static_cast<uint64_t>(end - it)});
+    const BatchId batch = *it;
+    const size_t left = static_cast<size_t>(batch_of_.end() - it);
+    size_t bound = 1;
+    while (bound < left && it[bound] == batch) bound *= 2;
+    const auto end =
+        std::upper_bound(it + bound / 2, it + std::min(bound, left), batch);
+    parts.batches.push_back(BatchRun{batch, static_cast<uint64_t>(end - it)});
     it = end;
   }
   parts.access_counts.assign(access_count_.begin() + parts.row_base,
@@ -313,22 +320,11 @@ Table::Parts Table::ToParts() const {
 }
 
 StatusOr<RowId> Table::AppendRow(const std::vector<Value>& values) {
-  if (values.size() != columns_.size()) {
-    return Status::InvalidArgument(
-        "row arity " + std::to_string(values.size()) + " != schema arity " +
-        std::to_string(columns_.size()));
-  }
+  std::vector<std::vector<Value>> columns;
+  columns.reserve(values.size());
+  for (Value v : values) columns.push_back({v});
   const RowId row = num_rows();
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c].Append(values[c]);
-  }
-  active_.PushBack(true);
-  insert_tick_.push_back(next_tick_++);
-  batch_of_.push_back(current_batch_);
-  access_count_.push_back(0);
-  ++num_active_;
-  ++version_;
-  AMNESIA_RETURN_NOT_OK(MaybeSealTail());
+  AMNESIA_RETURN_NOT_OK(AppendColumns(columns).status());
   return row;
 }
 
@@ -358,7 +354,7 @@ StatusOr<uint64_t> Table::AppendColumns(
     access_count_.push_back(0);
   }
   num_active_ += rows;
-  version_ += rows;  // as `rows` AppendRow calls would
+  version_ += rows;  // one per row, whatever the call's size
   AMNESIA_RETURN_NOT_OK(MaybeSealTail());
   return static_cast<uint64_t>(rows);
 }

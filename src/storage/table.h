@@ -281,14 +281,15 @@ class Table {
   /// durable but its journal record was lost — the rename preserves the
   /// bytes, so the partition restores intact) and attaches zero-reading
   /// placeholders for dropped partitions. Exposed for the checkpoint
-  /// module; regular clients use Make() + AppendRow().
+  /// module; regular clients use Make() + AppendColumns().
   static StatusOr<Table> FromParts(Parts parts);
 
   /// Copies the table into its image, the inverse of FromParts: the
   /// access counts and active bits from `row_base` on, the batches as one
-  /// run per batch (found by binary search), the payload as each column's
-  /// data() (a mapped table's sealed rows stay in their partition files).
-  /// O(rows from row_base on + partitions + batches · log rows).
+  /// run per batch (found by galloping from the run's start), the payload
+  /// as each column's data() (a mapped table's sealed rows stay in their
+  /// partition files). O(rows from row_base on + partitions + Σ over
+  /// batches of log(run length)).
   Parts ToParts() const;
 
   /// Returns the schema.
@@ -347,19 +348,21 @@ class Table {
   /// Starts a new update batch; subsequent appends are stamped with it.
   void BeginBatch() { ++current_batch_; }
 
-  /// Appends one row. `values` must have exactly num_columns() entries.
-  /// Returns the new RowId.
+  /// Appends one row: a one-row AppendColumns. `values` must have exactly
+  /// num_columns() entries. Returns the new RowId.
   StatusOr<RowId> AppendRow(const std::vector<Value>& values);
 
-  /// Bulk ingest: appends `columns[c][i]` as row i's column c. All inner
-  /// vectors must share one length and `columns` must have num_columns()
-  /// entries. Equivalent to (but much faster than) appending each row with
-  /// AppendRow, down to version(), which advances by the row count, so
-  /// the durability epoch a checkpoint records does not depend on the
-  /// ingest path. Returns the number of rows appended. Every per-row array
-  /// grows geometrically, never to an exact fit, so a run of bulk appends
-  /// costs amortized O(rows appended); an exact-fit reserve would copy all
-  /// per-row metadata on every call.
+  /// Ingest, the one path every appended row takes: appends
+  /// `columns[c][i]` as row i's column c, stamping each row with the next
+  /// tick and the current batch, then seals every partition the tail
+  /// filled. All inner vectors must share one length and `columns` must
+  /// have num_columns() entries. The result does not depend on how the
+  /// rows are split into calls, down to version(), which advances by the
+  /// row count, so the durability epoch a checkpoint records does not
+  /// depend on the ingest path. Returns the number of rows appended. Every
+  /// per-row array grows geometrically, never to an exact fit, so a run of
+  /// appends costs amortized O(rows appended); an exact-fit reserve would
+  /// copy all per-row metadata on every call.
   StatusOr<uint64_t> AppendColumns(
       const std::vector<std::vector<Value>>& columns);
 

@@ -662,6 +662,28 @@ TEST(PartsTest, ADroppedRowNeitherRevivesNorCountsAccesses) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(PartsTest, BatchRunsFollowEveryRunLength) {
+  // ToParts finds each run's end by galloping from its start. Runs of one
+  // row, of powers of two and one either side of them, a batch with no
+  // rows and a long last run must each come back as exactly one run.
+  Table t = Table::Make(Schema::SingleColumn("v", 0, 1000)).value();
+  std::vector<Table::BatchRun> expect;
+  for (const uint64_t rows :
+       {3u, 1u, 2u, 0u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 64u, 65u, 1000u}) {
+    if (rows > 0) {
+      ASSERT_TRUE(t.AppendColumns({std::vector<Value>(rows, 7)}).ok());
+      expect.push_back(Table::BatchRun{t.current_batch(), rows});
+    }
+    t.BeginBatch();
+  }
+  const Table::Parts parts = t.ToParts();
+  ASSERT_EQ(parts.batches.size(), expect.size());
+  for (size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(parts.batches[i].batch, expect[i].batch) << "run " << i;
+    EXPECT_EQ(parts.batches[i].rows, expect[i].rows) << "run " << i;
+  }
+}
+
 TEST(PartsTest, CaptureCoversTheLivePartitionsNotTheHistory) {
   // FIFO drops keep two sealed partitions live. The image's per-row
   // arrays must cover those plus the tail, and its batch runs one per
@@ -753,88 +775,6 @@ TEST(PartsTest, ToPartsRoundTripsVectorAndMappedTables) {
   }
   std::filesystem::remove_all(dir);
 }
-
-// ------------------------------------------------------ database level
-
-Database MakeRichDatabase() {
-  Database db;
-  Table* customers =
-      db.CreateTable("customers", Schema::SingleColumn("id", 0, 100)).value();
-  Table* orders =
-      db.CreateTable("orders", Schema::SingleColumn("customer_id", 0, 100))
-          .value();
-  EXPECT_TRUE(
-      db.AddForeignKey(ForeignKey{"orders", 0, "customers", 0}).ok());
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(customers->AppendRow({i}).ok());
-    EXPECT_TRUE(orders->AppendRow({i}).ok());
-    EXPECT_TRUE(orders->AppendRow({i}).ok());
-  }
-  EXPECT_TRUE(customers->Forget(9).ok());
-  return db;
-}
-
-TEST(DatabaseCheckpointTest, RoundTrip) {
-  const Database original = MakeRichDatabase();
-  const std::vector<uint8_t> buffer = CheckpointDatabase(original);
-  const Database restored = RestoreDatabase(buffer).value();
-  EXPECT_EQ(restored.num_tables(), 2u);
-  EXPECT_EQ(restored.foreign_keys().size(), 1u);
-  ExpectTablesEqual(*original.GetTable("customers").value(),
-                    *restored.GetTable("customers").value());
-  ExpectTablesEqual(*original.GetTable("orders").value(),
-                    *restored.GetTable("orders").value());
-  // FK metadata survives and integrity checking still works (and still
-  // reports the dangling orders of the forgotten customer 9).
-  EXPECT_FALSE(restored.CheckReferentialIntegrity().ok());
-}
-
-TEST(DatabaseCheckpointTest, EmptyDatabase) {
-  Database db;
-  const Database restored = RestoreDatabase(CheckpointDatabase(db)).value();
-  EXPECT_EQ(restored.num_tables(), 0u);
-}
-
-TEST(DatabaseCheckpointTest, RejectsTableMagicAsDatabase) {
-  Table t = Table::Make(Schema::SingleColumn("a", 0, 10)).value();
-  EXPECT_EQ(RestoreDatabase(CheckpointTable(t)).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(DatabaseCheckpointTest, RejectsTruncation) {
-  // Every strict prefix of the container (and so of the table blobs it
-  // nests) fails.
-  const Database db = MakeRichDatabase();
-  const std::vector<uint8_t> buffer = CheckpointDatabase(db);
-  for (size_t cut = 0; cut < buffer.size(); ++cut) {
-    const std::vector<uint8_t> truncated(
-        buffer.begin(), buffer.begin() + static_cast<ptrdiff_t>(cut));
-    EXPECT_FALSE(RestoreDatabase(truncated).ok()) << "cut at " << cut;
-  }
-}
-
-TEST(DatabaseCheckpointTest, ByteFlipsFailOrRestore) {
-  // Every single-byte flip either fails with a Status or restores a
-  // consistent database; none may crash.
-  const std::vector<uint8_t> buffer = CheckpointDatabase(MakeRichDatabase());
-  Rng rng(29);
-  uint64_t restored = 0;
-  for (size_t pos = 0; pos < buffer.size(); ++pos) {
-    std::vector<uint8_t> mutated = buffer;
-    mutated[pos] ^= static_cast<uint8_t>(1 + rng.UniformIndex(255));
-    const StatusOr<Database> result = RestoreDatabase(mutated);
-    if (!result.ok()) continue;
-    ++restored;
-    for (const std::string& name : result->TableNames()) {
-      const Table* table = result->GetTable(name).value();
-      EXPECT_LE(table->num_active(), table->num_rows()) << "byte " << pos;
-    }
-    (void)result->CheckReferentialIntegrity();
-  }
-  // Flips inside payload values and counters still decode.
-  EXPECT_GT(restored, 0u);
-}
-
 
 // ------------------------------------------------------------- tier stores
 

@@ -126,27 +126,33 @@ TEST(TableImageTest, EncodesToCheckpointBytesAfterEachMutation) {
       {"appends in a new batch", 1, 1000,
        [](ShardedTable* t) {
          t->BeginBatch();
-         for (int i = 0; i < 100; ++i) ASSERT_TRUE(t->AppendRow({i}).ok());
+         std::vector<Value> values(100);
+         std::iota(values.begin(), values.end(), Value{0});
+         ASSERT_TRUE(t->AppendColumns({values}).ok());
        }},
       {"forgets", 1, 1000,
        [](ShardedTable* t) {
-         for (RowId r = 0; r < 500; r += 2) ASSERT_TRUE(t->Forget(r).ok());
+         for (RowId r = 0; r < 500; r += 2) {
+           ASSERT_TRUE(t->mutable_shard(0).Forget(r).ok());
+         }
        }},
-      {"an access bump", 1, 300, [](ShardedTable* t) { t->BumpAccess(7); }},
+      {"an access bump", 1, 300,
+       [](ShardedTable* t) { t->mutable_shard(0).BumpAccess(7); }},
       {"a scrub", 1, 300,
        [](ShardedTable* t) {
-         ASSERT_TRUE(t->Forget(5).ok());
-         ASSERT_TRUE(t->ScrubRow(5).ok());
+         ASSERT_TRUE(t->mutable_shard(0).Forget(5).ok());
+         ASSERT_TRUE(t->mutable_shard(0).ScrubRow(5).ok());
        }},
       {"compaction", 1, 300,
        [](ShardedTable* t) {
-         for (RowId r = 0; r < 100; ++r) ASSERT_TRUE(t->Forget(r).ok());
-         (void)t->CompactForgotten();
-         for (int i = 0; i < 10; ++i) ASSERT_TRUE(t->AppendRow({i}).ok());
+         Table& shard = t->mutable_shard(0);
+         for (RowId r = 0; r < 100; ++r) ASSERT_TRUE(shard.Forget(r).ok());
+         (void)shard.CompactForgotten();
+         ASSERT_TRUE(t->AppendColumns({{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}).ok());
        }},
       {"a forget on one shard of four", 4, 400,
        [](ShardedTable* t) {
-         ASSERT_TRUE(t->Forget(MakeGlobalRowId(2, 0)).ok());
+         ASSERT_TRUE(t->mutable_shard(2).Forget(0).ok());
        }},
   };
   for (const Case& c : cases) {
@@ -155,9 +161,9 @@ TEST(TableImageTest, EncodesToCheckpointBytesAfterEachMutation) {
         ShardedTable::Make(Schema::SingleColumn("v", 0, 1'000'000), c.shards)
             .value();
     Rng rng(11);
-    for (uint64_t i = 0; i < c.rows; ++i) {
-      ASSERT_TRUE(table.AppendRow({rng.UniformInt(0, 999'999)}).ok());
-    }
+    std::vector<Value> values(c.rows);
+    for (Value& v : values) v = rng.UniformInt(0, 999'999);
+    ASSERT_TRUE(table.AppendColumns({values}).ok());
     c.mutate(&table);
     for (uint32_t s = 0; s < table.num_shards(); ++s) {
       EXPECT_EQ(EncodeTableParts(table.shard(s).ToParts()),
@@ -389,6 +395,103 @@ TEST(ReplayTest, RebuildsShardedTableBitIdentically) {
   }
 }
 
+TEST(ReplayTest, AppendRecordsThatStartMidRoundRobinRebuildTheShards) {
+  // Append records of 203, 97 and 1 rows, twice, each followed by a
+  // journaled forget pass. The records start at cursors 0, 203, 300, 301,
+  // 504 and 601: three of them mid-round-robin on 4 shards (cursor % 4 of
+  // 3, 1, 1), two on 7 shards (6, 6). A replay that placed a record's rows
+  // from shard 0 would put those on other shards than the live ingest did.
+  const Schema schema = Schema::SingleColumn("v", 0, 10000);
+  for (const uint32_t shards : {4u, 7u}) {
+    for (const BackendKind backend :
+         {BackendKind::kMarkOnly, BackendKind::kDelete}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + ", backend " +
+                   std::string(BackendKindToString(backend)));
+      EventLog log;  // memory-only
+      ShardedTable table = ShardedTable::Make(schema, shards).value();
+      ShardedControllerOptions sopts;
+      sopts.dbsize_budget = 150;
+      sopts.backend = backend;
+      sopts.seed = 41;
+      PolicyOptions popts;
+      popts.kind = PolicyKind::kUniform;
+      ShardedAmnesiaController ctrl =
+          ShardedAmnesiaController::Make(sopts, popts, &table, nullptr, &log)
+              .value();
+      Rng rng(19);
+      uint64_t appended = 0;
+      for (const size_t rows : {203u, 97u, 1u, 203u, 97u, 1u}) {
+        table.BeginBatch();
+        Event begin;
+        begin.kind = EventKind::kBeginBatch;
+        ASSERT_TRUE(log.Append(begin).ok());
+        std::vector<Value> chunk(rows);
+        for (Value& v : chunk) v = rng.UniformInt(0, 9999);
+        ASSERT_TRUE(table.AppendColumns({chunk}).ok());
+        Event append;
+        append.kind = EventKind::kAppendRows;
+        append.columns = {chunk};
+        ASSERT_TRUE(log.Append(append).ok());
+        appended += rows;
+        ASSERT_TRUE(ctrl.EnforceBudget().ok());
+        ASSERT_EQ(table.num_active(), std::min<uint64_t>(150, appended));
+      }
+      ASSERT_GT(table.lifetime_forgotten(), 0u);
+
+      std::vector<Table> replayed;
+      for (uint32_t s = 0; s < shards; ++s) {
+        replayed.push_back(Table::Make(schema).value());
+      }
+      uint64_t cursor = 0;
+      ASSERT_TRUE(ReplayEvents(log.events(), 0, &replayed, &cursor).ok());
+      EXPECT_EQ(cursor, appended);
+      const ShardedTable rebuilt =
+          ShardedTable::FromShards(std::move(replayed), cursor).value();
+      ExpectSameShardedState(rebuilt, table);
+    }
+  }
+}
+
+TEST(ReplayTest, RaggedAppendRecordIsRefused) {
+  // DecodeEvent rejects a ragged payload read from disk; a record built in
+  // memory reaches ReplayEvent as it is and must be refused there, before
+  // any row is placed, not read past its shorter column.
+  const Schema schema({ColumnDef{"a", 0, 100}, ColumnDef{"b", 0, 100}});
+  std::vector<Table> tables;
+  tables.push_back(Table::Make(schema).value());
+  tables.push_back(Table::Make(schema).value());
+  uint64_t cursor = 1;
+  Event event;
+  event.kind = EventKind::kAppendRows;
+  event.columns = {{1, 2, 3}, {4, 5}};
+  EXPECT_EQ(ReplayEvent(event, &tables, &cursor).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(cursor, 1u);
+  for (const Table& t : tables) EXPECT_EQ(t.num_rows(), 0u);
+}
+
+TEST(ReplayTest, DropRecordOnAVectorShardIsRefused) {
+  // Only a mapped shard journals a partition drop, and a mapped blob
+  // restores mapped, so a drop record addressed to a vector shard is a log
+  // that does not match its snapshot: replay refuses it as
+  // Table::DropPartition refuses a vector table, and changes nothing.
+  std::vector<Table> tables;
+  tables.push_back(MakeLoadedTable(256, 3));
+  tables.push_back(MakeLoadedTable(256, 4));
+  tables[1].BumpAccess(5);
+  const std::vector<uint8_t> before = CheckpointTable(tables[1]);
+  uint64_t cursor = 512;
+  Event drop;
+  drop.kind = EventKind::kDropPartition;
+  drop.shard = 1;
+  drop.row = 0;
+  drop.value = 64;
+  EXPECT_EQ(ReplayEvent(drop, &tables, &cursor).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(CheckpointTable(tables[1]), before);
+  EXPECT_EQ(tables[1].num_active(), 256u);
+}
+
 TEST(ReplayTest, ForgetEventsRefillTierSinks) {
   // Forget into a summary tier through the unsharded controller, then
   // replay the log into a fresh tier and expect identical cells.
@@ -612,7 +715,7 @@ TEST(CheckpointerTest, AsyncRoundTripWithIncrementalSkip) {
   EXPECT_EQ(ckpt.stats().shards_written, 4u);
 
   // Mutate one shard only; the second checkpoint rewrites just that blob.
-  ASSERT_TRUE(table.Forget(MakeGlobalRowId(1, 0)).ok());
+  ASSERT_TRUE(table.mutable_shard(1).Forget(0).ok());
   ASSERT_TRUE(ckpt.Checkpoint(table, /*covered_lsn=*/0).ok());
   ASSERT_TRUE(ckpt.WaitIdle().ok());
   EXPECT_EQ(ckpt.stats().checkpoints, 2u);

@@ -880,11 +880,10 @@ TEST(MappedShardedTest, ShardedForgetPassesMatchTheVectorOracle) {
   ASSERT_TRUE(fs::exists(dir.file("shard-0")));
 
   Rng rng(71);
-  for (uint64_t i = 0; i < 1000; ++i) {
-    const Value v = rng.UniformInt(0, 999'999);
-    ASSERT_TRUE(mapped.AppendRow({v}).ok());
-    ASSERT_TRUE(vec.AppendRow({v}).ok());
-  }
+  std::vector<Value> values(1000);
+  for (Value& v : values) v = rng.UniformInt(0, 999'999);
+  ASSERT_TRUE(mapped.AppendColumns({values}).ok());
+  ASSERT_TRUE(vec.AppendColumns({values}).ok());
 
   ShardedControllerOptions sopts;
   sopts.dbsize_budget = 600;
@@ -915,18 +914,17 @@ TEST(MappedShardedTest, ParallelPlanKeepsPartitionsAndMatchesTheVectorTwin) {
       ShardedTable::Make(schema, 4, Mapped(dir.path(), 64)).value();
   ShardedTable vec = ShardedTable::Make(schema, 4).value();
   Rng rng(72);
-  for (uint64_t i = 0; i < 1000; ++i) {
-    const Value v = rng.UniformInt(0, 999'999);
-    ASSERT_TRUE(mapped.AppendRow({v}).ok());
-    ASSERT_TRUE(vec.AppendRow({v}).ok());
-  }
+  std::vector<Value> values(1000);
+  for (Value& v : values) v = rng.UniformInt(0, 999'999);
+  ASSERT_TRUE(mapped.AppendColumns({values}).ok());
+  ASSERT_TRUE(vec.AppendColumns({values}).ok());
   // Forget ~1 row in 5 of every shard, plus all of shard 1's first
   // partition so the vectorized kernels also skip a whole morsel.
   for (uint32_t s = 0; s < 4; ++s) {
     for (RowId r = 0; r < mapped.shard(s).num_rows(); ++r) {
       if ((s == 1 && r < 64) || rng.Bernoulli(0.2)) {
-        ASSERT_TRUE(mapped.Forget(MakeGlobalRowId(s, r)).ok());
-        ASSERT_TRUE(vec.Forget(MakeGlobalRowId(s, r)).ok());
+        ASSERT_TRUE(mapped.mutable_shard(s).Forget(r).ok());
+        ASSERT_TRUE(vec.mutable_shard(s).Forget(r).ok());
       }
     }
     ASSERT_GT(mapped.shard(s).num_forgotten(), 0u);

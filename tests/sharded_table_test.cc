@@ -39,21 +39,29 @@ constexpr Visibility kAllVisibilities[] = {
 
 Schema TestSchema() { return Schema::SingleColumn("a", 0, 1000); }
 
-/// Appends the same pseudo-random rows to any table-like target.
+/// Returns shard `s` of either table type for mutation: an unsharded
+/// Table is its own shard 0.
+Table& MutableShard(Table* table, uint32_t) { return *table; }
+Table& MutableShard(ShardedTable* table, uint32_t s) {
+  return table->mutable_shard(s);
+}
+
+/// Appends the same pseudo-random rows to an empty table of any shard
+/// count, then forgets a seeded fraction of them in insertion order. Row i
+/// sits on shard i % n at local row i / n.
 template <typename TableLike>
 void FillRows(TableLike* table, uint64_t rows, uint64_t seed,
               double forget_fraction = 0.0) {
+  ASSERT_EQ(table->num_rows(), 0u);
   Rng rng(seed);
-  std::vector<RowId> ids;
-  ids.reserve(rows);
+  std::vector<Value> values(rows);
+  for (Value& v : values) v = rng.UniformInt(0, 1000);
+  ASSERT_EQ(table->AppendColumns({values}).value(), rows);
+  const uint32_t n = TableShards(*table).num_shards();
   for (uint64_t i = 0; i < rows; ++i) {
-    auto id = table->AppendRow({rng.UniformInt(0, 1000)});
-    ASSERT_TRUE(id.ok());
-    ids.push_back(id.value());
-  }
-  for (RowId id : ids) {
     if (rng.NextDouble() < forget_fraction) {
-      ASSERT_TRUE(table->Forget(id).ok());
+      Table& shard = MutableShard(table, static_cast<uint32_t>(i % n));
+      ASSERT_TRUE(shard.Forget(i / n).ok());
     }
   }
 }
@@ -122,43 +130,50 @@ TEST(ShardedTableTest, MakeValidatesShardCount) {
   EXPECT_TRUE(ShardedTable::Make(TestSchema(), kMaxShards).ok());
 }
 
-TEST(ShardedTableTest, RoundRobinPlacementAndGlobalAccessors) {
+TEST(ShardedTableTest, RoundRobinPlacementAndShardAccess) {
   ShardedTable t = ShardedTable::Make(TestSchema(), 3).value();
-  std::vector<RowId> ids;
+  // One row per call: each call continues where the previous one stopped.
   for (Value v = 0; v < 7; ++v) {
-    ids.push_back(t.AppendRow({v * 10}).value());
+    ASSERT_EQ(t.AppendColumns({{v * 10}}).value(), 1u);
   }
-  // Row i lands on shard i % 3; global ids encode the shard.
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(ShardOfRow(ids[i]), i % 3) << "row " << i;
-    EXPECT_EQ(t.value(0, ids[i]), static_cast<Value>(i) * 10);
-    EXPECT_TRUE(t.IsActive(ids[i]));
-  }
+  EXPECT_EQ(t.ingest_cursor(), 7u);
   EXPECT_EQ(t.num_rows(), 7u);
   EXPECT_EQ(t.num_active(), 7u);
-  EXPECT_EQ(t.shard(0).num_rows(), 3u);
-  EXPECT_EQ(t.shard(1).num_rows(), 2u);
-  EXPECT_EQ(t.shard(2).num_rows(), 2u);
+  ASSERT_EQ(t.shard(0).num_rows(), 3u);
+  ASSERT_EQ(t.shard(1).num_rows(), 2u);
+  ASSERT_EQ(t.shard(2).num_rows(), 2u);
   EXPECT_EQ(t.lifetime_inserted(), 7u);
+  // Row i lands on shard i % 3 at local row i / 3, and its global id
+  // encodes both: the row is reached through its shard.
+  for (uint64_t i = 0; i < 7; ++i) {
+    const RowId id = MakeGlobalRowId(static_cast<uint32_t>(i % 3), i / 3);
+    const Table& shard = t.shard(ShardOfRow(id));
+    EXPECT_EQ(shard.value(0, LocalRowOf(id)), static_cast<Value>(i) * 10)
+        << "row " << i;
+    EXPECT_TRUE(shard.IsActive(LocalRowOf(id)));
+  }
   EXPECT_EQ(t.min_seen(0), 0);
   EXPECT_EQ(t.max_seen(0), 60);
 
-  ASSERT_TRUE(t.Forget(ids[4]).ok());
+  // Row 4 is shard 1's local row 1; the summed counters follow its shard.
+  Table& owner = t.mutable_shard(1);
+  ASSERT_TRUE(owner.Forget(1).ok());
   EXPECT_EQ(t.num_active(), 6u);
   EXPECT_EQ(t.num_forgotten(), 1u);
   EXPECT_EQ(t.lifetime_forgotten(), 1u);
-  EXPECT_FALSE(t.IsActive(ids[4]));
-  EXPECT_FALSE(t.Forget(ids[4]).ok());  // already forgotten
-  ASSERT_TRUE(t.Revive(ids[4]).ok());
-  EXPECT_TRUE(t.IsActive(ids[4]));
+  EXPECT_FALSE(owner.IsActive(1));
+  EXPECT_EQ(owner.Forget(1).code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(owner.Revive(1).ok());
+  EXPECT_TRUE(owner.IsActive(1));
+  EXPECT_EQ(t.num_active(), 7u);
 
-  // Invalid global ids: unknown shard, local row past the shard's end.
-  EXPECT_EQ(t.Forget(MakeGlobalRowId(9, 0)).code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(t.Forget(MakeGlobalRowId(1, 50)).code(), StatusCode::kOutOfRange);
+  // A local row past its shard's end is out of range.
+  EXPECT_EQ(owner.Forget(50).code(), StatusCode::kOutOfRange);
 
-  t.BumpAccess(ids[2]);
-  t.BumpAccess(ids[2]);
-  EXPECT_EQ(t.access_count(ids[2]), 2u);
+  // Row 2 is shard 2's local row 0.
+  t.mutable_shard(2).BumpAccess(0);
+  t.mutable_shard(2).BumpAccess(0);
+  EXPECT_EQ(t.shard(2).access_count(0), 2u);
 }
 
 TEST(ShardedTableTest, BeginBatchKeepsShardsInLockstep) {
@@ -167,29 +182,40 @@ TEST(ShardedTableTest, BeginBatchKeepsShardsInLockstep) {
   t.BeginBatch();
   t.BeginBatch();
   EXPECT_EQ(t.current_batch(), 2u);
-  const RowId id = t.AppendRow({5}).value();
-  EXPECT_EQ(t.batch_of(id), 2u);
+  ASSERT_TRUE(t.AppendColumns({{5, 6, 7, 8}}).ok());
   for (uint32_t s = 0; s < 4; ++s) {
     EXPECT_EQ(t.shard(s).current_batch(), 2u);
+    ASSERT_EQ(t.shard(s).num_rows(), 1u);
+    EXPECT_EQ(t.shard(s).batch_of(0), 2u) << "shard " << s;
   }
 }
 
 TEST(ShardedTableTest, CompactForgottenIsShardLocal) {
   ShardedTable t = ShardedTable::Make(TestSchema(), 2).value();
-  std::vector<RowId> ids;
-  for (Value v = 0; v < 10; ++v) ids.push_back(t.AppendRow({v}).value());
-  for (size_t i = 0; i < ids.size(); i += 3) {
-    ASSERT_TRUE(t.Forget(ids[i]).ok());
+  ASSERT_TRUE(t.AppendColumns({{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}).ok());
+  // Forget rows 0, 3, 6 and 9: row i is shard i % 2's local row i / 2.
+  for (uint64_t i = 0; i < 10; i += 3) {
+    ASSERT_TRUE(t.mutable_shard(i % 2).Forget(i / 2).ok());
   }
   const uint64_t active = t.num_active();
-  const std::vector<RowMapping> mappings = t.CompactForgotten();
-  ASSERT_EQ(mappings.size(), 2u);
+  ASSERT_EQ(active, 6u);
+  std::vector<RowMapping> mappings;
+  for (uint32_t s = 0; s < t.num_shards(); ++s) {
+    mappings.push_back(t.mutable_shard(s).CompactForgotten());
+  }
   EXPECT_EQ(t.num_rows(), active);
   EXPECT_EQ(t.num_forgotten(), 0u);
-  EXPECT_EQ(mappings[0].removed + mappings[1].removed, 10u - active);
+  // Each shard removed its own two forgotten rows.
+  EXPECT_EQ(mappings[0].removed, 2u);
+  EXPECT_EQ(mappings[1].removed, 2u);
   // Lifetime counters survive compaction.
   EXPECT_EQ(t.lifetime_inserted(), 10u);
   EXPECT_EQ(t.lifetime_forgotten(), 10u - active);
+  // Ingest resumes from the cursor, not from the compacted row counts:
+  // row 10 goes to shard 0.
+  ASSERT_TRUE(t.AppendColumns({{10}}).ok());
+  EXPECT_EQ(t.shard(0).num_rows(), 4u);
+  EXPECT_EQ(t.shard(0).value(0, 3), 10);
 }
 
 // ------------------------------------------------------- bulk ingest
@@ -256,44 +282,67 @@ TEST(AppendColumnsTest, TableBulkMatchesRowAtATime) {
 }
 
 TEST(AppendColumnsTest, ValidatesArityAndRaggedness) {
-  Table t = Table::Make(TestSchema()).value();
-  EXPECT_FALSE(t.AppendColumns({}).ok());
-  EXPECT_FALSE(t.AppendColumns({{1, 2}, {3}}).ok());
-  EXPECT_EQ(t.AppendColumns({std::vector<Value>{}}).value(), 0u);
+  // Refused before any row lands: on a Table, and on a ShardedTable
+  // mid-round-robin, which also keeps its cursor.
+  const Schema schema({ColumnDef{"a", 0, 10}, ColumnDef{"b", 0, 10}});
+  const std::vector<std::vector<std::vector<Value>>> bad = {
+      {},                   // no columns
+      {{1, 2, 3}},          // one column of two
+      {{1, 2, 3}, {4, 5}},  // ragged: the second column ends first
+  };
+  Table t = Table::Make(schema).value();
+  ShardedTable sharded = ShardedTable::Make(schema, 3).value();
+  ASSERT_TRUE(sharded.AppendColumns({{1}, {2}}).ok());
+  for (const auto& columns : bad) {
+    EXPECT_EQ(t.AppendColumns(columns).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(sharded.AppendColumns(columns).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(t.AppendColumns({{}, {}}).value(), 0u);
   EXPECT_EQ(t.num_rows(), 0u);
+  EXPECT_EQ(sharded.ingest_cursor(), 1u);
+  EXPECT_EQ(sharded.num_rows(), 1u);
 }
 
-TEST(AppendColumnsTest, ShardedBulkMatchesRowAtATime) {
+TEST(AppendColumnsTest, ShardedPlacementFollowsRoundRobin) {
+  // The placement rule, restated here so the check shares no code with
+  // AppendRoundRobin: row k of a call lands on shard (cursor + k) % n, at
+  // that shard's next local row. Two columns, so a row's cells must stay
+  // together; the 3-row call leaves every later call starting
+  // mid-round-robin on 2, 4 and 7 shards.
+  const Schema schema({ColumnDef{"a", 0, 1000}, ColumnDef{"b", 0, 1000}});
   for (uint32_t shards : {1u, 2u, 4u, 7u}) {
-    ShardedTable bulk = ShardedTable::Make(TestSchema(), shards).value();
-    ShardedTable serial = ShardedTable::Make(TestSchema(), shards).value();
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ShardedTable t = ShardedTable::Make(schema, shards).value();
+    // Expected (a, b, batch) of each shard's rows, in local row order.
+    std::vector<std::vector<std::vector<Value>>> expect(shards);
     Rng rng(13);
-    std::vector<Value> values;
-    for (int i = 0; i < 300; ++i) values.push_back(rng.UniformInt(0, 1000));
-
-    // Seed both with a few single-row appends so the bulk path starts
-    // mid-round-robin, then bulk-load in two slices.
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(bulk.AppendRow({values[static_cast<size_t>(i)]}).ok());
-      ASSERT_TRUE(serial.AppendRow({values[static_cast<size_t>(i)]}).ok());
+    uint64_t cursor = 0;
+    for (const size_t call_rows : {3u, 97u, 200u}) {
+      t.BeginBatch();
+      std::vector<Value> a(call_rows);
+      std::vector<Value> b(call_rows);
+      for (size_t k = 0; k < call_rows; ++k) {
+        a[k] = rng.UniformInt(0, 1000);
+        b[k] = rng.UniformInt(0, 1000);
+      }
+      ASSERT_EQ(t.AppendColumns({a, b}).value(), call_rows);
+      for (size_t k = 0; k < call_rows; ++k) {
+        expect[(cursor + k) % shards].push_back(
+            {a[k], b[k], static_cast<Value>(t.current_batch())});
+      }
+      cursor += call_rows;
+      ASSERT_EQ(t.ingest_cursor(), cursor);
     }
-    const std::vector<Value> slice1(values.begin() + 3, values.begin() + 100);
-    const std::vector<Value> slice2(values.begin() + 100, values.end());
-    ASSERT_EQ(bulk.AppendColumns({slice1}).value(), slice1.size());
-    ASSERT_EQ(bulk.AppendColumns({slice2}).value(), slice2.size());
-    for (size_t i = 3; i < values.size(); ++i) {
-      ASSERT_TRUE(serial.AppendRow({values[i]}).ok());
-    }
-
-    ASSERT_EQ(bulk.num_rows(), serial.num_rows());
-    ASSERT_EQ(bulk.ingest_cursor(), serial.ingest_cursor());
     for (uint32_t s = 0; s < shards; ++s) {
-      const Table& bs = bulk.shard(s);
-      const Table& ss = serial.shard(s);
-      ASSERT_EQ(bs.num_rows(), ss.num_rows()) << "shard " << s;
-      for (RowId r = 0; r < bs.num_rows(); ++r) {
-        ASSERT_EQ(bs.value(0, r), ss.value(0, r));
-        ASSERT_EQ(bs.insert_tick(r), ss.insert_tick(r));
+      const Table& shard = t.shard(s);
+      ASSERT_EQ(shard.num_rows(), expect[s].size()) << "shard " << s;
+      for (RowId r = 0; r < shard.num_rows(); ++r) {
+        ASSERT_EQ(shard.value(0, r), expect[s][r][0]) << "shard " << s;
+        ASSERT_EQ(shard.value(1, r), expect[s][r][1]) << "shard " << s;
+        ASSERT_EQ(static_cast<Value>(shard.batch_of(r)), expect[s][r][2]);
+        ASSERT_EQ(shard.insert_tick(r), r);  // ticks are shard-local
       }
     }
   }
@@ -445,11 +494,12 @@ void RunRounds(TableLike* table, GroundTruthOracle* oracle, uint32_t rounds,
   Rng data_rng(5);
   for (uint32_t b = 0; b < rounds; ++b) {
     table->BeginBatch();
-    for (uint64_t i = 0; i < per_round; ++i) {
-      const Value v = data_rng.UniformInt(0, 1000);
-      ASSERT_TRUE(table->AppendRow({v}).ok());
+    std::vector<Value> values(per_round);
+    for (Value& v : values) {
+      v = data_rng.UniformInt(0, 1000);
       oracle->Append(v);
     }
+    ASSERT_TRUE(table->AppendColumns({values}).ok());
     oracle->Seal();
     enforce();
   }
@@ -494,7 +544,7 @@ TEST_P(ShardedForgetTest, SingleShardForgetsExactlyTheUnshardedVictims) {
   EXPECT_EQ(sharded.num_active(), flat.num_active());
   EXPECT_EQ(sharded.lifetime_forgotten(), flat.lifetime_forgotten());
   for (RowId r = 0; r < flat.num_rows(); ++r) {
-    ASSERT_EQ(sharded.IsActive(r), flat.IsActive(r))
+    ASSERT_EQ(sharded.shard(0).IsActive(r), flat.IsActive(r))
         << PolicyKindToString(kind) << " row " << r;
   }
 }
@@ -630,7 +680,7 @@ TEST(ShardedCheckpointTest, RoundTripsShardsIndependently) {
   ShardedTable table = ShardedTable::Make(TestSchema(), 3).value();
   FillRows(&table, 500, /*seed=*/17, /*forget_fraction=*/0.25);
   table.BeginBatch();
-  ASSERT_TRUE(table.AppendRow({42}).ok());
+  ASSERT_TRUE(table.AppendColumns({{42}}).ok());
 
   // A sharded table persists through the checkpointer: one blob per
   // shard, committed by one manifest with the ingest cursor.
@@ -664,10 +714,12 @@ TEST(ShardedCheckpointTest, RoundTripsShardsIndependently) {
   }
 
   // Round-robin ingest resumes where the checkpoint left off.
-  const RowId next = r.AppendRow({7}).value();
-  const RowId expect_shard =
-      static_cast<RowId>(table.ingest_cursor() % table.num_shards());
-  EXPECT_EQ(ShardOfRow(next), expect_shard);
+  const uint32_t next =
+      static_cast<uint32_t>(table.ingest_cursor() % table.num_shards());
+  const uint64_t local = r.shard(next).num_rows();
+  ASSERT_TRUE(r.AppendColumns({{7}}).ok());
+  ASSERT_EQ(r.shard(next).num_rows(), local + 1);
+  EXPECT_EQ(r.shard(next).value(0, local), 7);
 }
 
 }  // namespace

@@ -440,15 +440,13 @@ TEST(ShardedEngineEquivalenceTest, FourShardsSerialAndParallel) {
   ShardedTable t =
       ShardedTable::Make(Schema::SingleColumn("a", -1000, 1000), 4).value();
   Rng rng(31);
-  std::vector<RowId> ids;
-  for (uint64_t i = 0; i < 1000; ++i) {
-    auto id = t.AppendRow({rng.UniformInt(-1000, 1000)});
-    ASSERT_TRUE(id.ok());
-    ids.push_back(id.value());
-  }
-  for (RowId id : ids) {
+  std::vector<Value> values(1000);
+  for (Value& v : values) v = rng.UniformInt(-1000, 1000);
+  ASSERT_TRUE(t.AppendColumns({values}).ok());
+  // Row i of the append sits on shard i % 4, at local row i / 4.
+  for (uint64_t i = 0; i < values.size(); ++i) {
     if (rng.NextDouble() < 0.3) {
-      ASSERT_TRUE(t.Forget(id).ok());
+      ASSERT_TRUE(t.mutable_shard(i % 4).Forget(i / 4).ok());
     }
   }
   ExpectShardedEnginesAgree(t, RangePredicate{0, -400, 500});
@@ -483,6 +481,21 @@ std::vector<Value> RandomValues(uint64_t n, Rng* rng) {
   std::vector<Value> out;
   for (uint64_t i = 0; i < n; ++i) out.push_back(rng->UniformInt(0, 999));
   return out;
+}
+
+// The table holding global row `r`, which it addresses as LocalRowOf(r):
+// an unsharded Table is its own shard 0, whose global ids are its local
+// ones.
+Table& ShardOf(Table* t, RowId) { return *t; }
+Table& ShardOf(ShardedTable* t, RowId r) {
+  return t->mutable_shard(ShardOfRow(r));
+}
+
+void CompactEveryShard(Table* t) { t->CompactForgotten(); }
+void CompactEveryShard(ShardedTable* t) {
+  for (uint32_t s = 0; s < t->num_shards(); ++s) {
+    CompactEveryShard(&t->mutable_shard(s));
+  }
 }
 
 Status DropFirstPartition(Table* t) {
@@ -523,7 +536,8 @@ template <typename T>
 std::vector<std::pair<const char*, std::function<Status(T*)>>>
 MutationSteps() {
   return {
-      {"AppendRow", [](T* t) { return t->AppendRow({321}).status(); }},
+      {"one-row append",
+       [](T* t) { return t->AppendColumns({{321}}).status(); }},
       {"AppendColumns",
        [](T* t) {
          Rng rng(2);
@@ -540,27 +554,33 @@ MutationSteps() {
        [](T* t) {
          const std::vector<RowId> live = RowsWhere(*t, true);
          for (size_t i = 0; i < live.size(); i += 5) {
-           AMNESIA_RETURN_NOT_OK(t->Forget(live[i]));
+           AMNESIA_RETURN_NOT_OK(
+               ShardOf(t, live[i]).Forget(LocalRowOf(live[i])));
          }
          return Status::OK();
        }},
       {"ScrubRow",
        [](T* t) {
          // 750 lies in [700, 800): a stale list would show the old value.
-         return t->ScrubRow(RowsWhere(*t, false).back(), 750);
+         const RowId dead = RowsWhere(*t, false).back();
+         return ShardOf(t, dead).ScrubRow(LocalRowOf(dead), 750);
        }},
       {"Revive",
-       [](T* t) { return t->Revive(RowsWhere(*t, false).back()); }},
+       [](T* t) {
+         const RowId dead = RowsWhere(*t, false).back();
+         return ShardOf(t, dead).Revive(LocalRowOf(dead));
+       }},
       {"Forget one, Revive another",
        [](T* t) {
          // Row and active counts stay the same; the live set does not.
          const RowId dead = RowsWhere(*t, false).front();
-         AMNESIA_RETURN_NOT_OK(t->Forget(RowsWhere(*t, true).back()));
-         return t->Revive(dead);
+         const RowId live = RowsWhere(*t, true).back();
+         AMNESIA_RETURN_NOT_OK(ShardOf(t, live).Forget(LocalRowOf(live)));
+         return ShardOf(t, dead).Revive(LocalRowOf(dead));
        }},
       {"CompactForgotten",
        [](T* t) {
-         t->CompactForgotten();
+         CompactEveryShard(t);
          return Status::OK();
        }},
       {"DropPartition", [](T* t) { return DropFirstPartition(t); }},
@@ -572,7 +592,10 @@ MutationSteps() {
          return Status::OK();
        }},
       {"Forget after the move",
-       [](T* t) { return t->Forget(RowsWhere(*t, true).front()); }},
+       [](T* t) {
+         const RowId live = RowsWhere(*t, true).front();
+         return ShardOf(t, live).Forget(LocalRowOf(live));
+       }},
   };
 }
 
@@ -649,7 +672,9 @@ TEST(LiveCandidatesTest, RacingFirstScansAfterAMutationAgree) {
     for (int round = 0; round < 20; ++round) {
       // A mutation right before the race: both threads find the list stale.
       const std::vector<RowId> live = RowsWhere(t, true);
-      ASSERT_TRUE(t.Forget(live[rng.UniformIndex(live.size())]).ok());
+      const RowId victim = live[rng.UniformIndex(live.size())];
+      ASSERT_TRUE(
+          t.mutable_shard(ShardOfRow(victim)).Forget(LocalRowOf(victim)).ok());
       const ResultSet expect =
           ScanRange(t, pred, Visibility::kActiveOnly, Engine::kScalar).value();
 
