@@ -2,9 +2,10 @@
 
 #include "common/bitmap.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
+
+#include "common/radix_sort.h"
 
 namespace amnesia {
 
@@ -156,7 +157,10 @@ std::vector<size_t> Bitmap::SelectSetMany(
   std::vector<std::pair<size_t, size_t>> order;  // (rank, input index)
   order.reserve(ranks.size());
   for (size_t i = 0; i < ranks.size(); ++i) order.emplace_back(ranks[i], i);
-  std::sort(order.begin(), order.end());
+  // Stable on the rank, so repeated ranks stay in input order.
+  RadixSort(&order, [](const std::pair<size_t, size_t>& p) {
+    return static_cast<uint64_t>(p.first);
+  });
   std::vector<size_t> out(ranks.size(), size_);
   size_t next = 0;  // first entry of `order` not yet resolved
   size_t seen = 0;  // set bits in the words before w

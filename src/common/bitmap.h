@@ -99,9 +99,12 @@ class Bitmap {
   /// SelectSet for many ranks at once: out[i] is SelectSet(ranks[i]), so
   /// the positions come back in input order and a rank past the last set
   /// bit yields size(). Ranks may come in any order and may repeat. The
-  /// ranks are sorted and every one is resolved in a single walk over the
-  /// words with a running popcount: O(k log k + size()/64) for k ranks,
-  /// where k calls to SelectSet cost O(k * size()/64).
+  /// ranks are radix-sorted (RadixSort, one scatter pass per byte in
+  /// which the ranks differ: at most 8, 3 below 2^24) and every one is
+  /// resolved in a single walk over the words with a running popcount:
+  /// O(k + size()/64) for k ranks, where k calls to SelectSet cost
+  /// O(k * size()/64). The sort allocates one k-pair scratch buffer, freed
+  /// before the walk.
   std::vector<size_t> SelectSetMany(const std::vector<size_t>& ranks) const;
 
   /// Sets all bits to `value`.

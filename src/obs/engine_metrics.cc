@@ -26,6 +26,9 @@ EngineMetrics& EngineMetrics::Get() {
     m->amnesia_shard_passes = r.GetCounter("amnesia.shard_passes");
     m->amnesia_pass_ns = r.GetHistogram("amnesia.pass_ns");
 
+    m->oracle_values_merged = r.GetCounter("oracle.values_merged");
+    m->oracle_folds = r.GetCounter("oracle.folds");
+
     m->checkpoint_commits = r.GetCounter("checkpoint.commits");
     m->checkpoint_bytes_written = r.GetCounter("checkpoint.bytes_written");
     m->checkpoint_shards_written = r.GetCounter("checkpoint.shards_written");

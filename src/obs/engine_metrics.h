@@ -38,6 +38,12 @@ struct EngineMetrics {
                                      // controller (its budget splits)
   Histogram* amnesia_pass_ns;        // EnforceBudget wall time
 
+  // --- ground-truth oracle ---------------------------------------------
+  Counter* oracle_values_merged;   // values each merge moved (seals and
+                                   // folds); per ingested row it shows
+                                   // whether a seal pays for the history
+  Counter* oracle_folds;           // delta-into-history folds
+
   // --- checkpointer -----------------------------------------------------
   Counter* checkpoint_commits;         // manifests committed
   Counter* checkpoint_bytes_written;   // blob + manifest bytes

@@ -156,18 +156,6 @@ Value ShardedTable::min_seen(size_t col) const {
   return out;
 }
 
-uint64_t ShardedTable::version() const {
-  uint64_t total = 0;
-  for (const Table& s : shards_) total += s.version();
-  return total;
-}
-
-size_t ShardedTable::ApproxBytes() const {
-  size_t total = 0;
-  for (const Table& s : shards_) total += s.ApproxBytes();
-  return total;
-}
-
 ShardedMorselRange TableShards::Morsels(uint64_t morsel_rows) const {
   std::vector<MorselRange> ranges;
   ranges.reserve(num_shards_);

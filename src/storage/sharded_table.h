@@ -90,12 +90,6 @@ class ShardedTable {
   /// shards.
   Value min_seen(size_t col) const;
 
-  /// Sum of the shards' structural versions; bumped by any shard mutation.
-  uint64_t version() const;
-
-  /// Approximate heap footprint across all shards, in bytes.
-  size_t ApproxBytes() const;
-
  private:
   explicit ShardedTable(std::vector<Table> shards, uint64_t next_shard)
       : shards_(std::move(shards)), next_shard_(next_shard) {}

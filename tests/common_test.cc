@@ -1,11 +1,18 @@
 // Copyright 2026 The AmnesiaDB Authors
 //
-// Unit tests for the common substrate: Status/StatusOr, Bitmap, Histogram,
-// RunningStats, CsvWriter, ascii charts, logging, the file-system module.
+// Unit tests for the common substrate: Status/StatusOr, Bitmap, the radix
+// sort, Histogram, RunningStats, CsvWriter, ascii charts, logging, the
+// file-system module.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
+#include <numeric>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +22,8 @@
 #include "common/fs.h"
 #include "common/histogram.h"
 #include "common/logging.h"
+#include "common/radix_sort.h"
+#include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
 
@@ -228,6 +237,36 @@ TEST(BitmapTest, SelectSetManyMatchesSelectSetInInputOrder) {
             (std::vector<size_t>{130, 130}));  // no set bits at all
 }
 
+TEST(BitmapTest, SelectSetManyAtScaleMatchesSelectSet) {
+  // 10,000 bits at about one in three, so the population's ranks need two
+  // radix digits; 3,000 ranks with repeats, ranks past the population and
+  // ranks whose high bytes differ, so the sort runs passes past byte 1.
+  Rng rng(20261022);
+  Bitmap b(10000);
+  for (size_t i = 0; i < b.size(); ++i) {
+    if (rng.UniformInt(0, 2) == 0) b.Set(i);
+  }
+  const size_t population = b.CountSet();
+  ASSERT_GT(population, 3000u);
+  std::vector<size_t> ranks;
+  for (size_t i = 0; i < 3000; ++i) {
+    switch (i % 8) {
+      case 0: ranks.push_back(population + rng.UniformIndex(50)); break;
+      case 1: ranks.push_back(ranks[rng.UniformIndex(ranks.size())]); break;
+      case 2: ranks.push_back(size_t{1} << rng.UniformInt(16, 63)); break;
+      default: ranks.push_back(rng.UniformIndex(population)); break;
+    }
+  }
+  ranks.push_back(0);
+  ranks.push_back(population - 1);
+  ranks.push_back(std::numeric_limits<size_t>::max());
+  const std::vector<size_t> got = b.SelectSetMany(ranks);
+  ASSERT_EQ(got.size(), ranks.size());
+  for (size_t i = 0; i < ranks.size(); ++i) {
+    ASSERT_EQ(got[i], b.SelectSet(ranks[i])) << "rank " << ranks[i];
+  }
+}
+
 TEST(BitmapTest, ResizeKeepsPrefixAndFillsNewBits) {
   Bitmap b(10);
   b.Set(5);
@@ -289,6 +328,96 @@ TEST(BitmapTest, ExtractWordsRealignsAnyOffset) {
         EXPECT_EQ(out.back() >> (n % 64), 0u) << "begin " << begin << " n "
                                               << n;
       }
+    }
+  }
+}
+
+// ------------------------------------------------------------ RadixSort
+
+/// Sorts int64 values with the radix kernel the way the oracle does: on
+/// the value with its sign bit flipped.
+std::vector<int64_t> RadixSorted(std::vector<int64_t> values) {
+  RadixSort(&values, [](int64_t v) {
+    return static_cast<uint64_t>(v) ^ (uint64_t{1} << 63);
+  });
+  return values;
+}
+
+std::vector<int64_t> StdSorted(std::vector<int64_t> values) {
+  std::sort(values.begin(), values.end());
+  return values;
+}
+
+TEST(RadixSortTest, EdgeInputsMatchStdSort) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::vector<int64_t> ascending(700);
+  std::iota(ascending.begin(), ascending.end(), int64_t{-350});
+  const std::vector<int64_t> descending(ascending.rbegin(),
+                                        ascending.rend());
+  const std::vector<std::vector<int64_t>> inputs = {
+      {},
+      {42},
+      {kMin},
+      std::vector<int64_t>(100, -7),  // all equal: every pass is skipped
+      std::vector<int64_t>(3, kMax),
+      ascending,
+      descending,
+      {0, -1},
+      {-1, 0},
+      {kMax, kMin},
+      {kMax, -1, 0, kMin, 0, -1, kMax, kMin, 1},
+      // Neighbours across byte boundaries and across the sign.
+      {256, -256, 255, -255, 65536, -65535, kMax - 1, kMin + 1, -1, 0, 1},
+  };
+  for (const std::vector<int64_t>& in : inputs) {
+    EXPECT_EQ(RadixSorted(in), StdSorted(in)) << "size " << in.size();
+  }
+}
+
+TEST(RadixSortTest, RandomInputsMatchStdSort) {
+  // Sizes 1-5,000, every size up to 64; values over the whole domain, in
+  // the low three bytes only (passes 4-8 skipped), over both signs with
+  // many duplicates, and varying in one high byte only.
+  Rng rng(20261023);
+  for (int round = 0; round < 240; ++round) {
+    const size_t n = round < 64 ? static_cast<size_t>(round) + 1
+                                : static_cast<size_t>(rng.UniformInt(1, 5000));
+    std::vector<int64_t> values(n);
+    for (int64_t& v : values) {
+      switch (round % 4) {
+        case 0: v = static_cast<int64_t>(rng.NextU64()); break;
+        case 1: v = rng.UniformInt(0, (int64_t{1} << 24) - 1); break;
+        case 2: v = rng.UniformInt(-1000, 1000); break;
+        default: v = rng.UniformInt(-3, 3) * (int64_t{1} << 40); break;
+      }
+    }
+    ASSERT_EQ(RadixSorted(values), StdSorted(values)) << "round " << round;
+  }
+}
+
+TEST(RadixSortTest, PairsKeepEqualKeysInInputOrder) {
+  // (key, input index) pairs with few distinct keys: a stable sort on the
+  // key alone must equal std::sort on the whole pair, which orders equal
+  // keys by input index.
+  Rng rng(20261024);
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{17}, size_t{300},
+                         size_t{2500}, size_t{5000}}) {
+    for (const uint64_t spread : {uint64_t{1}, uint64_t{5}, uint64_t{1000}}) {
+      std::vector<std::pair<uint64_t, size_t>> pairs;
+      for (size_t i = 0; i < n; ++i) {
+        // Keys differ in byte 0 and byte 7, so both ends of the key sort.
+        const uint64_t key = static_cast<uint64_t>(rng.UniformInt(
+                                 0, static_cast<int64_t>(spread) - 1)) *
+                             0x0100000000000001ull;
+        pairs.emplace_back(key, i);
+      }
+      std::vector<std::pair<uint64_t, size_t>> want = pairs;
+      std::sort(want.begin(), want.end());
+      RadixSort(&pairs, [](const std::pair<uint64_t, size_t>& p) {
+        return p.first;
+      });
+      EXPECT_EQ(pairs, want) << "n " << n << " spread " << spread;
     }
   }
 }

@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "index/index_manager.h"
+#include "obs/engine_metrics.h"
 #include "query/executor.h"
 #include "query/oracle.h"
 #include "query/predicate.h"
@@ -354,6 +355,162 @@ TEST(OracleTest, MergeOnSealMatchesAFullResortBitForBit) {
       }
     }
   }
+}
+
+/// Checks every answer of `oracle` against `reference`, which must hold
+/// the same values, freshly re-sorted: size, ValueAt at both ends, past
+/// the end and at 1,000 sampled indices (every index of a smaller
+/// history), CountRange over 20 ranges, and, when `aggregate`,
+/// AggregateRange over 10 of them, bit for bit.
+void ExpectSameAnswers(GroundTruthOracle* oracle,
+                       const ResortedHistory& reference, bool aggregate,
+                       Rng* rng, int seal) {
+  const std::vector<Value>& values = reference.values();
+  ASSERT_EQ(oracle->size(), values.size()) << "seal " << seal;
+  const uint64_t n = values.size();
+  ASSERT_EQ(oracle->ValueAt(0).value(), values.front()) << "seal " << seal;
+  ASSERT_EQ(oracle->ValueAt(n - 1).value(), values.back()) << "seal " << seal;
+  ASSERT_EQ(oracle->ValueAt(n).status().code(), StatusCode::kOutOfRange);
+  for (uint64_t s = 0; s < std::min<uint64_t>(n, 1000); ++s) {
+    const uint64_t i = n <= 1000 ? s : rng->UniformIndex(n);
+    ASSERT_EQ(oracle->ValueAt(i).value(), values[i])
+        << "seal " << seal << " index " << i;
+  }
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  for (int q = 0; q < 20; ++q) {
+    Value lo = values[rng->UniformIndex(n)];
+    Value hi = values[rng->UniformIndex(n)];
+    if (q % 4 == 1) {  // narrow or empty, saturating at the domain's ends
+      const Value d = rng->UniformInt(-2, 3);
+      hi = d < 0 ? (lo < kMin - d ? kMin : lo + d)
+                 : (lo > kMax - d ? kMax : lo + d);
+    }
+    if (q == 0) {
+      lo = kMin;
+      hi = kMax;
+    }
+    const AggregateResult want = reference.Aggregate(lo, hi);
+    ASSERT_EQ(oracle->CountRange(lo, hi).value(), want.count)
+        << "seal " << seal << " q " << q;
+    if (!aggregate || q >= 10) continue;
+    const AggregateResult got = oracle->AggregateRange(lo, hi).value();
+    ASSERT_EQ(got.count, want.count) << "seal " << seal << " q " << q;
+    EXPECT_EQ(Bits(got.sum), Bits(want.sum)) << "seal " << seal;
+    EXPECT_EQ(Bits(got.avg), Bits(want.avg)) << "seal " << seal;
+    EXPECT_EQ(Bits(got.min), Bits(want.min)) << "seal " << seal;
+    EXPECT_EQ(Bits(got.max), Bits(want.max)) << "seal " << seal;
+    EXPECT_EQ(Bits(got.variance), Bits(want.variance)) << "seal " << seal;
+  }
+}
+
+TEST(OracleTest, DeltaAndFoldsMatchAFullResortAtScale) {
+  // Batches of 1-4,000 values over 200 seals, so the delta folds into the
+  // history at many sizes. Aggregates, which fold first, come on a random
+  // schedule with gaps of 1-12 seals, so some folds are the 1/8 rule's
+  // and some an aggregate's. Batch shapes: uniform values, all-equal
+  // batches, the int64 extremes with values over the whole domain (sums
+  // round, so a change of summation order shows in the bits), and batches
+  // wholly below or above every earlier value.
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  const Value extremes[] = {kMin, kMin + 1, -1, 0, 1, kMax - 1, kMax};
+  GroundTruthOracle oracle;
+  ResortedHistory reference;
+  Rng rng(20261025);
+  Rng checks(20261026);
+  int next_aggregate = static_cast<int>(rng.UniformInt(1, 12));
+  for (int seal = 0; seal < 200; ++seal) {
+    const int64_t n = seal % 8 == 3 ? rng.UniformInt(1, 4000)
+                                    : rng.UniformInt(1, 300);
+    const int shape = seal == 0 ? 0 : static_cast<int>(rng.UniformInt(0, 4));
+    const Value equal = rng.UniformInt(-1000, 1000);
+    for (int64_t i = 0; i < n; ++i) {
+      Value v = 0;
+      switch (shape) {
+        case 0: v = rng.UniformInt(-1000000, 1000000); break;
+        case 1: v = equal; break;
+        case 2:
+          v = i % 2 == 0 ? extremes[rng.UniformIndex(7)]
+                         : static_cast<Value>(rng.NextU64());
+          break;
+        case 3:  // below every earlier value
+          v = oracle.min_seen() > kMin + 10000
+                  ? oracle.min_seen() - rng.UniformInt(1, 10000)
+                  : kMin;
+          break;
+        default:  // above every earlier value
+          v = oracle.max_seen() < kMax - 10000
+                  ? oracle.max_seen() + rng.UniformInt(1, 10000)
+                  : kMax;
+          break;
+      }
+      oracle.Append(v);
+      reference.Append(v);
+    }
+    oracle.Seal();
+    reference.Resort();
+    const bool aggregate = seal == next_aggregate;
+    if (aggregate) next_aggregate += static_cast<int>(rng.UniformInt(1, 12));
+    ExpectSameAnswers(&oracle, reference, aggregate, &checks, seal);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(OracleTest, IncreasingBatchesMoveNothingAndMatchAFullResort) {
+  // kSerial-like ingest: every batch lies above every earlier value, so
+  // no merge moves a value, seal or fold. Equal runs of the current
+  // maximum included. Aggregates on a random schedule.
+  GroundTruthOracle oracle;
+  ResortedHistory reference;
+  Rng rng(20261027);
+  Rng checks(20261028);
+  const uint64_t moved_before = obs::EngineMetrics::Get()
+                                    .oracle_values_merged->Value();
+  Value next = -5000;
+  for (int seal = 0; seal < 200; ++seal) {
+    const int64_t n = seal % 8 == 3 ? rng.UniformInt(1, 4000)
+                                    : rng.UniformInt(1, 300);
+    for (int64_t i = 0; i < n; ++i) {
+      next += rng.UniformInt(0, 2);
+      oracle.Append(next);
+      reference.Append(next);
+    }
+    oracle.Seal();
+    reference.Resort();
+    ExpectSameAnswers(&oracle, reference, rng.UniformInt(0, 5) == 0,
+                      &checks, seal);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(obs::EngineMetrics::Get().oracle_values_merged->Value(),
+            moved_before);
+}
+
+TEST(OracleTest, TheDeltaFoldsAtAnEighthOfTheHistory) {
+#if defined(AMNESIA_NO_METRICS)
+  GTEST_SKIP() << "metrics compiled out (AMNESIA_NO_METRICS)";
+#endif
+  obs::Counter* folds = obs::EngineMetrics::Get().oracle_folds;
+  GroundTruthOracle oracle;
+  // The initial load folds at once: the history is empty.
+  uint64_t folded = folds->Value();
+  for (Value v = 0; v < 800; ++v) oracle.Append(v * 3);
+  oracle.Seal();
+  EXPECT_EQ(folds->Value(), folded + 1);
+  // Ten-value batches fold once the delta holds 100 = 800 / 8 values.
+  folded = folds->Value();
+  for (int seal = 1; seal <= 10; ++seal) {
+    for (Value v = 0; v < 10; ++v) oracle.Append(v * 7 + seal);
+    oracle.Seal();
+    EXPECT_EQ(folds->Value(), folded + (seal == 10 ? 1 : 0)) << seal;
+  }
+  // An aggregate folds what the delta holds; with none, it folds nothing.
+  oracle.Append(5);
+  oracle.Seal();
+  folded = folds->Value();
+  EXPECT_EQ(oracle.AggregateRange(-1, 3000).value().count, 901u);
+  EXPECT_EQ(oracle.AggregateRange(-1, 3000).value().count, 901u);
+  EXPECT_EQ(folds->Value(), folded + 1);
 }
 
 TEST(OracleTest, ScanAndOracleAgreeWithoutAmnesia) {
